@@ -76,6 +76,17 @@ def _resolve_schema(name_or_path: str):
     return builtin_schema(name_or_path)
 
 
+def _embedder(args, cfg: dict):
+    embed_url = _pick(args.embed_url, cfg, "embed_url")
+    if not embed_url:
+        return HashingEmbedder()
+    return HttpEmbeddingBackend(
+        embed_url,
+        model_id=_pick(args.embed_model, cfg, "embed_model"),
+        dimension=int(_pick(args.embed_dim, cfg, "embed_dimension")),
+    )
+
+
 def _chat_gateway(args, cfg: dict) -> LlmGateway:
     chat_url = _pick(getattr(args, "chat_url", None), cfg, "chat_url")
     model = _pick(getattr(args, "model", None), cfg, "chat_model")
@@ -85,19 +96,10 @@ def _chat_gateway(args, cfg: dict) -> LlmGateway:
         backend = HttpChatBackend(chat_url)
     else:
         raise UsageError("no chat backend configured; pass --script or --chat-url")
-    embed_url = _pick(getattr(args, "embed_url", None), cfg, "embed_url")
-    if embed_url:
-        embedder = HttpEmbeddingBackend(
-            embed_url,
-            model_id=_pick(getattr(args, "embed_model", None), cfg, "embed_model"),
-            dimension=_pick(getattr(args, "embed_dim", None), cfg, "embed_dimension"),
-        )
-    else:
-        embedder = HashingEmbedder()
     cache_dir = _pick(getattr(args, "cache_dir", None), cfg, "cache_dir") or None
     args.chat_model_resolved = model
     return LlmGateway(
-        backend, embedder, cache_dir=cache_dir,
+        backend, _embedder(args, cfg), cache_dir=cache_dir,
         retry=RetryPolicy(max_attempts=int(cfg["retry_attempts"]),
                           backoff_base=float(cfg["retry_backoff"])),
         max_in_flight=int(cfg["max_in_flight"]),
@@ -198,16 +200,7 @@ def cmd_index(args) -> int:
         overlap=int(_pick(args.chunk_overlap, cfg, "chunk_overlap")),
         min_tail=int(_pick(args.chunk_min_tail, cfg, "chunk_min_tail")),
     )
-    embed_url = _pick(args.embed_url, cfg, "embed_url")
-    if embed_url:
-        embedder = HttpEmbeddingBackend(
-            embed_url,
-            model_id=_pick(args.embed_model, cfg, "embed_model"),
-            dimension=int(_pick(args.embed_dim, cfg, "embed_dimension")),
-        )
-    else:
-        embedder = HashingEmbedder()
-    index = build_index(docs, embedder, params=params)
+    index = build_index(docs, _embedder(args, cfg), params=params)
     atomic_write_text(args.out, save_index(index))
     print(f"wrote {args.out}: {len(index.documents)} articles, "
           f"{len(index.chunks)} chunks, dim {index.dimension}")

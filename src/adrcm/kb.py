@@ -22,10 +22,13 @@ import numpy as np
 from .model import CUI_PATTERN, Entity
 
 _TOKEN = re.compile(r"\S+")
+_RECORD = re.compile(r"[^\n]*\S[^\n]*")
 
 DEFAULT_CHUNK_SIZE = 256
 DEFAULT_CHUNK_OVERLAP = 32
 MIN_TAIL_TOKENS = 16
+EMBED_BATCH_SIZE = 256
+SHORTLIST_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -130,7 +133,11 @@ class Chunk:
 
 @dataclass
 class CuiIndex:
-    """Two-layer retrieval index: CUI to articles, article to chunks."""
+    """Two-layer retrieval index: CUI to articles, article to chunks.
+
+    ``chunks`` and ``chunk_ids`` are in id order; row i of ``matrix`` (norm
+    ``norms[i]``) is the vector of ``chunk_ids[i]``, and ``Chunk.vector`` a view of it.
+    """
 
     dimension: int
     params: ChunkParams
@@ -140,72 +147,66 @@ class CuiIndex:
     by_cui: dict[str, tuple[str, ...]]
     by_title: dict[str, tuple[str, ...]]
     fingerprint: str
+    chunk_ids: tuple[str, ...] = field(repr=False)
+    matrix: np.ndarray = field(repr=False, compare=False)
+    norms: np.ndarray = field(repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.chunks)
 
 
-def _index_fingerprint(dimension: int, params: ChunkParams,
-                       chunks: Sequence[Chunk]) -> str:
+def _assemble(dimension: int, params: ChunkParams, documents: dict[str, KbDocument],
+              rows: Sequence[tuple[str, str, str]], matrix: np.ndarray) -> CuiIndex:
+    """Build the lookup maps and fingerprint over ``(chunk_id, doc_id, text)``
+    ``rows`` sorted by chunk id, row i of ``matrix`` being the vector of ``rows[i]``."""
     digest = hashlib.sha256()
     digest.update(f"{dimension}|{params.size}|{params.overlap}|{params.min_tail}".encode())
-    for chunk in sorted(chunks, key=lambda c: c.chunk_id):
-        digest.update(chunk.chunk_id.encode("utf-8"))
-        digest.update(chunk.text.encode("utf-8"))
-    return digest.hexdigest()
+    chunks: dict[str, Chunk] = {}
+    doc_chunks: dict[str, list[str]] = {d: [] for d in documents}
+    for (chunk_id, doc_id, text), vec in zip(rows, matrix):
+        doc = documents[doc_id]
+        chunks[chunk_id] = Chunk(chunk_id, doc_id, doc.cui, doc.source, doc.title, text, vec)
+        doc_chunks[doc_id].append(chunk_id)
+        digest.update((chunk_id + text).encode("utf-8"))
+    by_cui: dict[str, list[str]] = {}
+    by_title: dict[str, list[str]] = {}
+    for doc_id, doc in sorted(documents.items()):
+        by_cui.setdefault(doc.cui, []).append(doc_id)
+        by_title.setdefault(doc.title.casefold(), []).append(doc_id)
+    return CuiIndex(
+        dimension, params, documents, chunks,
+        doc_chunks={k: tuple(v) for k, v in doc_chunks.items()},
+        by_cui={k: tuple(v) for k, v in sorted(by_cui.items())},
+        by_title={k: tuple(v) for k, v in sorted(by_title.items())},
+        fingerprint=digest.hexdigest(), chunk_ids=tuple(chunks),
+        matrix=matrix, norms=np.linalg.norm(matrix, axis=1))
 
 
 def build_index(docs: Sequence[KbDocument], gateway, *,
                 params: ChunkParams | None = None) -> CuiIndex:
     """Chunk and embed KB articles into a fresh index.
 
-    ``gateway`` only needs an ``embed_batch`` method. Articles are
-    processed in doc_id order so the result is reproducible for a given
-    embedder.
+    ``gateway`` only needs an ``embed_batch`` method. It receives chunk
+    texts in chunk-id order, at most ``EMBED_BATCH_SIZE`` per call, so the
+    result is reproducible for a given embedder.
     """
     params = params if params is not None else ChunkParams()
-    ordered = sorted(docs, key=lambda d: d.doc_id)
-    ids = [d.doc_id for d in ordered]
-    if len(set(ids)) != len(ids):
+    documents = {d.doc_id: d for d in sorted(docs, key=lambda d: d.doc_id)}
+    if len(documents) != len(docs):
         raise ValueError("duplicate KB article ids")
-
-    documents: dict[str, KbDocument] = {}
-    texts: list[str] = []
-    pending: list[tuple[str, str]] = []
-    for doc in ordered:
-        documents[doc.doc_id] = doc
-        for i, piece in enumerate(chunk_text(doc.text, params)):
-            pending.append((doc.doc_id, f"{doc.doc_id}#{i:04d}"))
-            texts.append(piece)
-    if not texts:
+    rows = sorted((f"{doc_id}#{i:04d}", doc_id, piece)
+                  for doc_id, doc in documents.items()
+                  for i, piece in enumerate(chunk_text(doc.text, params)))
+    if not rows:
         raise ValueError("KB snapshot produced no chunks")
-    vectors = gateway.embed_batch(texts)
-    dimension = int(vectors[0].shape[0])
-
-    chunks: dict[str, Chunk] = {}
-    doc_chunks: dict[str, list[str]] = {d: [] for d in documents}
-    for (doc_id, chunk_id), text, vec in zip(pending, texts, vectors):
-        doc = documents[doc_id]
-        chunks[chunk_id] = Chunk(chunk_id, doc_id, doc.cui, doc.source,
-                                 doc.title, text, vec)
-        doc_chunks[doc_id].append(chunk_id)
-
-    by_cui: dict[str, list[str]] = {}
-    by_title: dict[str, list[str]] = {}
-    for doc_id, doc in documents.items():
-        by_cui.setdefault(doc.cui, []).append(doc_id)
-        by_title.setdefault(doc.title.casefold(), []).append(doc_id)
-
-    return CuiIndex(
-        dimension=dimension,
-        params=params,
-        documents=documents,
-        chunks=chunks,
-        doc_chunks={k: tuple(sorted(v)) for k, v in doc_chunks.items()},
-        by_cui={k: tuple(sorted(v)) for k, v in sorted(by_cui.items())},
-        by_title={k: tuple(sorted(v)) for k, v in sorted(by_title.items())},
-        fingerprint=_index_fingerprint(dimension, params, list(chunks.values())),
-    )
+    matrix = None
+    for start in range(0, len(rows), EMBED_BATCH_SIZE):
+        vectors = gateway.embed_batch([t for _, _, t in rows[start:start + EMBED_BATCH_SIZE]])
+        if matrix is None:
+            matrix = np.empty((len(rows), len(vectors[0])))
+        # raises ValueError unless the batch has one vector of the right length per text
+        np.stack(vectors, out=matrix[start:start + EMBED_BATCH_SIZE])
+    return _assemble(matrix.shape[1], params, documents, rows, matrix)
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -236,17 +237,32 @@ def _scope_doc_ids(index: CuiIndex, entity: Entity) -> list[str]:
 
 
 def candidate_chunk_ids(index: CuiIndex, head: Entity, tail: Entity, *,
-                        cui_scoped: bool = True) -> list[str]:
+                        cui_scoped: bool = True) -> Sequence[str]:
     """Chunk ids eligible for a pair query, sorted for determinism."""
     if not cui_scoped:
-        return sorted(index.chunks)
-    doc_ids: set[str] = set()
-    for entity in (head, tail):
-        doc_ids.update(_scope_doc_ids(index, entity))
-    out: set[str] = set()
-    for doc_id in doc_ids:
-        out.update(index.doc_chunks[doc_id])
-    return sorted(out)
+        return index.chunk_ids
+    doc_ids = set(_scope_doc_ids(index, head)) | set(_scope_doc_ids(index, tail))
+    return sorted(c for doc_id in doc_ids for c in index.doc_chunks[doc_id])
+
+
+def _shortlist(index: CuiIndex, chunk_ids: Sequence[str], query_vec: np.ndarray,
+               k: int) -> list[str]:
+    """Ids of the rows that can reach the top ``k`` of a whole-index scan.
+
+    ``chunk_ids`` names the matrix rows in order. One pass scores every row;
+    rows within ``SHORTLIST_MARGIN`` of the k-th best are kept for exact
+    rescoring, a margin far above the rounding gap between the two, so ties
+    resolve exactly as in a per-chunk ``cosine`` scan. The einsum stays off
+    BLAS, whose gemv wakes a second thread that spins on the CPU.
+    """
+    if query_vec.shape != (index.dimension,):
+        raise ValueError(f"dimension mismatch: {query_vec.shape} vs {(index.dimension,)}")
+    query_norm = float(np.linalg.norm(query_vec))
+    if query_norm == 0.0 or not index.norms.all():
+        raise ValueError("cosine undefined for zero vector")
+    approx = np.einsum("ij,j->i", index.matrix, query_vec) / (index.norms * query_norm)
+    kth = np.partition(approx, -k)[-k] if k <= len(approx) else -np.inf
+    return [chunk_ids[i] for i in np.flatnonzero(approx >= kth - SHORTLIST_MARGIN)]
 
 
 def retrieve(index: CuiIndex, query_vec: np.ndarray, head: Entity, tail: Entity,
@@ -255,59 +271,58 @@ def retrieve(index: CuiIndex, query_vec: np.ndarray, head: Entity, tail: Entity,
 
     Ties are broken by chunk id so results are stable. An empty scope
     (no article for either entity) yields an empty list rather than
-    falling back to the whole index.
+    falling back to the whole index. Unscoped, only a ``_shortlist`` is ranked.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    scored = []
-    for chunk_id in candidate_chunk_ids(index, head, tail, cui_scoped=cui_scoped):
-        chunk = index.chunks[chunk_id]
-        scored.append((cosine(query_vec, chunk.vector), chunk))
-    scored.sort(key=lambda pair: (-pair[0], pair[1].chunk_id))
-    return [
-        RetrievedSnippet(c.chunk_id, c.doc_id, c.cui, c.source, c.title, c.text, score)
-        for score, c in scored[:k]
-    ]
+    chunk_ids = candidate_chunk_ids(index, head, tail, cui_scoped=cui_scoped)
+    if not cui_scoped:
+        chunk_ids = _shortlist(index, chunk_ids, query_vec, k)
+    chunks = [index.chunks[chunk_id] for chunk_id in chunk_ids]
+    ranked = sorted((-cosine(query_vec, c.vector), c.chunk_id, c) for c in chunks)
+    return [RetrievedSnippet(c.chunk_id, c.doc_id, c.cui, c.source, c.title, c.text, -neg)
+            for neg, _, c in ranked[:k]]
 
 
 def save_index(index: CuiIndex) -> str:
     """Serialize an index to a single JSONL string."""
     lines = [json.dumps({
-        "kind": "header",
-        "dimension": index.dimension,
+        "kind": "header", "dimension": index.dimension, "chunks": len(index.chunks),
         "params": {"size": index.params.size, "overlap": index.params.overlap,
                    "min_tail": index.params.min_tail},
         "fingerprint": index.fingerprint,
     }, sort_keys=True)]
-    for doc_id in sorted(index.documents):
-        doc = index.documents[doc_id]
+    for _, doc in sorted(index.documents.items()):
         lines.append(json.dumps({
             "kind": "doc", "cui": doc.cui, "source": doc.source,
             "title": doc.title, "text": doc.text,
         }, sort_keys=True, ensure_ascii=False))
-    for chunk_id in sorted(index.chunks):
-        chunk = index.chunks[chunk_id]
+    for chunk in index.chunks.values():
         lines.append(json.dumps({
             "kind": "chunk", "chunk_id": chunk.chunk_id, "doc_id": chunk.doc_id,
-            "text": chunk.text, "vector": [float(x) for x in chunk.vector],
+            "text": chunk.text, "vector": chunk.vector.tolist(),
         }, sort_keys=True, ensure_ascii=False))
     return "\n".join(lines) + "\n"
 
 
 def load_index(text: str) -> CuiIndex:
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
+    """Parse a ``save_index`` string; any inconsistency is a ``ValueError``."""
+    records = (m.group() for m in _RECORD.finditer(text))
+    first = next(records, None)
+    if first is None:
         raise ValueError("empty index file")
-    header = json.loads(lines[0])
+    header = json.loads(first)
     if header.get("kind") != "header":
         raise ValueError("index file must start with a header record")
+    count = header.get("chunks")
+    if type(count) is not int or not 0 <= count <= text.count("\n") + 1:
+        raise ValueError("index header has no valid chunk count; rebuild it with `adrcm index`")
     params = ChunkParams(**header["params"])
     dimension = int(header["dimension"])
-
     documents: dict[str, KbDocument] = {}
-    chunks: dict[str, Chunk] = {}
-    doc_chunks: dict[str, list[str]] = {}
-    for line_no, line in enumerate(lines[1:], start=2):
+    rows: list[tuple[str, str, str]] = []
+    matrix = np.empty((count, dimension))
+    for line_no, line in enumerate(records, start=2):
         row = json.loads(line)
         kind = row.get("kind")
         if kind == "doc":
@@ -315,40 +330,23 @@ def load_index(text: str) -> CuiIndex:
             if doc.doc_id in documents:
                 raise ValueError(f"line {line_no}: duplicate article {doc.doc_id!r}")
             documents[doc.doc_id] = doc
-            doc_chunks[doc.doc_id] = []
         elif kind == "chunk":
-            doc = documents.get(row["doc_id"])
-            if doc is None:
+            chunk_id = row["chunk_id"]
+            if row["doc_id"] not in documents:
                 raise ValueError(f"line {line_no}: chunk references unknown article")
-            vec = np.asarray(row["vector"], dtype=np.float64)
-            if vec.shape != (dimension,):
+            if rows and chunk_id <= rows[-1][0]:
+                raise ValueError(f"line {line_no}: chunk {chunk_id!r} repeated or out of order")
+            if len(rows) == count:
+                raise ValueError(f"line {line_no}: more chunks than the header's {count}")
+            if len(row["vector"]) != dimension:
                 raise ValueError(f"line {line_no}: expected {dimension}-dim vector")
-            chunk = Chunk(row["chunk_id"], doc.doc_id, doc.cui, doc.source,
-                          doc.title, row["text"], vec)
-            if chunk.chunk_id in chunks:
-                raise ValueError(f"line {line_no}: duplicate chunk {chunk.chunk_id!r}")
-            chunks[chunk.chunk_id] = chunk
-            doc_chunks[doc.doc_id].append(chunk.chunk_id)
+            matrix[len(rows)] = row["vector"]
+            rows.append((chunk_id, row["doc_id"], row["text"]))
         else:
             raise ValueError(f"line {line_no}: unknown record kind {kind!r}")
-
-    by_cui: dict[str, list[str]] = {}
-    by_title: dict[str, list[str]] = {}
-    for doc_id, doc in documents.items():
-        by_cui.setdefault(doc.cui, []).append(doc_id)
-        by_title.setdefault(doc.title.casefold(), []).append(doc_id)
-
-    index = CuiIndex(
-        dimension=dimension,
-        params=params,
-        documents=documents,
-        chunks=chunks,
-        doc_chunks={k: tuple(sorted(v)) for k, v in doc_chunks.items()},
-        by_cui={k: tuple(sorted(v)) for k, v in sorted(by_cui.items())},
-        by_title={k: tuple(sorted(v)) for k, v in sorted(by_title.items())},
-        fingerprint=header["fingerprint"],
-    )
-    expected = _index_fingerprint(dimension, params, list(chunks.values()))
-    if expected != index.fingerprint:
+    if len(rows) != count:
+        raise ValueError(f"index has {len(rows)} chunks, its header says {count}")
+    index = _assemble(dimension, params, documents, rows, matrix)
+    if index.fingerprint != header["fingerprint"]:
         raise ValueError("index fingerprint does not match its contents")
     return index

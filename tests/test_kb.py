@@ -1,9 +1,11 @@
+import json
 import math
 import random
 
 import numpy as np
 import pytest
 
+from adrcm import kb
 from adrcm.kb import (
     Chunk,
     ChunkParams,
@@ -235,3 +237,145 @@ def test_load_index_rejects_tampering(toy_index):
         load_index("\n".join(text.splitlines()[1:]))
     with pytest.raises(ValueError, match="empty"):
         load_index("")
+
+
+class _ScaledEmbedder:
+    """Hashing vectors scaled by a text-dependent factor, so rows are not unit
+    length; records the size of every batch it is asked for."""
+
+    def __init__(self):
+        self.inner = HashingEmbedder()
+        self.batches = []
+
+    def embed_batch(self, texts):
+        self.batches.append(len(texts))
+        return [(1.0 + len(t) % 7) * v for t, v in zip(texts, self.inner.embed_batch(texts))]
+
+
+_VOCAB = ["alpha", "beta", "gamma", "delta", "kinase", "lesion", "fever", "dose"]
+_TIED = "kinase lesion fever dose alpha"
+
+
+def _tie_index():
+    """Six articles with the same text under different CUIs, among others."""
+    rng = random.Random(5)
+    docs = [KbDocument(f"C{2000000 + i}", "kb", f"tied {i}", _TIED) for i in range(6)]
+    docs += [KbDocument(f"C{3000000 + i}", "kb", f"other {i}",
+                        " ".join(rng.choices(_VOCAB, k=rng.randint(3, 30))))
+             for i in range(12)]
+    return build_index(docs, _ScaledEmbedder(), params=ChunkParams(5, 1, 2))
+
+
+def _brute_scan(index, query, k):
+    scored = sorted((-cosine(query, c.vector), c.chunk_id) for c in index.chunks.values())
+    return [(chunk_id, -neg) for neg, chunk_id in scored[:k]]
+
+
+def test_unscoped_retrieve_equals_bruteforce_scan_with_ties():
+    index = _tie_index()
+    head, tail = _entity("E1", cui="C2000000"), _entity("E2", cui="C3000000")
+    rng = random.Random(9)
+    queries = [3.5 * HashingEmbedder().embed_one(_TIED)]
+    queries += [rng.uniform(0.1, 9.0) * HashingEmbedder().embed_one(
+        " ".join(rng.choices(_VOCAB, k=4))) for _ in range(20)]
+    for index_ in (index, load_index(save_index(index))):
+        for query in queries:
+            for k in (1, 3, 5, 6, 7, 10, len(index) + 3):
+                got = [(s.chunk_id, s.score)
+                       for s in retrieve(index_, query, head, tail, k=k, cui_scoped=False)]
+                want = _brute_scan(index_, query, k)
+                assert [(c, s.hex()) for c, s in got] == [(c, s.hex()) for c, s in want]
+    top = retrieve(index, queries[0], head, tail, k=6, cui_scoped=False)
+    assert {r.cui for r in top} == {f"C{2000000 + i}" for i in range(6)}
+    assert len({r.score for r in top}) == 1
+
+
+def test_unscoped_retrieve_rejects_bad_queries_like_the_scan():
+    index = _tie_index()
+    head, tail = _entity("E1", cui="C2000000"), _entity("E2", cui="C3000000")
+    for query in (np.zeros(index.dimension), np.ones(index.dimension + 1)):
+        messages = []
+        for scoped in (True, False):
+            with pytest.raises(ValueError) as info:
+                retrieve(index, query, head, tail, k=3, cui_scoped=scoped)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert "zero vector" in messages[0] or "mismatch" in messages[0]
+
+
+def test_chunk_vectors_are_views_of_the_index_matrix():
+    built = _tie_index()
+    for index in (built, load_index(save_index(built))):
+        assert index.chunk_ids == tuple(sorted(index.chunks))
+        assert index.matrix.shape == (len(index), index.dimension)
+        for row, chunk_id in enumerate(index.chunk_ids):
+            vector = index.chunks[chunk_id].vector
+            assert np.shares_memory(vector, index.matrix)
+            assert np.array_equal(vector, index.matrix[row])
+        assert np.allclose(index.norms, [np.linalg.norm(v) for v in index.matrix],
+                           rtol=1e-15, atol=0)
+
+
+def _retamper(text, edit):
+    records = [json.loads(line) for line in text.splitlines()]
+    edit(records)
+    return "".join(json.dumps(r, sort_keys=True, ensure_ascii=False) + "\n" for r in records)
+
+
+def _swap_chunks(records):
+    at = next(i for i, r in enumerate(records) if r["kind"] == "chunk")
+    records[at], records[at + 1] = records[at + 1], records[at]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda rs: rs[0].update(chunks=rs[0]["chunks"] - 1), "more chunks"),
+    (lambda rs: rs[0].update(chunks=rs[0]["chunks"] + 1), "header says"),
+    (lambda rs: rs[0].pop("chunks"), "adrcm index"),
+    (lambda rs: rs[0].update(chunks=10 ** 12), "adrcm index"),
+    (_swap_chunks, "out of order"),
+    (lambda rs: rs.insert(len(rs) - 1, dict(rs[-1])), "repeated"),
+    (lambda rs: rs[-1]["vector"].pop(), "dim vector"),
+], ids=["count-small", "count-large", "count-missing", "count-huge", "order",
+        "duplicate", "vector-length"])
+def test_load_index_rejects_inconsistent_records(toy_index, edit, message):
+    text = save_index(toy_index)
+    assert save_index(load_index(text)) == text
+    with pytest.raises(ValueError, match=message):
+        load_index(_retamper(text, edit))
+
+
+def test_build_index_embeds_in_bounded_batches(monkeypatch):
+    docs = [KbDocument(f"C{4000000 + i}", "kb", f"topic {i}", _tokens(40, f"w{i}x"))
+            for i in range(40)]
+    params = ChunkParams(4, 1, 1)
+    batched_embedder = _ScaledEmbedder()
+    batched = build_index(docs, batched_embedder, params=params)
+    assert len(batched) > 2 * kb.EMBED_BATCH_SIZE
+    assert max(batched_embedder.batches) <= kb.EMBED_BATCH_SIZE
+    assert sum(batched_embedder.batches) == len(batched)
+
+    monkeypatch.setattr(kb, "EMBED_BATCH_SIZE", len(batched))
+    single_embedder = _ScaledEmbedder()
+    single = build_index(docs, single_embedder, params=params)
+    assert single_embedder.batches == [len(batched)]
+    assert single.fingerprint == batched.fingerprint
+    assert single.chunk_ids == batched.chunk_ids
+    assert np.array_equal(single.matrix, batched.matrix)
+    for chunk_id, chunk in batched.chunks.items():
+        assert np.array_equal(chunk.vector, single.chunks[chunk_id].vector)
+
+
+def test_build_index_rejects_short_embedding_batches():
+    class Short(_ScaledEmbedder):
+        def embed_batch(self, texts):
+            return super().embed_batch(texts)[:-1]
+
+    with pytest.raises(ValueError):
+        build_index([KbDocument("C0000001", "kb", "t", _tokens(20))], Short(),
+                    params=ChunkParams(4, 1, 1))
+
+
+def test_index_round_trip_keeps_unicode_line_separators():
+    docs = [KbDocument("C0000001", "kb", "sep", "one\u2028two\x85three words here")]
+    text = save_index(build_index(docs, HashingEmbedder()))
+    assert save_index(load_index(text)) == text
