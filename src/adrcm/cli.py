@@ -116,7 +116,7 @@ def cmd_ingest(args) -> int:
     cui_map = parse_cui_map(read_text(args.cui_map)) if args.cui_map else None
     tag = _pick(args.tag, cfg, "dataset_tag")
     corpus = parse_pubtator(read_text(args.input), schema,
-                            cui_map=cui_map, dataset_tag=tag)
+                            cui_map=cui_map, dataset_tag=tag or None)
     atomic_write_text(args.out, save_corpus(corpus))
     n_entities = sum(len(s.entities) for s in corpus.samples)
     n_triplets = sum(len(s.triplets) for s in corpus.samples)
@@ -272,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--schema", help="built-in schema name or a .json path")
     p.add_argument("--cui-map", help="identifier -> CUI TSV")
-    p.add_argument("--tag", help="dataset tag stored with each document")
+    p.add_argument("--tag", help="dataset tag (default: derived from the schema)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ingest)
 
@@ -330,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the report JSON here")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("e2e-mock", parents=[common],
+    p = sub.add_parser("e2e-mock",
                        help="run the full pipeline offline on the toy corpus")
     p.add_argument("--workdir", required=True)
     p.add_argument("--beta", type=int, default=3)

@@ -14,7 +14,7 @@ from typing import Mapping
 
 DEFAULTS: Mapping[str, object] = {
     "schema": "cdr",
-    "dataset_tag": "CDR",
+    "dataset_tag": "",
     "beta": 3,
     "max_summary_chars": 4000,
     "chunk_size": 256,

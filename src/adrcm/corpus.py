@@ -89,6 +89,8 @@ ETYPE_MAP = {
 
 _UNLINKED_IDS = {"", "-1"}
 
+_SCHEMA_DATASET_TAGS = {"cdr": "CDR", "gda": "GDA", "biored": "BioRED"}
+
 
 def segment_sentences(text: str) -> list[tuple[int, int]]:
     """Split text into half-open sentence ranges.
@@ -160,9 +162,7 @@ def parse_pubtator(
     :class:`ParseError` with the offending line number.
     """
     if dataset_tag is None:
-        dataset_tag = {"cdr": "CDR", "gda": "GDA", "biored": "BioRED"}.get(
-            schema.name, "custom"
-        )
+        dataset_tag = _SCHEMA_DATASET_TAGS.get(schema.name, "custom")
     cui_map = cui_map or {}
 
     samples: list[TrainingSample] = []
@@ -324,13 +324,8 @@ def _parse_block(
 
 def save_corpus(corpus: Corpus) -> str:
     """Serialize a corpus to the normalized line-delimited format."""
-    tag = (
-        corpus.samples[0].document.dataset_tag
-        if corpus.samples
-        else {"cdr": "CDR", "gda": "GDA", "biored": "BioRED"}.get(
-            corpus.schema.name, "custom"
-        )
-    )
+    tag = (corpus.samples[0].document.dataset_tag if corpus.samples
+           else _SCHEMA_DATASET_TAGS.get(corpus.schema.name, "custom"))
     out = [
         json.dumps(
             {

@@ -11,12 +11,12 @@ sidecar describing the adapter hyperparameters for the fine-tune job.
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import Corpus, enumerate_candidate_pairs
+from .files import dump_jsonl, parse_jsonl
 from .infer import build_instruction, build_task_input
 from .iors import DEFAULT_BETA, SyntheticRecord
 from .model import TrainingSample
@@ -56,15 +56,6 @@ def split_sample(sample: TrainingSample) -> list[AugmentedRecord]:
     ]
 
 
-def merge_sample(original: Sequence[AugmentedRecord],
-                 synthetic: Sequence[AugmentedRecord]) -> list[AugmentedRecord]:
-    """Union of a document's split records and its synthetic records."""
-    doc_ids = {r.doc_id for r in original} | {r.doc_id for r in synthetic}
-    if len(doc_ids) > 1:
-        raise ValueError(f"records from multiple documents: {sorted(doc_ids)}")
-    return list(original) + list(synthetic)
-
-
 def build_dataset(corpus: Corpus,
                   synthetic: Sequence[SyntheticRecord]) -> tuple[AugmentedRecord, ...]:
     """Assemble the corpus-wide augmented dataset.
@@ -94,39 +85,25 @@ def build_dataset(corpus: Corpus,
                     raise ValueError(
                         f"synthetic record for {doc_id!r} references unknown "
                         f"entity {entity_id!r}")
-        converted = [
-            AugmentedRecord(r.doc_id, r.head_id, r.tail_id, r.relation,
-                            r.summary, PROVENANCE_SYNTHETIC)
-            for r in extras
-        ]
-        out.extend(merge_sample(split_sample(sample), converted))
+        out.extend(split_sample(sample))
+        out.extend(AugmentedRecord(r.doc_id, r.head_id, r.tail_id, r.relation,
+                                   r.summary, PROVENANCE_SYNTHETIC)
+                   for r in extras)
     return tuple(out)
 
 
 def save_dataset(records: Iterable[AugmentedRecord]) -> str:
-    lines = [
-        json.dumps({
-            "doc_id": r.doc_id, "head_id": r.head_id, "tail_id": r.tail_id,
-            "relation": r.relation, "text": r.text, "provenance": r.provenance,
-        }, sort_keys=True, ensure_ascii=False)
-        for r in records
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return dump_jsonl({
+        "doc_id": r.doc_id, "head_id": r.head_id, "tail_id": r.tail_id,
+        "relation": r.relation, "text": r.text, "provenance": r.provenance,
+    } for r in records)
 
 
 def load_dataset(text: str) -> tuple[AugmentedRecord, ...]:
-    records = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            row = json.loads(line)
-            records.append(AugmentedRecord(
-                row["doc_id"], row["head_id"], row["tail_id"],
-                row["relation"], row["text"], row["provenance"]))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ValueError(f"line {line_no}: bad dataset record: {exc}")
-    return tuple(records)
+    return tuple(record for _, record in parse_jsonl(
+        text, "dataset", lambda row: AugmentedRecord(
+            row["doc_id"], row["head_id"], row["tail_id"],
+            row["relation"], row["text"], row["provenance"])))
 
 
 @dataclass(frozen=True)
@@ -241,8 +218,7 @@ def export_finetune(corpus: Corpus, records: Sequence[AugmentedRecord],
 
 
 def save_finetune_rows(rows: Iterable[dict]) -> str:
-    lines = [json.dumps(row, sort_keys=True, ensure_ascii=False) for row in rows]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return dump_jsonl(rows)
 
 
 def fingerprint_rows(rows: Iterable[dict]) -> str:

@@ -1,8 +1,12 @@
-"""Small file helpers shared by the CLI and the mock pipeline."""
+"""Small file helpers shared by the pipeline stages."""
 
 from __future__ import annotations
 
+import json
 import os
+from typing import Callable, Iterable, Iterator, TypeVar
+
+T = TypeVar("T")
 
 
 def read_text(path: str) -> str:
@@ -18,3 +22,26 @@ def atomic_write_text(path: str, text: str) -> None:
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(text)
     os.replace(tmp, path)
+
+
+def dump_jsonl(rows: Iterable[dict]) -> str:
+    """One sorted-key JSON object per line, non-ASCII text left unescaped."""
+    lines = [json.dumps(row, sort_keys=True, ensure_ascii=False) for row in rows]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def parse_jsonl(text: str, what: str,
+                make: Callable[[dict], T]) -> Iterator[tuple[int, T]]:
+    """Yield ``(line number, make(row))`` for every non-blank JSONL line.
+
+    Splits on ``\\n`` only: :func:`dump_jsonl` writes U+2028 and U+0085
+    unescaped, and ``str.splitlines()`` would cut a record at either.
+    """
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = make(json.loads(line))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"line {line_no}: bad {what} record: {exc}")
+        yield line_no, record

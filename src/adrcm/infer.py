@@ -9,12 +9,12 @@ negative label and are flagged rather than dropped.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .corpus import Corpus, enumerate_candidate_pairs
+from .files import dump_jsonl, parse_jsonl
 from .iors import normalize_relation_label
 from .kb import CuiIndex, RetrievedSnippet, retrieve
 from .llm import LlmGateway, user_exchange
@@ -149,9 +149,7 @@ def predict_pair(gateway: LlmGateway, index: CuiIndex | None,
 
 
 def predict_corpus(gateway: LlmGateway, index: CuiIndex | None, corpus: Corpus,
-                   config: InferenceConfig | None = None,
-                   on_progress: Callable[[str, int, int], None] | None = None,
-                   ) -> list[PredictionRecord]:
+                   config: InferenceConfig | None = None) -> list[PredictionRecord]:
     """Predict a label for every candidate pair, in canonical order.
 
     The request stream is a pure function of corpus, index, and config,
@@ -159,43 +157,24 @@ def predict_corpus(gateway: LlmGateway, index: CuiIndex | None, corpus: Corpus,
     resumes where it stopped.
     """
     config = config if config is not None else InferenceConfig()
-    jobs = [
-        (sample, head_id, tail_id)
+    return [
+        predict_pair(gateway, index, sample, head_id, tail_id, corpus.schema, config)
         for sample in corpus.samples
         for head_id, tail_id, _ in enumerate_candidate_pairs(sample, corpus.schema)
     ]
-    predictions: list[PredictionRecord] = []
-    for i, (sample, head_id, tail_id) in enumerate(jobs, start=1):
-        if on_progress is not None:
-            on_progress(sample.document.doc_id, i, len(jobs))
-        predictions.append(predict_pair(
-            gateway, index, sample, head_id, tail_id, corpus.schema, config))
-    return predictions
 
 
 def save_predictions(predictions: Iterable[PredictionRecord]) -> str:
-    lines = [
-        json.dumps({
-            "doc_id": p.doc_id, "head_id": p.head_id, "tail_id": p.tail_id,
-            "label": p.label, "raw_output": p.raw_output,
-            "snippets_used": list(p.snippets_used), "unparseable": p.unparseable,
-        }, sort_keys=True, ensure_ascii=False)
-        for p in predictions
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return dump_jsonl({
+        "doc_id": p.doc_id, "head_id": p.head_id, "tail_id": p.tail_id,
+        "label": p.label, "raw_output": p.raw_output,
+        "snippets_used": list(p.snippets_used), "unparseable": p.unparseable,
+    } for p in predictions)
 
 
 def load_predictions(text: str) -> tuple[PredictionRecord, ...]:
-    records = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            row = json.loads(line)
-            records.append(PredictionRecord(
-                row["doc_id"], row["head_id"], row["tail_id"], row["label"],
-                row["raw_output"], tuple(row["snippets_used"]),
-                bool(row["unparseable"])))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ValueError(f"line {line_no}: bad prediction record: {exc}")
-    return tuple(records)
+    return tuple(record for _, record in parse_jsonl(
+        text, "prediction", lambda row: PredictionRecord(
+            row["doc_id"], row["head_id"], row["tail_id"], row["label"],
+            row["raw_output"], tuple(row["snippets_used"]),
+            bool(row["unparseable"]))))

@@ -11,11 +11,10 @@ confirm are discarded rather than kept as noisy data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
-
-import json
+from typing import Iterable, Sequence
 
 from .corpus import Corpus
+from .files import dump_jsonl, parse_jsonl
 from .llm import LlmGateway, TransportError, user_exchange
 from .model import Document, Entity, RelationSchema, TrainingSample, Triplet
 from .templating import load_default, render, require_placeholders
@@ -194,9 +193,7 @@ def positive_triplets(sample: TrainingSample, schema: RelationSchema) -> list[Tr
 
 
 def run_corpus_synthesis(gateway: LlmGateway, corpus: Corpus,
-                         config: IorsConfig | None = None,
-                         on_progress: Callable[[str, int, int], None] | None = None,
-                         ) -> SynthesisReport:
+                         config: IorsConfig | None = None) -> SynthesisReport:
     """Synthesize summaries for every positive triplet of every document.
 
     Documents are processed in corpus order and triplets in canonical
@@ -210,14 +207,9 @@ def run_corpus_synthesis(gateway: LlmGateway, corpus: Corpus,
     errors: list[str] = []
     summary_calls = 0
     confirmation_calls = 0
-    total = sum(len(positive_triplets(s, corpus.schema)) for s in corpus.samples)
-    done = 0
     for sample in corpus.samples:
         doc_id = sample.document.doc_id
         for triplet in positive_triplets(sample, corpus.schema):
-            done += 1
-            if on_progress is not None:
-                on_progress(doc_id, done, total)
             try:
                 result = generate_synthetic(
                     gateway, sample.document, sample.entity(triplet.head_id),
@@ -242,26 +234,14 @@ def run_corpus_synthesis(gateway: LlmGateway, corpus: Corpus,
 
 
 def save_synthetic(records: Iterable[SyntheticRecord]) -> str:
-    lines = [
-        json.dumps({
-            "doc_id": r.doc_id, "head_id": r.head_id, "tail_id": r.tail_id,
-            "relation": r.relation, "summary": r.summary,
-        }, sort_keys=True, ensure_ascii=False)
-        for r in records
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return dump_jsonl({
+        "doc_id": r.doc_id, "head_id": r.head_id, "tail_id": r.tail_id,
+        "relation": r.relation, "summary": r.summary,
+    } for r in records)
 
 
 def load_synthetic(text: str) -> tuple[SyntheticRecord, ...]:
-    records = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            row = json.loads(line)
-            records.append(SyntheticRecord(
-                row["doc_id"], row["head_id"], row["tail_id"],
-                row["relation"], row["summary"]))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ValueError(f"line {line_no}: bad synthetic record: {exc}")
-    return tuple(records)
+    return tuple(record for _, record in parse_jsonl(
+        text, "synthetic", lambda row: SyntheticRecord(
+            row["doc_id"], row["head_id"], row["tail_id"],
+            row["relation"], row["summary"])))

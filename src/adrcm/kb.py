@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .files import dump_jsonl, parse_jsonl
 from .model import CUI_PATTERN, Entity
 
 _TOKEN = re.compile(r"\S+")
@@ -56,14 +57,8 @@ def load_kb(text: str) -> tuple[KbDocument, ...]:
     """Parse a KB snapshot JSONL string; duplicate articles are an error."""
     docs: list[KbDocument] = []
     seen: set[str] = set()
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            row = json.loads(line)
-            doc = KbDocument(row["cui"], row["source"], row["title"], row["text"])
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ValueError(f"line {line_no}: bad KB record: {exc}")
+    for line_no, doc in parse_jsonl(text, "KB", lambda row: KbDocument(
+            row["cui"], row["source"], row["title"], row["text"])):
         if doc.doc_id in seen:
             raise ValueError(f"line {line_no}: duplicate KB article {doc.doc_id!r}")
         seen.add(doc.doc_id)
@@ -72,12 +67,8 @@ def load_kb(text: str) -> tuple[KbDocument, ...]:
 
 
 def save_kb(docs: Iterable[KbDocument]) -> str:
-    lines = [
-        json.dumps({"cui": d.cui, "source": d.source, "title": d.title, "text": d.text},
-                   sort_keys=True, ensure_ascii=False)
-        for d in docs
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return dump_jsonl({"cui": d.cui, "source": d.source, "title": d.title, "text": d.text}
+                      for d in docs)
 
 
 @dataclass(frozen=True)

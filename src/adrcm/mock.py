@@ -1,11 +1,11 @@
 """Fully offline end-to-end pipeline over the packaged toy corpus.
 
-The mock run wires every stage together with a scripted chat backend and
-the hashing embedder. Replies are a pure function of request content: the
-script is compiled up front by walking the exact prompts the pipeline will
-issue and keying canned replies by request hash. Reruns therefore produce
-byte-identical artifacts, and an interrupted run resumes through the
-gateway's reply cache.
+The mock run drives the ``adrcm`` subcommands in pipeline order with a
+scripted chat backend and the hashing embedder. Replies are a pure
+function of request content: the script is compiled up front by walking
+the exact prompts the pipeline will issue and keying canned replies by
+request hash. Reruns therefore produce byte-identical artifacts, and an
+interrupted run resumes through the gateway's reply cache.
 """
 
 from __future__ import annotations
@@ -15,28 +15,12 @@ import json
 import os
 from importlib import resources
 
-from .corpus import Corpus, builtin_schema, enumerate_candidate_pairs, parse_cui_map, parse_pubtator, save_corpus
-from .dataset import build_dataset, export_finetune, preset_for, save_dataset, save_finetune_rows
-from .evaluate import compute_report, render_report, save_report
-from .files import atomic_write_text
-from .infer import (
-    InferenceConfig,
-    assemble_prompt,
-    build_instruction,
-    pair_query_text,
-    predict_corpus,
-    save_predictions,
-)
-from .iors import (
-    IorsConfig,
-    build_confirmation_prompt,
-    build_summary_prompt,
-    positive_triplets,
-    run_corpus_synthesis,
-    save_synthetic,
-)
-from .kb import ChunkParams, CuiIndex, build_index, load_kb, retrieve, save_index
-from .llm import HashingEmbedder, LlmGateway, RetryPolicy, ScriptedBackend, exchange_key, user_exchange
+from .corpus import Corpus, enumerate_candidate_pairs, load_corpus, parse_cui_map
+from .files import atomic_write_text, read_text
+from .infer import InferenceConfig, assemble_prompt, build_instruction, pair_query_text
+from .iors import IorsConfig, build_confirmation_prompt, build_summary_prompt, positive_triplets
+from .kb import ChunkParams, CuiIndex, load_index, retrieve
+from .llm import HashingEmbedder, exchange_key, user_exchange
 
 TOY_CHUNK_PARAMS = ChunkParams(size=48, overlap=8, min_tail=8)
 
@@ -161,71 +145,59 @@ def build_mock_script(corpus: Corpus, index: CuiIndex | None,
 
 def run_e2e_mock(workdir: str, *, beta: int = 3, k: int = 5,
                  rag_mode: str = "cui", seed: int = 0) -> dict[str, str]:
-    """Run ingest, synthesis, dataset build, indexing, inference, and eval.
+    """Run the CLI subcommands from ingest to eval over the toy data.
 
     Returns a name -> path map of the artifacts written under ``workdir``.
-    Every stage recomputes deterministically; only chat replies go through
-    the on-disk cache, which is what makes interrupted runs resumable.
+    Only chat replies go through the on-disk cache, which is what makes
+    interrupted runs resumable.
     """
-    os.makedirs(workdir, exist_ok=True)
+    # Imported here: the package imports this module, and a module-level
+    # import would load adrcm.cli before ``python -m adrcm.cli`` runs it.
+    from .cli import build_parser
+
     paths = {name: os.path.join(workdir, name) for name in (
         "corpus.jsonl", "mock_script.json", "synthetic.jsonl",
         "synth_report.json", "dataset.jsonl", "finetune.jsonl",
         "finetune_meta.json", "index.jsonl", "predictions.jsonl",
         "report.json",
     )}
+    toy = resources.files("adrcm.data.toy")
+    corpus_path, index_path, script_path = (
+        paths["corpus.jsonl"], paths["index.jsonl"], paths["mock_script.json"])
+    chat = ["--script", script_path, "--cache-dir", os.path.join(workdir, "cache")]
 
-    pubtator, cui_map, kb_text = load_toy_assets()
-    schema = builtin_schema("cdr")
-    corpus = parse_pubtator(pubtator, schema, cui_map=cui_map, dataset_tag="CDR")
-    atomic_write_text(paths["corpus.jsonl"], save_corpus(corpus))
+    def run(*argv: str) -> None:
+        args = build_parser().parse_args(argv)
+        status = args.func(args)
+        if status != 0:
+            raise RuntimeError(f"e2e-mock: {argv[0]} exited with status {status}")
 
-    index = build_index(load_kb(kb_text), HashingEmbedder(), params=TOY_CHUNK_PARAMS)
-    atomic_write_text(paths["index.jsonl"], save_index(index))
+    run("ingest", "--input", str(toy.joinpath("toy_corpus.pubtator")),
+        "--cui-map", str(toy.joinpath("toy_cui_map.tsv")), "--tag", "CDR",
+        "--out", corpus_path)
+    run("index", "--kb", str(toy.joinpath("toy_kb.jsonl")), "--out", index_path,
+        "--chunk-size", str(TOY_CHUNK_PARAMS.size),
+        "--chunk-overlap", str(TOY_CHUNK_PARAMS.overlap),
+        "--chunk-min-tail", str(TOY_CHUNK_PARAMS.min_tail))
 
-    iors_config = IorsConfig(beta=beta)
-    infer_config = InferenceConfig(k=k, rag_mode=rag_mode)
-    script = build_mock_script(corpus, index if rag_mode != "off" else None,
-                               iors_config, infer_config)
-    atomic_write_text(paths["mock_script.json"],
+    index = load_index(read_text(index_path)) if rag_mode != "off" else None
+    script = build_mock_script(load_corpus(read_text(corpus_path)), index,
+                               IorsConfig(beta=beta),
+                               InferenceConfig(k=k, rag_mode=rag_mode))
+    atomic_write_text(script_path,
                       json.dumps({"by_hash": script}, sort_keys=True, indent=2) + "\n")
 
-    gateway = LlmGateway(
-        ScriptedBackend(script), HashingEmbedder(),
-        cache_dir=os.path.join(workdir, "cache"),
-        retry=RetryPolicy(max_attempts=1, backoff_base=0.0),
-        max_in_flight=1,
-    )
-
-    synthesis = run_corpus_synthesis(gateway, corpus, iors_config)
-    atomic_write_text(paths["synthetic.jsonl"], save_synthetic(synthesis.records))
-    atomic_write_text(paths["synth_report.json"], json.dumps({
-        "accepted": synthesis.accepted_count,
-        "discarded": synthesis.discarded_count,
-        "discarded_pairs": [
-            {"doc_id": d.doc_id, "head_id": d.head_id, "tail_id": d.tail_id,
-             "relation": d.relation}
-            for d in synthesis.discarded
-        ],
-        "errors": list(synthesis.errors),
-        "summary_calls": synthesis.summary_calls,
-        "confirmation_calls": synthesis.confirmation_calls,
-    }, sort_keys=True, indent=2) + "\n")
-
-    records = build_dataset(corpus, synthesis.records)
-    atomic_write_text(paths["dataset.jsonl"], save_dataset(records))
-    export = export_finetune(corpus, records, preset_for("cdr"),
-                             iors_beta=beta, seed=seed)
-    atomic_write_text(paths["finetune.jsonl"], save_finetune_rows(export.rows))
-    atomic_write_text(paths["finetune_meta.json"],
-                      json.dumps(export.sidecar, sort_keys=True, indent=2) + "\n")
-
-    predictions = predict_corpus(gateway, index if rag_mode != "off" else None,
-                                 corpus, infer_config)
-    atomic_write_text(paths["predictions.jsonl"], save_predictions(predictions))
-
-    report = compute_report(corpus, predictions)
-    atomic_write_text(paths["report.json"], save_report(report))
+    run("synth", "--corpus", corpus_path, "--out", paths["synthetic.jsonl"],
+        "--report", paths["synth_report.json"], "--beta", str(beta), *chat)
+    run("build-adrcm", "--corpus", corpus_path,
+        "--synthetic", paths["synthetic.jsonl"], "--out", paths["finetune.jsonl"],
+        "--records-out", paths["dataset.jsonl"],
+        "--sidecar", paths["finetune_meta.json"],
+        "--beta", str(beta), "--seed", str(seed))
+    run("infer", "--corpus", corpus_path, "--index", index_path,
+        "--out", paths["predictions.jsonl"], "--rag", rag_mode, "--k", str(k), *chat)
+    run("eval", "--corpus", corpus_path, "--predictions", paths["predictions.jsonl"],
+        "--out", paths["report.json"])
     return paths
 
 

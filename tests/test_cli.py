@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +38,17 @@ def test_e2e_mock_writes_all_artifacts(tmp_path, capsys):
     assert report["counts"]["pairs"] == 16
 
 
+def test_module_entry_point_runs_without_warnings(tmp_path):
+    """``python -m adrcm.cli`` must not find adrcm.cli already imported."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    run = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "adrcm.cli",
+         "e2e-mock", "--workdir", str(tmp_path / "e2e")],
+        env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stderr == ""
+
+
 def test_ingest_subcommand(tmp_path, capsys):
     out = tmp_path / "corpus.jsonl"
     rc = main([
@@ -48,6 +63,21 @@ def test_ingest_subcommand(tmp_path, capsys):
     corpus = load_corpus(out.read_text())
     assert len(corpus.samples) == 10
     assert "10 documents" in capsys.readouterr().out
+
+
+def test_ingest_derives_tag_from_schema(tmp_path):
+    pubtator = tmp_path / "gda.pubtator"
+    pubtator.write_text(
+        "7001|t|BRX1 variants in cardiomyopathy.\n"
+        "7001\t0\t4\tBRX1\tGene\t5001\n"
+        "7001\t17\t31\tcardiomyopathy\tDisease\tD70001\n"
+        "7001\tGDA\t5001\tD70001\n")
+    out = tmp_path / "corpus.jsonl"
+    assert main(["ingest", "--input", str(pubtator), "--schema", "gda",
+                 "--out", str(out)]) == 0
+    corpus = load_corpus(out.read_text())
+    assert json.loads(out.read_text().split("\n")[0])["dataset_tag"] == "GDA"
+    assert corpus.samples[0].document.dataset_tag == "GDA"
 
 
 def test_manual_chain_matches_e2e_mock(tmp_path, e2e_dir):

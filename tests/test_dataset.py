@@ -10,7 +10,6 @@ from adrcm.dataset import (
     build_dataset,
     export_finetune,
     load_dataset,
-    merge_sample,
     preset_for,
     save_dataset,
     save_finetune_rows,
@@ -49,14 +48,6 @@ def test_split_sample_one_record_per_triplet(two_doc_corpus):
 
 def test_split_sample_empty(two_doc_corpus):
     assert split_sample(two_doc_corpus.samples[1]) == []
-
-
-def test_merge_sample_rejects_mixed_documents():
-    a = AugmentedRecord("401", "C1", "D1", "CID", "t", "original")
-    b = AugmentedRecord("402", "C2", "D3", "CID", "t", "synthetic")
-    with pytest.raises(ValueError, match="multiple documents"):
-        merge_sample([a], [b])
-    assert merge_sample([a], []) == [a]
 
 
 def test_build_dataset_order_and_size(two_doc_corpus):
