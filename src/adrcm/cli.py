@@ -106,6 +106,12 @@ def _chat_gateway(args, cfg: dict) -> LlmGateway:
     )
 
 
+def _print_chat_stats(gateway: LlmGateway) -> None:
+    stats = gateway.stats
+    print(f"chat: {stats.chat_calls} live calls, {stats.cache_hits} cache hits, "
+          f"{stats.retries} retries")
+
+
 def _read_template(path: str | None) -> str | None:
     return read_text(path) if path else None
 
@@ -160,6 +166,7 @@ def cmd_synth(args) -> int:
           f"{report.discarded_count} discarded, {len(report.errors)} errors "
           f"({report.summary_calls} summary / {report.confirmation_calls} "
           f"confirmation calls)")
+    _print_chat_stats(gateway)
     return 0 if not report.errors else 1
 
 
@@ -228,6 +235,7 @@ def cmd_infer(args) -> int:
     atomic_write_text(args.out, save_predictions(predictions))
     flagged = sum(1 for p in predictions if p.unparseable)
     print(f"wrote {args.out}: {len(predictions)} predictions, {flagged} unparseable")
+    _print_chat_stats(gateway)
     return 0
 
 
@@ -323,8 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instruction-template")
     p.set_defaults(func=cmd_infer)
 
-    p = sub.add_parser("eval", parents=[common],
-                       help="score predictions against the corpus gold")
+    p = sub.add_parser("eval", help="score predictions against the corpus gold")
     p.add_argument("--corpus", required=True)
     p.add_argument("--predictions", required=True)
     p.add_argument("--out", help="write the report JSON here")

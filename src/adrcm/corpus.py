@@ -382,7 +382,12 @@ def load_corpus(text: str, schema: RelationSchema | None = None) -> Corpus:
     lines = [l for l in text.split("\n") if l.strip()]
     if not lines:
         raise ParseError("empty corpus file")
-    header = json.loads(lines[0])
+    try:
+        header = json.loads(lines[0])
+    except ValueError as exc:
+        raise ParseError(f"bad corpus header: {exc}", 1) from None
+    if not isinstance(header, dict):
+        raise ParseError("bad corpus header: expected a JSON object", 1)
     for key in ("schema", "labels", "none_label", "dataset_tag"):
         if key not in header:
             raise ParseError(f"corpus header missing field {key!r}", 1)

@@ -152,16 +152,16 @@ def predict_corpus(gateway: LlmGateway, index: CuiIndex | None, corpus: Corpus,
                    config: InferenceConfig | None = None) -> list[PredictionRecord]:
     """Predict a label for every candidate pair, in canonical order.
 
-    The request stream is a pure function of corpus, index, and config,
-    so reruns replay through the gateway cache and an interrupted run
-    resumes where it stopped.
+    Pairs run through :meth:`LlmGateway.map`, up to ``max_in_flight`` at a
+    time. Each pair's request is a pure function of corpus, index, and
+    config, so reruns replay through the gateway cache and an interrupted
+    run resumes where it stopped.
     """
     config = config if config is not None else InferenceConfig()
-    return [
-        predict_pair(gateway, index, sample, head_id, tail_id, corpus.schema, config)
-        for sample in corpus.samples
-        for head_id, tail_id, _ in enumerate_candidate_pairs(sample, corpus.schema)
-    ]
+    jobs = [(sample, head_id, tail_id) for sample in corpus.samples
+            for head_id, tail_id, _ in enumerate_candidate_pairs(sample, corpus.schema)]
+    return gateway.map(
+        lambda job: predict_pair(gateway, index, *job, corpus.schema, config), jobs)
 
 
 def save_predictions(predictions: Iterable[PredictionRecord]) -> str:

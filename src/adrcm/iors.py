@@ -196,39 +196,49 @@ def run_corpus_synthesis(gateway: LlmGateway, corpus: Corpus,
                          config: IorsConfig | None = None) -> SynthesisReport:
     """Synthesize summaries for every positive triplet of every document.
 
-    Documents are processed in corpus order and triplets in canonical
-    order, so two runs over the same corpus issue identical requests.
-    Transport failures that survive the gateway's retries skip just the
-    affected triplet and are reported, not raised.
+    Triplets run through :meth:`LlmGateway.map`, up to ``max_in_flight`` at
+    a time; the rounds of one triplet stay sequential. Each triplet's
+    requests depend only on the corpus and its own replies, and results
+    are folded in corpus order, triplets in canonical order, so the report
+    does not depend on scheduling. Transport failures that survive the
+    gateway's retries skip just the affected triplet and are reported, not
+    raised.
     """
     config = config if config is not None else IorsConfig()
+    jobs = [(sample, triplet) for sample in corpus.samples
+            for triplet in positive_triplets(sample, corpus.schema)]
+
+    def synthesize(job: tuple[TrainingSample, Triplet]) -> SynthesisResult | TransportError:
+        sample, triplet = job
+        try:
+            return generate_synthetic(
+                gateway, sample.document, sample.entity(triplet.head_id),
+                sample.entity(triplet.tail_id), triplet.relation,
+                corpus.schema, config)
+        except TransportError as exc:
+            return exc
+
     records: list[SyntheticRecord] = []
     discarded: list[DiscardedSynthesis] = []
     errors: list[str] = []
     summary_calls = 0
     confirmation_calls = 0
-    for sample in corpus.samples:
+    for (sample, triplet), result in zip(jobs, gateway.map(synthesize, jobs)):
         doc_id = sample.document.doc_id
-        for triplet in positive_triplets(sample, corpus.schema):
-            try:
-                result = generate_synthetic(
-                    gateway, sample.document, sample.entity(triplet.head_id),
-                    sample.entity(triplet.tail_id), triplet.relation,
-                    corpus.schema, config)
-            except TransportError as exc:
-                errors.append(f"{doc_id}/{triplet.head_id}/{triplet.tail_id}: {exc}")
-                continue
-            summary_calls += result.summary_calls
-            confirmation_calls += result.confirmation_calls
-            if result.accepted:
-                assert result.summary is not None
-                records.append(SyntheticRecord(
-                    doc_id, triplet.head_id, triplet.tail_id,
-                    triplet.relation, result.summary))
-            else:
-                discarded.append(DiscardedSynthesis(
-                    doc_id, triplet.head_id, triplet.tail_id,
-                    triplet.relation, result.failures))
+        if isinstance(result, TransportError):
+            errors.append(f"{doc_id}/{triplet.head_id}/{triplet.tail_id}: {result}")
+            continue
+        summary_calls += result.summary_calls
+        confirmation_calls += result.confirmation_calls
+        if result.accepted:
+            assert result.summary is not None
+            records.append(SyntheticRecord(
+                doc_id, triplet.head_id, triplet.tail_id,
+                triplet.relation, result.summary))
+        else:
+            discarded.append(DiscardedSynthesis(
+                doc_id, triplet.head_id, triplet.tail_id,
+                triplet.relation, result.failures))
     return SynthesisReport(tuple(records), tuple(discarded), tuple(errors),
                            summary_calls, confirmation_calls)
 

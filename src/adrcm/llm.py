@@ -10,13 +10,15 @@ deterministically for tests and dry runs.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Mapping, Protocol, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Protocol, Sequence, TypeVar
 
 import numpy as np
 import requests
@@ -27,6 +29,9 @@ FAULT_EXIT_CODE = 86
 
 EMBED_DIM_FALLBACK = 64
 UNIT_NORM_TOL = 1e-6
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 
 class TransportError(RuntimeError):
@@ -311,7 +316,9 @@ class _ReplyCache:
     """Chat replies keyed by request hash; one small JSON file per entry.
 
     Writes go through a temp file and ``os.replace`` so a killed process
-    never leaves a truncated entry behind.
+    never leaves a truncated entry behind. The temp name is unique per
+    thread, so concurrent writers of one key never share a temp file; the
+    lock guards only the in-memory dict, never file I/O.
     """
 
     def __init__(self, cache_dir: str | None):
@@ -326,25 +333,29 @@ class _ReplyCache:
         return os.path.join(self.cache_dir, f"{key}.json")
 
     def get(self, key: str) -> str | None:
-        with self._lock:
-            if self.cache_dir is None:
+        if self.cache_dir is None:
+            with self._lock:
                 return self._memory.get(key)
-            path = self._path(key)
-            if not os.path.exists(path):
-                return None
-            with open(path, encoding="utf-8") as fh:
+        try:
+            with open(self._path(key), encoding="utf-8") as fh:
                 return json.load(fh)["reply"]
+        except FileNotFoundError:
+            return None
 
     def put(self, key: str, reply: str) -> None:
-        with self._lock:
-            if self.cache_dir is None:
+        if self.cache_dir is None:
+            with self._lock:
                 self._memory[key] = reply
-                return
-            path = self._path(key)
-            tmp = f"{path}.tmp.{os.getpid()}"
+            return
+        path = self._path(key)
+        tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+        try:
             with open(tmp, "w", encoding="utf-8") as fh:
                 json.dump({"reply": reply}, fh, ensure_ascii=False)
             os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
 
 @dataclass
@@ -360,7 +371,8 @@ class LlmGateway:
 
     Responsibilities: consult the reply cache before touching the chat
     backend, retry transient transport failures with exponential backoff,
-    bound in-flight concurrency, normalize embeddings, and count traffic.
+    run independent work units ``max_in_flight`` at a time (:meth:`map`),
+    normalize embeddings, and count traffic.
     """
 
     def __init__(self, chat_backend: ChatBackend, embedder: Embedder | None = None, *,
@@ -371,30 +383,75 @@ class LlmGateway:
         self.chat_backend = chat_backend
         self.embedder = embedder if embedder is not None else HashingEmbedder()
         self.retry = retry if retry is not None else RetryPolicy()
+        self.max_in_flight = max_in_flight
         self.stats = GatewayStats()
         self._cache = _ReplyCache(cache_dir)
         self._slots = threading.Semaphore(max_in_flight)
-        self._stats_lock = threading.Lock()
+        self._lock = threading.Lock()  # guards stats and _claims
+        self._claims: dict[str, list] = {}
         self._sleep = sleep
         fault = os.environ.get(FAULT_ENV)
         self._fault_after = int(fault) if fault else None
 
     def chat(self, exchange: ChatExchange) -> str:
         key = exchange_key(exchange)
-        cached = self._cache.get(key)
-        if cached is not None:
-            with self._stats_lock:
-                self.stats.cache_hits += 1
-            return cached
-        reply = self._complete_with_retry(exchange)
-        self._cache.put(key, reply)
-        return reply
+        with self._claim(key):
+            cached = self._cache.get(key)
+            if cached is not None:
+                with self._lock:
+                    self.stats.cache_hits += 1
+                return cached
+            reply = self._complete_with_retry(exchange)
+            self._cache.put(key, reply)
+            return reply
+
+    @contextlib.contextmanager
+    def _claim(self, key: str) -> Iterator[None]:
+        # One request per key at a time: a concurrent duplicate waits for the
+        # first reply and reads it from the cache, as it would in a
+        # sequential run, so live calls and cached replies do not depend on
+        # scheduling.
+        with self._lock:
+            claim = self._claims.setdefault(key, [threading.Lock(), 0])
+            claim[1] += 1
+        try:
+            with claim[0]:
+                yield
+        finally:
+            with self._lock:
+                claim[1] -= 1
+                if claim[1] == 0:
+                    del self._claims[key]
+
+    def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
+        """``[fn(x) for x in items]``, running up to ``max_in_flight`` at once.
+
+        Items run on the calling thread for as long as the reply cache
+        answers them, so a warm rerun starts no threads. From the first item
+        that makes a live chat call, the rest go to a thread pool, or stay
+        on the calling thread if the backend is not ``parallel_safe``.
+        Results keep input order; the first exception raised by ``fn``, in
+        input order, propagates.
+        """
+        items = list(items)
+        width = self.max_in_flight if self.chat_backend.parallel_safe else 1
+        results: list[R] = []
+        for item in items:
+            calls = self.stats.chat_calls
+            results.append(fn(item))
+            if width > 1 and self.stats.chat_calls != calls:
+                break
+        rest = items[len(results):]
+        if rest:
+            with ThreadPoolExecutor(min(width, len(rest))) as pool:
+                results.extend(pool.map(fn, rest))
+        return results
 
     def _complete_with_retry(self, exchange: ChatExchange) -> str:
         last_error: TransportError | None = None
         for attempt in range(self.retry.max_attempts):
             if attempt > 0:
-                with self._stats_lock:
+                with self._lock:
                     self.stats.retries += 1
                 self._sleep(self.retry.backoff_base * 2 ** (attempt - 1))
             with self._slots:
@@ -408,7 +465,7 @@ class LlmGateway:
 
     def _count_live_call(self) -> None:
         # Fault hook for crash-recovery tests: hard-exit after N live calls.
-        with self._stats_lock:
+        with self._lock:
             self.stats.chat_calls += 1
             calls = self.stats.chat_calls
         if self._fault_after is not None and calls > self._fault_after:
@@ -419,7 +476,7 @@ class LlmGateway:
         if not texts:
             return []
         vectors = self.embedder.embed_batch(texts)
-        with self._stats_lock:
+        with self._lock:
             self.stats.embed_texts += len(texts)
         out: list[np.ndarray] = []
         for text, vec in zip(texts, vectors):

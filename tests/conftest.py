@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from adrcm.corpus import builtin_schema, parse_pubtator
@@ -45,6 +47,45 @@ def make_sample(doc_id: str, sentences: list[str],
     doc = Document(doc_id, title, body, tuple(ranges), dataset_tag)
     return TrainingSample(doc, tuple(built),
                           tuple(Triplet(h, t, r) for h, t, r in triplets))
+
+
+class OverlapBackend:
+    """Chat backend that records concurrency and proves two calls overlap.
+
+    ``reply`` maps the prompt text to an answer (or raises). The first two
+    calls made off the main thread wait for each other on a barrier, which
+    breaks after 5 s unless both are in flight at once; calls on the main
+    thread never wait. Records the peak number of calls in flight and the
+    threads that made calls.
+    """
+
+    def __init__(self, reply, *, parallel_safe: bool = True):
+        self.reply = reply
+        self.parallel_safe = parallel_safe
+        self.calls = 0
+        self.peak_in_flight = 0
+        self.threads: set[int] = set()
+        self._in_flight = 0
+        self._to_pair = 2
+        self._barrier = threading.Barrier(2, timeout=5)
+        self._lock = threading.Lock()
+
+    def complete(self, exchange):
+        with self._lock:
+            self.calls += 1
+            self.threads.add(threading.get_ident())
+            self._in_flight += 1
+            self.peak_in_flight = max(self.peak_in_flight, self._in_flight)
+            pair = (threading.current_thread() is not threading.main_thread()
+                    and self._to_pair > 0)
+            self._to_pair -= pair
+        try:
+            if pair:
+                self._barrier.wait()
+            return self.reply(exchange.messages[-1].content)
+        finally:
+            with self._lock:
+                self._in_flight -= 1
 
 
 @pytest.fixture(scope="session")

@@ -185,3 +185,31 @@ def test_bad_config_reports_error(tmp_path, capsys):
                "--out", str(tmp_path / "i.jsonl")])
     assert rc == 2
     assert "unknown" in capsys.readouterr().err
+
+
+def test_eval_rejects_config_flag(tmp_path, e2e_dir, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["eval", "--config", str(tmp_path / "absent.cfg"),
+              "--corpus", str(e2e_dir / "corpus.jsonl"),
+              "--predictions", str(e2e_dir / "predictions.jsonl")])
+    assert exit_info.value.code == 2
+    assert "--config" in capsys.readouterr().err
+
+
+def test_synth_and_infer_report_chat_traffic(tmp_path, e2e_dir, capsys):
+    corpus = str(e2e_dir / "corpus.jsonl")
+    chat = ["--script", str(e2e_dir / "mock_script.json"),
+            "--cache-dir", str(tmp_path / "cache")]
+    stages = {
+        "synth": ["synth", "--corpus", corpus, "--out", str(tmp_path / "s.jsonl")],
+        "infer": ["infer", "--corpus", corpus, "--index", str(e2e_dir / "index.jsonl"),
+                  "--out", str(tmp_path / "p.jsonl")],
+    }
+    capsys.readouterr()
+    for name, live in (("synth", 48), ("infer", 16)):
+        for expected in (f"chat: {live} live calls, 0 cache hits, 0 retries",
+                         f"chat: 0 live calls, {live} cache hits, 0 retries"):
+            assert main(stages[name] + chat) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[-2].startswith("wrote "), name
+            assert lines[-1] == expected

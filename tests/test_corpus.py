@@ -188,6 +188,12 @@ def test_load_corpus_header_errors(toy_corpus, cdr_schema):
         load_corpus(headerless)
 
 
+def test_load_corpus_rejects_malformed_header():
+    for text in ("{bad\n", "7\n"):
+        with pytest.raises(ParseError, match="^line 1: bad corpus header: "):
+            load_corpus(text)
+
+
 def test_parse_cui_map():
     mapping = parse_cui_map("D001\tC0000001\n# comment\n\nD002\tC0000002\n")
     assert mapping == {"D001": "C0000001", "D002": "C0000002"}

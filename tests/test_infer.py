@@ -1,5 +1,8 @@
+import threading
+
 import pytest
 
+import adrcm.infer
 from adrcm.corpus import Corpus, enumerate_candidate_pairs
 from adrcm.infer import (
     InferenceConfig,
@@ -15,7 +18,7 @@ from adrcm.infer import (
 )
 from adrcm.kb import RetrievedSnippet
 from adrcm.llm import HashingEmbedder, LlmGateway, RetryPolicy, ScriptedBackend, exchange_key, user_exchange
-from conftest import make_sample
+from conftest import OverlapBackend, make_sample
 
 
 def _snippet(chunk_id="C0000001|kb|alpha#0000", text="alpha binds receptors"):
@@ -167,6 +170,42 @@ def test_predict_corpus_rag_off_calls_no_embeddings(rag_setup, cdr_schema):
         for s in corpus.samples
         for h, t, _ in enumerate_candidate_pairs(s, cdr_schema)]
     assert [(p.doc_id, p.head_id, p.tail_id) for p in predictions] == expected_pairs
+
+
+def _by_length(prompt):
+    return ("CID", "None", "no idea")[len(prompt) % 3]
+
+
+def test_predict_corpus_concurrent_matches_sequential(toy_corpus, toy_index):
+    runs = {}
+    for width in (1, 2):
+        backend = OverlapBackend(_by_length)
+        gateway = LlmGateway(backend, HashingEmbedder(), retry=RetryPolicy(1, 0.0),
+                             max_in_flight=width)
+        runs[width] = predict_corpus(gateway, toy_index, toy_corpus)
+        assert backend.peak_in_flight == width
+    assert len(runs[1]) == 16
+    assert runs[2] == runs[1]
+    assert {p.label for p in runs[1]} == {"CID", "None"}
+
+
+def test_predict_corpus_warm_cache_stays_on_calling_thread(toy_corpus, toy_index,
+                                                           monkeypatch):
+    gateway = LlmGateway(OverlapBackend(_by_length), HashingEmbedder(),
+                         retry=RetryPolicy(1, 0.0), max_in_flight=4)
+    cold = predict_corpus(gateway, toy_index, toy_corpus)
+    threads = []
+    inner = adrcm.infer.predict_pair
+
+    def spy(*args):
+        threads.append(threading.get_ident())
+        return inner(*args)
+
+    # predict_corpus must look predict_pair up by its module-global name
+    monkeypatch.setattr(adrcm.infer, "predict_pair", spy)
+    assert predict_corpus(gateway, toy_index, toy_corpus) == cold
+    assert threads == [threading.get_ident()] * len(cold)
+    assert gateway.stats.chat_calls == len(cold)
 
 
 def test_predictions_round_trip():

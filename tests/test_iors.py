@@ -1,4 +1,8 @@
+import threading
+
 import pytest
+
+import adrcm.iors
 
 from adrcm.iors import (
     IorsConfig,
@@ -14,7 +18,7 @@ from adrcm.iors import (
 from adrcm.llm import LlmGateway, RetryPolicy, TransportError, mock_gateway
 from adrcm.model import Triplet
 from adrcm.templating import TemplateError, load_default, placeholders, render
-from conftest import make_sample
+from conftest import OverlapBackend, make_sample
 
 
 @pytest.fixture()
@@ -201,6 +205,69 @@ def test_run_corpus_synthesis_counts_and_errors(cdr_schema):
     assert report.records[0].doc_id == "302"
     assert len(report.errors) == 1 and "301" in report.errors[0]
     assert report.summary_calls == 1 and report.confirmation_calls == 1
+
+
+def _four_doc_corpus(cdr_schema):
+    from adrcm.corpus import Corpus
+    samples = [
+        make_sample(doc_id, [f"{drug} causes {effect}."],
+                    [("D1", "chemical", [(0, drug)]),
+                     ("D2", "disease", [(0, effect)])],
+                    [("D1", "D2", "CID")])
+        for doc_id, drug, effect in (("301", "Aldrin", "nausea"),
+                                     ("302", "Boldrin", "rash"),
+                                     ("303", "Caldrin", "fever"),
+                                     ("304", "Doldrin", "cough"))]
+    return Corpus(cdr_schema, tuple(samples))
+
+
+def _confirm_unless_rash(prompt):
+    if prompt.startswith("Below is a summary"):
+        return "None" if "rash" in prompt else "CID"
+    return "a summary"
+
+
+def test_run_corpus_synthesis_concurrent_matches_sequential(cdr_schema):
+    corpus = _four_doc_corpus(cdr_schema)
+
+    def reply(prompt):
+        if "Aldrin" in prompt or "Caldrin" in prompt:
+            raise TransportError("offline")
+        return _confirm_unless_rash(prompt)
+
+    reports = {}
+    for width in (1, 2):
+        backend = OverlapBackend(reply)
+        gateway = LlmGateway(backend, retry=RetryPolicy(1, 0.0), max_in_flight=width)
+        reports[width] = run_corpus_synthesis(gateway, corpus)
+        assert backend.peak_in_flight == width
+    assert reports[2] == reports[1]
+    report = reports[2]
+    assert [e.split(":")[0] for e in report.errors] == ["301/D1/D2", "303/D1/D2"]
+    assert [d.doc_id for d in report.discarded] == ["302"]
+    assert [r.doc_id for r in report.records] == ["304"]
+    assert (report.summary_calls, report.confirmation_calls) == (4, 4)
+
+
+def test_run_corpus_synthesis_warm_cache_stays_on_calling_thread(cdr_schema,
+                                                                 monkeypatch):
+    corpus = _four_doc_corpus(cdr_schema)
+    gateway = LlmGateway(OverlapBackend(_confirm_unless_rash),
+                         retry=RetryPolicy(1, 0.0), max_in_flight=4)
+    cold = run_corpus_synthesis(gateway, corpus)
+    calls = gateway.stats.chat_calls
+    threads = []
+    inner = adrcm.iors.generate_synthetic
+
+    def spy(*args):
+        threads.append(threading.get_ident())
+        return inner(*args)
+
+    # run_corpus_synthesis must look generate_synthetic up by its global name
+    monkeypatch.setattr(adrcm.iors, "generate_synthetic", spy)
+    assert run_corpus_synthesis(gateway, corpus) == cold
+    assert threads == [threading.get_ident()] * 4
+    assert gateway.stats.chat_calls == calls
 
 
 def test_synthetic_round_trip():

@@ -1,5 +1,8 @@
 import json
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -19,9 +22,11 @@ from adrcm.llm import (
     ScriptedBackend,
     TransportError,
     exchange_key,
+    _ReplyCache,
     mock_gateway,
     user_exchange,
 )
+from conftest import OverlapBackend
 
 
 def test_chat_message_role_checked():
@@ -297,3 +302,88 @@ def test_gateway_rejects_bad_settings():
         RetryPolicy(max_attempts=0)
     with pytest.raises(ValueError):
         RetryPolicy(backoff_base=-1.0)
+
+
+def _echo_map(gateway, prompts):
+    return gateway.map(lambda p: gateway.chat(user_exchange(p)), prompts)
+
+
+def test_gateway_map_keeps_two_calls_in_flight():
+    backend = OverlapBackend(lambda prompt: prompt.upper())
+    gateway = LlmGateway(backend, max_in_flight=2)
+    prompts = [f"q{i}" for i in range(7)]
+    assert _echo_map(gateway, prompts) == [p.upper() for p in prompts]
+    assert backend.peak_in_flight == 2
+    assert gateway.stats.chat_calls == 7
+
+
+def test_gateway_map_serial_backend_stays_on_calling_thread():
+    backend = OverlapBackend(lambda prompt: prompt.upper(), parallel_safe=False)
+    gateway = LlmGateway(backend, max_in_flight=4)
+    prompts = [f"q{i}" for i in range(7)]
+    assert _echo_map(gateway, prompts) == [p.upper() for p in prompts]
+    assert backend.peak_in_flight == 1
+    assert backend.threads == {threading.get_ident()}
+
+
+def test_gateway_map_warm_cache_runs_on_calling_thread():
+    gateway = LlmGateway(OverlapBackend(lambda prompt: prompt.upper()), max_in_flight=4)
+    prompts = [f"q{i}" for i in range(7)]
+    cold = _echo_map(gateway, prompts)
+    threads = []
+
+    def chat(prompt):
+        threads.append(threading.get_ident())
+        return gateway.chat(user_exchange(prompt))
+
+    assert gateway.map(chat, prompts) == cold
+    assert threads == [threading.get_ident()] * len(prompts)
+    assert gateway.stats.chat_calls == len(prompts)
+    assert gateway.stats.cache_hits == len(prompts)
+
+
+def test_gateway_duplicate_requests_in_flight_make_one_live_call():
+    class SlowDup:
+        parallel_safe = True
+
+        def complete(self, exchange):
+            prompt = exchange.messages[-1].content
+            if prompt == "dup":
+                time.sleep(0.05)  # the other worker arrives while this call is live
+            return prompt.upper()
+
+    gateway = LlmGateway(SlowDup(), max_in_flight=2)
+    assert _echo_map(gateway, ["first", "dup", "dup"]) == ["FIRST", "DUP", "DUP"]
+    assert gateway.stats.chat_calls == 2
+    assert gateway.stats.cache_hits == 1
+
+
+def test_reply_cache_concurrent_puts_of_one_key(tmp_path):
+    cache = _ReplyCache(str(tmp_path))
+    start = threading.Barrier(8, timeout=5)
+    errors = []
+
+    def put(n):
+        try:
+            start.wait()
+            cache.put("k", f"reply {n}")
+        except Exception as exc:  # a collision surfaces here, not in the test thread
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=put, args=(n,)) for n in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert [p.name for p in tmp_path.iterdir()] == ["k.json"]
+    replies = {f"reply {n}" for n in range(8)}
+    assert json.loads((tmp_path / "k.json").read_text())["reply"] in replies
+    assert cache.get("k") in replies
+    assert cache.get("absent") is None
