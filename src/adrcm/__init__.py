@@ -93,76 +93,3 @@ from .model import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AugmentedRecord",
-    "ChatExchange",
-    "ChatMessage",
-    "ChunkParams",
-    "Corpus",
-    "CuiIndex",
-    "Document",
-    "Entity",
-    "EvalReport",
-    "FinetunePreset",
-    "HashingEmbedder",
-    "HttpChatBackend",
-    "HttpEmbeddingBackend",
-    "InferenceConfig",
-    "IorsConfig",
-    "KbDocument",
-    "LlmGateway",
-    "Mention",
-    "PRESETS",
-    "ParseError",
-    "PredictionRecord",
-    "RelationSchema",
-    "RetrievedSnippet",
-    "RetryPolicy",
-    "SchemaMismatchError",
-    "Scores",
-    "ScriptedBackend",
-    "SynthesisResult",
-    "SyntheticRecord",
-    "TrainingSample",
-    "TransportError",
-    "Triplet",
-    "assemble_prompt",
-    "build_dataset",
-    "build_index",
-    "build_mock_script",
-    "builtin_schema",
-    "chunk_text",
-    "classify_locality",
-    "compute_report",
-    "cosine",
-    "describe_run",
-    "enumerate_candidate_pairs",
-    "exchange_key",
-    "export_finetune",
-    "generate_synthetic",
-    "load_corpus",
-    "load_index",
-    "load_kb",
-    "load_toy_assets",
-    "mock_gateway",
-    "normalize_relation_label",
-    "parse_cui_map",
-    "parse_pubtator",
-    "pair_query_text",
-    "parse_relation_output",
-    "predict_corpus",
-    "predict_pair",
-    "preset_for",
-    "render_report",
-    "retrieve",
-    "run_corpus_synthesis",
-    "run_e2e_mock",
-    "save_corpus",
-    "save_index",
-    "save_report",
-    "schema_from_file",
-    "segment_sentences",
-    "split_sample",
-    "validate_sample",
-]

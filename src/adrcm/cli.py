@@ -15,12 +15,9 @@ import argparse
 import json
 import sys
 
-from . import config as config_mod
 from . import mock
-from .config import ConfigError, load_config
+from .config import DEFAULTS, load_config
 from .corpus import (
-    ParseError,
-    SchemaMismatchError,
     builtin_schema,
     load_corpus,
     parse_cui_map,
@@ -51,7 +48,6 @@ from .llm import (
     ScriptedBackend,
     TransportError,
 )
-from .templating import TemplateError
 
 USAGE_ERROR = 2
 
@@ -60,14 +56,14 @@ class UsageError(ValueError):
     pass
 
 
-def _load_cfg(args) -> dict:
-    if getattr(args, "config", None):
-        return load_config(read_text(args.config))
-    return dict(config_mod.DEFAULTS)
-
-
-def _pick(flag_value, cfg: dict, key: str):
-    return flag_value if flag_value is not None else cfg[key]
+def _settings(args) -> dict:
+    """Every config key's value: the flag if given, else ``--config``, else
+    the default. Flags that set a config key use that key as their dest."""
+    cfg = load_config(read_text(args.config)) if args.config else dict(DEFAULTS)
+    for key in cfg:
+        if getattr(args, key, None) is not None:
+            cfg[key] = getattr(args, key)
+    return cfg
 
 
 def _resolve_schema(name_or_path: str):
@@ -76,33 +72,25 @@ def _resolve_schema(name_or_path: str):
     return builtin_schema(name_or_path)
 
 
-def _embedder(args, cfg: dict):
-    embed_url = _pick(args.embed_url, cfg, "embed_url")
-    if not embed_url:
+def _embedder(cfg: dict):
+    if not cfg["embed_url"]:
         return HashingEmbedder()
-    return HttpEmbeddingBackend(
-        embed_url,
-        model_id=_pick(args.embed_model, cfg, "embed_model"),
-        dimension=int(_pick(args.embed_dim, cfg, "embed_dimension")),
-    )
+    return HttpEmbeddingBackend(cfg["embed_url"], model_id=cfg["embed_model"],
+                                dimension=cfg["embed_dimension"])
 
 
 def _chat_gateway(args, cfg: dict) -> LlmGateway:
-    chat_url = _pick(getattr(args, "chat_url", None), cfg, "chat_url")
-    model = _pick(getattr(args, "model", None), cfg, "chat_model")
-    if getattr(args, "script", None):
+    if args.script:
         backend = ScriptedBackend.from_file(args.script)
-    elif chat_url:
-        backend = HttpChatBackend(chat_url)
+    elif cfg["chat_url"]:
+        backend = HttpChatBackend(cfg["chat_url"])
     else:
         raise UsageError("no chat backend configured; pass --script or --chat-url")
-    cache_dir = _pick(getattr(args, "cache_dir", None), cfg, "cache_dir") or None
-    args.chat_model_resolved = model
     return LlmGateway(
-        backend, _embedder(args, cfg), cache_dir=cache_dir,
-        retry=RetryPolicy(max_attempts=int(cfg["retry_attempts"]),
-                          backoff_base=float(cfg["retry_backoff"])),
-        max_in_flight=int(cfg["max_in_flight"]),
+        backend, _embedder(cfg), cache_dir=cfg["cache_dir"] or None,
+        retry=RetryPolicy(max_attempts=cfg["retry_attempts"],
+                          backoff_base=cfg["retry_backoff"]),
+        max_in_flight=cfg["max_in_flight"],
     )
 
 
@@ -117,12 +105,11 @@ def _read_template(path: str | None) -> str | None:
 
 
 def cmd_ingest(args) -> int:
-    cfg = _load_cfg(args)
-    schema = _resolve_schema(_pick(args.schema, cfg, "schema"))
+    cfg = _settings(args)
+    schema = _resolve_schema(cfg["schema"])
     cui_map = parse_cui_map(read_text(args.cui_map)) if args.cui_map else None
-    tag = _pick(args.tag, cfg, "dataset_tag")
     corpus = parse_pubtator(read_text(args.input), schema,
-                            cui_map=cui_map, dataset_tag=tag or None)
+                            cui_map=cui_map, dataset_tag=cfg["dataset_tag"] or None)
     atomic_write_text(args.out, save_corpus(corpus))
     n_entities = sum(len(s.entities) for s in corpus.samples)
     n_triplets = sum(len(s.triplets) for s in corpus.samples)
@@ -136,15 +123,15 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    cfg = _load_cfg(args)
+    cfg = _settings(args)
     corpus = load_corpus(read_text(args.corpus))
     gateway = _chat_gateway(args, cfg)
     iors_config = IorsConfig(
-        beta=int(_pick(args.beta, cfg, "beta")),
+        beta=cfg["beta"],
         summary_instruction=_read_template(args.summary_template),
         confirmation_instruction=_read_template(args.confirmation_template),
-        max_summary_chars=int(_pick(args.max_summary_chars, cfg, "max_summary_chars")),
-        model_id=args.chat_model_resolved,
+        max_summary_chars=cfg["max_summary_chars"],
+        model_id=cfg["chat_model"],
     )
     report = run_corpus_synthesis(gateway, corpus, iors_config)
     atomic_write_text(args.out, save_synthetic(report.records))
@@ -171,19 +158,19 @@ def cmd_synth(args) -> int:
 
 
 def cmd_build_adrcm(args) -> int:
-    cfg = _load_cfg(args)
+    cfg = _settings(args)
     corpus = load_corpus(read_text(args.corpus))
     synthetic = load_synthetic(read_text(args.synthetic)) if args.synthetic else ()
     records = build_dataset(corpus, synthetic)
     if args.records_out:
         atomic_write_text(args.records_out, save_dataset(records))
         print(f"wrote {args.records_out}: {len(records)} records")
-    preset = preset_for(_pick(args.preset, cfg, "preset"))
+    preset = preset_for(cfg["preset"])
     export = export_finetune(
         corpus, records, preset,
-        iors_beta=int(_pick(args.beta, cfg, "beta")),
-        negative_ratio=float(_pick(args.negative_ratio, cfg, "negative_ratio")),
-        seed=int(_pick(args.seed, cfg, "seed")),
+        iors_beta=cfg["beta"],
+        negative_ratio=cfg["negative_ratio"],
+        seed=cfg["seed"],
         instruction_template=_read_template(args.instruction_template),
     )
     sidecar_path = args.sidecar if args.sidecar else args.out + ".meta.json"
@@ -200,14 +187,11 @@ def cmd_build_adrcm(args) -> int:
 
 
 def cmd_index(args) -> int:
-    cfg = _load_cfg(args)
+    cfg = _settings(args)
     docs = load_kb(read_text(args.kb))
-    params = ChunkParams(
-        size=int(_pick(args.chunk_size, cfg, "chunk_size")),
-        overlap=int(_pick(args.chunk_overlap, cfg, "chunk_overlap")),
-        min_tail=int(_pick(args.chunk_min_tail, cfg, "chunk_min_tail")),
-    )
-    index = build_index(docs, _embedder(args, cfg), params=params)
+    params = ChunkParams(size=cfg["chunk_size"], overlap=cfg["chunk_overlap"],
+                         min_tail=cfg["chunk_min_tail"])
+    index = build_index(docs, _embedder(cfg), params=params)
     atomic_write_text(args.out, save_index(index))
     print(f"wrote {args.out}: {len(index.documents)} articles, "
           f"{len(index.chunks)} chunks, dim {index.dimension}")
@@ -216,9 +200,9 @@ def cmd_index(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    cfg = _load_cfg(args)
+    cfg = _settings(args)
     corpus = load_corpus(read_text(args.corpus))
-    rag_mode = _pick(args.rag, cfg, "rag_mode")
+    rag_mode = cfg["rag_mode"]
     index = None
     if rag_mode != "off":
         if not args.index:
@@ -227,9 +211,9 @@ def cmd_infer(args) -> int:
     gateway = _chat_gateway(args, cfg)
     infer_config = InferenceConfig(
         instruction=_read_template(args.instruction_template),
-        k=int(_pick(args.k, cfg, "k")),
+        k=cfg["k"],
         rag_mode=rag_mode,
-        model_id=args.chat_model_resolved,
+        model_id=cfg["chat_model"],
     )
     predictions = predict_corpus(gateway, index, corpus, infer_config)
     atomic_write_text(args.out, save_predictions(predictions))
@@ -269,18 +253,22 @@ def build_parser() -> argparse.ArgumentParser:
     chat = argparse.ArgumentParser(add_help=False)
     chat.add_argument("--script", help="scripted chat replies (JSON file)")
     chat.add_argument("--chat-url", help="chat completion endpoint base URL")
-    chat.add_argument("--model", help="chat model id")
+    chat.add_argument("--model", dest="chat_model", help="chat model id")
     chat.add_argument("--cache-dir", help="reply cache directory")
-    chat.add_argument("--embed-url", help="embedding endpoint base URL")
-    chat.add_argument("--embed-model", help="embedding model id")
-    chat.add_argument("--embed-dim", type=int, help="embedding dimension")
+
+    embed = argparse.ArgumentParser(add_help=False)
+    embed.add_argument("--embed-url", help="embedding endpoint base URL")
+    embed.add_argument("--embed-model", help="embedding model id")
+    embed.add_argument("--embed-dim", dest="embed_dimension", type=int,
+                       help="embedding dimension")
 
     p = sub.add_parser("ingest", parents=[common],
                        help="parse PubTator annotations into a corpus file")
     p.add_argument("--input", required=True)
     p.add_argument("--schema", help="built-in schema name or a .json path")
     p.add_argument("--cui-map", help="identifier -> CUI TSV")
-    p.add_argument("--tag", help="dataset tag (default: derived from the schema)")
+    p.add_argument("--tag", dest="dataset_tag",
+                   help="dataset tag (default: derived from the schema)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ingest)
 
@@ -309,24 +297,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instruction-template")
     p.set_defaults(func=cmd_build_adrcm)
 
-    p = sub.add_parser("index", parents=[common],
+    p = sub.add_parser("index", parents=[common, embed],
                        help="chunk and embed a KB snapshot")
     p.add_argument("--kb", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--chunk-size", type=int)
     p.add_argument("--chunk-overlap", type=int)
     p.add_argument("--chunk-min-tail", type=int)
-    p.add_argument("--embed-url")
-    p.add_argument("--embed-model")
-    p.add_argument("--embed-dim", type=int)
     p.set_defaults(func=cmd_index)
 
-    p = sub.add_parser("infer", parents=[common, chat],
+    p = sub.add_parser("infer", parents=[common, chat, embed],
                        help="predict a relation for every candidate pair")
     p.add_argument("--corpus", required=True)
     p.add_argument("--index", help="index file (required unless --rag off)")
     p.add_argument("--out", required=True)
-    p.add_argument("--rag", choices=("cui", "chunks", "off"))
+    p.add_argument("--rag", dest="rag_mode", choices=("cui", "chunks", "off"))
     p.add_argument("--k", type=int, help="snippets per pair")
     p.add_argument("--instruction-template")
     p.set_defaults(func=cmd_infer)
@@ -354,9 +339,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, SchemaMismatchError, ConfigError, TemplateError,
-            UsageError, ScriptExhaustedError, TransportError, ProtocolError,
-            ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, ScriptExhaustedError, TransportError,
+            ProtocolError) as exc:
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return USAGE_ERROR

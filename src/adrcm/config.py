@@ -85,7 +85,3 @@ def load_config(text: str) -> dict[str, object]:
         merged[key] = value
     return merged
 
-
-def render_config(values: Mapping[str, object]) -> str:
-    lines = [f"{key} = {json.dumps(values[key])}" for key in sorted(values)]
-    return "\n".join(lines) + "\n"

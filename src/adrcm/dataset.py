@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import Corpus, enumerate_candidate_pairs
-from .files import dump_jsonl, parse_jsonl
+from .files import dump_jsonl
 from .infer import build_instruction, build_task_input
 from .iors import DEFAULT_BETA, SyntheticRecord
 from .model import TrainingSample
@@ -97,13 +97,6 @@ def save_dataset(records: Iterable[AugmentedRecord]) -> str:
         "doc_id": r.doc_id, "head_id": r.head_id, "tail_id": r.tail_id,
         "relation": r.relation, "text": r.text, "provenance": r.provenance,
     } for r in records)
-
-
-def load_dataset(text: str) -> tuple[AugmentedRecord, ...]:
-    return tuple(record for _, record in parse_jsonl(
-        text, "dataset", lambda row: AugmentedRecord(
-            row["doc_id"], row["head_id"], row["tail_id"],
-            row["relation"], row["text"], row["provenance"])))
 
 
 @dataclass(frozen=True)

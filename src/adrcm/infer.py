@@ -17,7 +17,7 @@ from .corpus import Corpus, enumerate_candidate_pairs
 from .files import dump_jsonl, parse_jsonl
 from .iors import normalize_relation_label
 from .kb import CuiIndex, RetrievedSnippet, retrieve
-from .llm import LlmGateway, user_exchange
+from .llm import HashingEmbedder, LlmGateway, user_exchange
 from .model import Entity, RelationSchema, TrainingSample
 from .templating import load_default, render, require_placeholders
 
@@ -118,7 +118,7 @@ class PredictionRecord:
     unparseable: bool
 
 
-def retrieve_for_pair(gateway: LlmGateway, index: CuiIndex | None,
+def retrieve_for_pair(gateway: LlmGateway | HashingEmbedder, index: CuiIndex | None,
                       schema: RelationSchema, head: Entity, tail: Entity,
                       config: InferenceConfig) -> list[RetrievedSnippet]:
     if config.rag_mode == "off" or index is None:

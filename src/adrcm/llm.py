@@ -11,6 +11,7 @@ deterministically for tests and dry runs.
 from __future__ import annotations
 
 import contextlib
+import glob
 import hashlib
 import json
 import os
@@ -18,7 +19,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Protocol, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Mapping, Protocol, Sequence, TypeVar
 
 import numpy as np
 import requests
@@ -160,95 +161,86 @@ class ScriptedBackend:
             return reply
 
 
-def _resolve_api_key(explicit: str | None) -> str | None:
-    if explicit is not None:
-        return explicit
-    return os.environ.get(API_KEY_ENV)
+class _HttpClient:
+    """OpenAI-style JSON POST shared by the HTTP backends.
 
+    Holds the auth header, maps HTTP status to :class:`TransportError`
+    (retryable) or :class:`ProtocolError`, and turns a reply that ``pick``
+    cannot read into a :class:`ProtocolError`. ``requests`` does not promise
+    that a ``Session`` is thread-safe, so each thread gets its own unless
+    one is injected, which is then used as given.
+    """
 
-class HttpChatBackend:
-    """OpenAI-style ``/chat/completions`` client over ``requests``."""
-
-    parallel_safe = True
+    kind: str  # names the backend in error messages
 
     def __init__(self, base_url: str, *, api_key: str | None = None,
                  timeout: float = 60.0, session: requests.Session | None = None):
         self.base_url = base_url.rstrip("/")
-        self.api_key = _resolve_api_key(api_key)
+        self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
         self.timeout = timeout
-        self.session = session if session is not None else requests.Session()
+        self._session = session
+        self._local = threading.local()
 
-    def _headers(self) -> dict[str, str]:
+    def _post(self, path: str, body: dict, pick: Callable[[Any], T]) -> T:
+        session = self._session
+        if session is None:
+            if not hasattr(self._local, "session"):
+                self._local.session = requests.Session()
+            session = self._local.session
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
-        return headers
+        try:
+            response = session.post(f"{self.base_url}/{path}", json=body,
+                                    headers=headers, timeout=self.timeout)
+        except requests.RequestException as exc:
+            raise TransportError(f"{self.kind} request failed: {exc}") from exc
+        if response.status_code == 429 or response.status_code >= 500:
+            raise TransportError(f"{self.kind} backend returned HTTP {response.status_code}")
+        if response.status_code != 200:
+            raise ProtocolError(
+                f"{self.kind} backend returned HTTP {response.status_code}: {response.text[:200]}"
+            )
+        try:
+            return pick(response.json())
+        except (ValueError, KeyError, IndexError, TypeError) as exc:
+            raise ProtocolError(f"malformed {self.kind} response: {exc}") from exc
+
+
+class HttpChatBackend(_HttpClient):
+    """OpenAI-style ``/chat/completions`` client over ``requests``."""
+
+    kind = "chat"
+    parallel_safe = True
 
     def complete(self, exchange: ChatExchange) -> str:
-        body = {
+        content = self._post("chat/completions", {
             "model": exchange.model_id,
             "messages": [{"role": m.role, "content": m.content} for m in exchange.messages],
             "temperature": exchange.temperature,
             "max_tokens": exchange.max_tokens,
-        }
-        try:
-            response = self.session.post(
-                f"{self.base_url}/chat/completions",
-                json=body, headers=self._headers(), timeout=self.timeout,
-            )
-        except requests.RequestException as exc:
-            raise TransportError(f"chat request failed: {exc}") from exc
-        if response.status_code == 429 or response.status_code >= 500:
-            raise TransportError(f"chat backend returned HTTP {response.status_code}")
-        if response.status_code != 200:
-            raise ProtocolError(
-                f"chat backend returned HTTP {response.status_code}: {response.text[:200]}"
-            )
-        try:
-            content = response.json()["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
-            raise ProtocolError(f"malformed chat response: {exc}") from exc
+        }, lambda reply: reply["choices"][0]["message"]["content"])
         if not isinstance(content, str):
             raise ProtocolError("chat response content is not text")
         return content
 
 
-class HttpEmbeddingBackend:
+class HttpEmbeddingBackend(_HttpClient):
     """OpenAI-style ``/embeddings`` client over ``requests``."""
 
+    kind = "embedding"
+
     def __init__(self, base_url: str, *, model_id: str = "default",
-                 dimension: int = 768, api_key: str | None = None,
-                 timeout: float = 60.0, session: requests.Session | None = None):
-        self.base_url = base_url.rstrip("/")
+                 dimension: int = 768, **client):
+        super().__init__(base_url, **client)
         self.model_id = model_id
         self.dimension = dimension
-        self.api_key = _resolve_api_key(api_key)
-        self.timeout = timeout
-        self.session = session if session is not None else requests.Session()
 
     def embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        try:
-            response = self.session.post(
-                f"{self.base_url}/embeddings",
-                json={"model": self.model_id, "input": list(texts)},
-                headers=headers, timeout=self.timeout,
-            )
-        except requests.RequestException as exc:
-            raise TransportError(f"embedding request failed: {exc}") from exc
-        if response.status_code == 429 or response.status_code >= 500:
-            raise TransportError(f"embedding backend returned HTTP {response.status_code}")
-        if response.status_code != 200:
-            raise ProtocolError(
-                f"embedding backend returned HTTP {response.status_code}: {response.text[:200]}"
-            )
-        try:
-            rows = response.json()["data"]
-            vectors = [np.asarray(row["embedding"], dtype=np.float64) for row in rows]
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ProtocolError(f"malformed embedding response: {exc}") from exc
+        vectors = self._post(
+            "embeddings", {"model": self.model_id, "input": list(texts)},
+            lambda reply: [np.asarray(row["embedding"], dtype=np.float64)
+                           for row in reply["data"]])
         if len(vectors) != len(texts):
             raise ProtocolError(
                 f"expected {len(texts)} embeddings, got {len(vectors)}"
@@ -312,13 +304,26 @@ class RetryPolicy:
             raise ValueError("backoff_base must be >= 0")
 
 
+def _remove_dead_temps(cache_dir: str) -> None:
+    """Remove ``_ReplyCache.put`` temp files whose writer process is gone."""
+    for path in glob.glob(os.path.join(glob.escape(cache_dir), "*.json.[1-9]*.*.tmp")):
+        try:
+            os.kill(int(path.split(".")[-3]), 0)  # {key}.json.{pid}.{tid}.tmp
+        except ProcessLookupError:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+        except (OSError, ValueError):
+            pass  # a live writer (PermissionError: another user's), or no pid
+
+
 class _ReplyCache:
     """Chat replies keyed by request hash; one small JSON file per entry.
 
     Writes go through a temp file and ``os.replace`` so a killed process
     never leaves a truncated entry behind. The temp name is unique per
     thread, so concurrent writers of one key never share a temp file; the
-    lock guards only the in-memory dict, never file I/O.
+    lock guards only the in-memory dict, never file I/O. Opening the cache
+    removes the temp files of writers whose process no longer exists.
     """
 
     def __init__(self, cache_dir: str | None):
@@ -327,6 +332,7 @@ class _ReplyCache:
         self._lock = threading.Lock()
         if cache_dir is not None:
             os.makedirs(cache_dir, exist_ok=True)
+            _remove_dead_temps(cache_dir)
 
     def _path(self, key: str) -> str:
         assert self.cache_dir is not None

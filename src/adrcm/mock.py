@@ -17,9 +17,9 @@ from importlib import resources
 
 from .corpus import Corpus, enumerate_candidate_pairs, load_corpus, parse_cui_map
 from .files import atomic_write_text, read_text
-from .infer import InferenceConfig, assemble_prompt, build_instruction, pair_query_text
+from .infer import InferenceConfig, assemble_prompt, build_instruction, retrieve_for_pair
 from .iors import IorsConfig, build_confirmation_prompt, build_summary_prompt, positive_triplets
-from .kb import ChunkParams, CuiIndex, load_index, retrieve
+from .kb import ChunkParams, CuiIndex, load_index
 from .llm import HashingEmbedder, exchange_key, user_exchange
 
 TOY_CHUNK_PARAMS = ChunkParams(size=48, overlap=8, min_tail=8)
@@ -117,13 +117,7 @@ def build_mock_script(corpus: Corpus, index: CuiIndex | None,
         for head_id, tail_id, gold in enumerate_candidate_pairs(sample, schema):
             head = sample.entity(head_id)
             tail = sample.entity(tail_id)
-            if infer_config.rag_mode == "off" or index is None:
-                snippets = []
-            else:
-                query_vec = embedder.embed_one(pair_query_text(schema, head, tail))
-                snippets = retrieve(index, query_vec, head, tail,
-                                    k=infer_config.k,
-                                    cui_scoped=infer_config.rag_mode == "cui")
+            snippets = retrieve_for_pair(embedder, index, schema, head, tail, infer_config)
             prompt = assemble_prompt(instruction, doc.text, head.canonical_name,
                                      tail.canonical_name, snippets)
             roll = _digest("infer", doc.doc_id, head_id, tail_id)

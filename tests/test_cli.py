@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from adrcm.cli import main
+from adrcm.cli import _settings, build_parser, main
+from adrcm.config import DEFAULTS
 from adrcm.corpus import load_corpus
 
 
@@ -213,3 +214,57 @@ def test_synth_and_infer_report_chat_traffic(tmp_path, e2e_dir, capsys):
             lines = capsys.readouterr().out.splitlines()
             assert lines[-2].startswith("wrote "), name
             assert lines[-1] == expected
+
+
+def test_synth_rejects_embedding_flags(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["synth", "--corpus", "c.jsonl", "--out", str(tmp_path / "s.jsonl"),
+              "--embed-url", "x"])
+    assert exit_info.value.code == 2
+    assert "--embed-url" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, key, file_value, flag", [
+    (["infer", "--corpus", "c", "--out", "o"], "rag_mode", "off", ["--rag", "chunks"]),
+    (["infer", "--corpus", "c", "--out", "o"], "chat_model", "m-file", ["--model", "m-flag"]),
+    (["ingest", "--input", "i", "--out", "o"], "dataset_tag", "GDA", ["--tag", "BioRED"]),
+    (["index", "--kb", "k", "--out", "o"], "embed_dimension", 32, ["--embed-dim", "16"]),
+], ids=["rag_mode", "chat_model", "dataset_tag", "embed_dimension"])
+def test_flag_beats_config_file_beats_default(tmp_path, argv, key, file_value, flag):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {json.dumps(file_value)}\n")
+
+    def settings(*extra):
+        return _settings(build_parser().parse_args([*argv, *extra]))
+
+    assert settings()[key] == DEFAULTS[key]
+    assert settings("--config", str(cfg))[key] == file_value
+    assert settings("--config", str(cfg), *flag)[key] == type(file_value)(flag[1])
+
+
+def test_dataset_tag_precedence_through_ingest(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text('dataset_tag = "custom"\n')
+    out = tmp_path / "corpus.jsonl"
+
+    def written_tag(*extra):
+        assert main(["ingest", "--input", _toy_path("toy_corpus.pubtator"),
+                     "--out", str(out), *extra]) == 0
+        return json.loads(out.read_text().split("\n")[0])["dataset_tag"]
+
+    assert written_tag() == "CDR"  # the default "" derives the tag from the schema
+    assert written_tag("--config", str(cfg)) == "custom"
+    assert written_tag("--config", str(cfg), "--tag", "BioRED") == "BioRED"
+
+
+def test_chat_model_precedence_through_infer(tmp_path, e2e_dir, capsys):
+    # The mock script answers only requests made with the default model id.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text('chat_model = "other"\n')
+    infer = ["infer", "--corpus", str(e2e_dir / "corpus.jsonl"),
+             "--index", str(e2e_dir / "index.jsonl"), "--out", str(tmp_path / "p.jsonl"),
+             "--script", str(e2e_dir / "mock_script.json")]
+    assert main(infer) == 0
+    assert main([*infer, "--config", str(cfg)]) == 2
+    assert "no scripted reply" in capsys.readouterr().err
+    assert main([*infer, "--config", str(cfg), "--model", "default"]) == 0

@@ -1,6 +1,6 @@
 import pytest
 
-from adrcm.config import DEFAULTS, ConfigError, load_config, parse_config_text, render_config
+from adrcm.config import DEFAULTS, ConfigError, load_config, parse_config_text
 
 
 def test_parse_config_text_basics():
@@ -47,8 +47,3 @@ def test_load_config_type_checks():
     with pytest.raises(ConfigError):
         load_config("beta = true\n")
 
-
-def test_render_round_trips():
-    cfg = load_config("beta = 9\nrag_mode = \"off\"\n")
-    again = load_config(render_config(cfg))
-    assert again == cfg

@@ -9,7 +9,6 @@ from adrcm.dataset import (
     AugmentedRecord,
     build_dataset,
     export_finetune,
-    load_dataset,
     preset_for,
     save_dataset,
     save_finetune_rows,
@@ -150,6 +149,7 @@ def test_finetune_rows_sorted_and_json_lines(two_doc_corpus):
 def test_dataset_record_round_trip():
     records = (AugmentedRecord("1", "a", "b", "CID", "text", "original"),
                AugmentedRecord("1", "a", "b", "CID", "summary", "synthetic"))
-    assert load_dataset(save_dataset(records)) == records
+    rows = [json.loads(line) for line in save_dataset(records).splitlines()]
+    assert tuple(AugmentedRecord(**row) for row in rows) == records
     with pytest.raises(ValueError, match="provenance"):
         AugmentedRecord("1", "a", "b", "CID", "t", "guessed")

@@ -1,0 +1,20 @@
+"""Every demo runs offline from a fresh interpreter and exits cleanly."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).parents[1]
+
+
+@pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.stem)
+def test_demo_runs(demo, tmp_path):
+    # Demos import from the package root; run_offline_pipeline writes its
+    # artifacts under the working directory.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr

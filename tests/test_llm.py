@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -387,3 +389,50 @@ def test_reply_cache_concurrent_puts_of_one_key(tmp_path):
     assert json.loads((tmp_path / "k.json").read_text())["reply"] in replies
     assert cache.get("k") in replies
     assert cache.get("absent") is None
+
+
+def test_http_backend_gives_each_thread_its_own_session(monkeypatch):
+    meet = threading.Barrier(2, timeout=5)
+    made = []
+
+    class CountingSession:
+        def __init__(self):
+            made.append(self)
+
+        def post(self, url, json=None, headers=None, timeout=None):
+            meet.wait()  # both threads are mid-request at once
+            return FakeResponse(payload=_chat_payload(str(id(self))))
+
+    monkeypatch.setattr(requests, "Session", CountingSession)
+    backend = HttpChatBackend("http://x")
+    replies = []
+    threads = [threading.Thread(target=lambda: replies.append(
+        backend.complete(user_exchange("q")))) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+    assert len(replies) == 2
+    assert len(made) == 2
+    assert set(replies) == {str(id(s)) for s in made}
+
+    injected = FakeSession([FakeResponse(payload=_chat_payload("ok"))])
+    assert HttpChatBackend("http://x", session=injected).complete(user_exchange("q")) == "ok"
+    assert len(made) == 2
+    assert len(injected.requests) == 1
+
+
+def test_reply_cache_removes_temp_files_of_dead_writers(tmp_path):
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()  # reaped, so its pid no longer names a process
+    key = "a" * 64
+    entry = tmp_path / f"{key}.json"
+    entry.write_text('{"reply": "kept"}')
+    dead = tmp_path / f"{key}.json.{child.pid}.1.tmp"
+    live = tmp_path / f"{key}.json.{os.getpid()}.1.tmp"
+    dead.write_text("{")
+    live.write_text("{")
+    cache = _ReplyCache(str(tmp_path))
+    assert sorted(p.name for p in tmp_path.iterdir()) == [entry.name, live.name]
+    assert entry.read_text() == '{"reply": "kept"}'
+    assert cache.get(key) == "kept"
