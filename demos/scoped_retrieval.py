@@ -6,16 +6,10 @@ entity pair's concept identifiers, once over the whole index. The scoped
 variant only ever returns passages about the two entities in question.
 """
 
-from adrcm import (
-    ChunkParams,
-    HashingEmbedder,
-    KbDocument,
-    build_index,
-    builtin_schema,
-    pair_query_text,
-    parse_pubtator,
-    retrieve,
-)
+from adrcm.corpus import builtin_schema, parse_pubtator
+from adrcm.infer import pair_query_text
+from adrcm.kb import ChunkParams, KbDocument, build_index, retrieve
+from adrcm.llm import HashingEmbedder
 
 ARTICLES = [
     KbDocument("C3900001", "demo_kb", "velotrine",

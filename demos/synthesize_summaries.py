@@ -6,13 +6,9 @@ Scripted replies make the retry path visible: the first summary is rejected
 by the confirmation step, the second is accepted.
 """
 
-from adrcm import (
-    IorsConfig,
-    builtin_schema,
-    generate_synthetic,
-    mock_gateway,
-    parse_pubtator,
-)
+from adrcm.corpus import builtin_schema, parse_pubtator
+from adrcm.iors import IorsConfig, generate_synthetic
+from adrcm.llm import mock_gateway
 
 PUBTATOR = """\
 5550|t|Fenorazole-induced bradycardia in elderly patients.

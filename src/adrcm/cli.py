@@ -74,7 +74,7 @@ def _resolve_schema(name_or_path: str):
 
 def _embedder(cfg: dict):
     if not cfg["embed_url"]:
-        return HashingEmbedder()
+        return HashingEmbedder(cfg["embed_dimension"])
     return HttpEmbeddingBackend(cfg["embed_url"], model_id=cfg["embed_model"],
                                 dimension=cfg["embed_dimension"])
 
@@ -139,11 +139,8 @@ def cmd_synth(args) -> int:
         atomic_write_text(args.report, json.dumps({
             "accepted": report.accepted_count,
             "discarded": report.discarded_count,
-            "discarded_pairs": [
-                {"doc_id": d.doc_id, "head_id": d.head_id,
-                 "tail_id": d.tail_id, "relation": d.relation}
-                for d in report.discarded
-            ],
+            "discarded_pairs": [{k: v for k, v in vars(d).items() if k != "failures"}
+                                for d in report.discarded],
             "errors": list(report.errors),
             "summary_calls": report.summary_calls,
             "confirmation_calls": report.confirmation_calls,
@@ -165,7 +162,7 @@ def cmd_build_adrcm(args) -> int:
     if args.records_out:
         atomic_write_text(args.records_out, save_dataset(records))
         print(f"wrote {args.records_out}: {len(records)} records")
-    preset = preset_for(cfg["preset"])
+    preset = preset_for(cfg["preset"] or corpus.schema.name)
     export = export_finetune(
         corpus, records, preset,
         iors_beta=cfg["beta"],

@@ -26,9 +26,9 @@ DEFAULTS: Mapping[str, object] = {
     "chat_model": "default",
     "embed_url": "",
     "embed_model": "default",
-    "embed_dimension": 768,
+    "embed_dimension": 64,
     "cache_dir": "",
-    "preset": "cdr",
+    "preset": "",
     "negative_ratio": 1.0,
     "seed": 0,
     "max_in_flight": 4,

@@ -338,38 +338,11 @@ def save_corpus(corpus: Corpus) -> str:
         )
     ]
     for sample in corpus.samples:
-        out.append(
-            json.dumps(
-                {
-                    "doc_id": sample.document.doc_id,
-                    "title": sample.document.title,
-                    "body": sample.document.body,
-                    "sentences": [list(r) for r in sample.document.sentences],
-                    "entities": [
-                        {
-                            "entity_id": e.entity_id,
-                            "cui": e.cui,
-                            "etype": e.etype,
-                            "canonical_name": e.canonical_name,
-                            "mentions": [
-                                {
-                                    "surface": m.surface,
-                                    "sentence_index": m.sentence_index,
-                                    "char_range": list(m.char_range),
-                                }
-                                for m in e.mentions
-                            ],
-                        }
-                        for e in sample.entities
-                    ],
-                    "triplets": [
-                        {"head_id": t.head_id, "tail_id": t.tail_id, "relation": t.relation}
-                        for t in sample.triplets
-                    ],
-                },
-                sort_keys=True,
-            )
-        )
+        # The dataset tag lives in the header, not on every sample.
+        row = {**vars(sample.document), "entities": sample.entities,
+               "triplets": sample.triplets}
+        del row["dataset_tag"]
+        out.append(json.dumps(row, sort_keys=True, default=vars))
     return "\n".join(out) + "\n"
 
 
@@ -412,36 +385,33 @@ def load_corpus(text: str, schema: RelationSchema | None = None) -> Corpus:
 
 
 def _sample_from_json(obj: dict, dataset_tag: str) -> TrainingSample:
+    entities = obj.pop("entities")
+    triplets = obj.pop("triplets")
+    sentences = tuple(tuple(r) for r in obj.pop("sentences"))
     return TrainingSample(
-        document=Document(
-            doc_id=obj["doc_id"],
-            title=obj["title"],
-            body=obj["body"],
-            sentences=tuple(tuple(r) for r in obj["sentences"]),
-            dataset_tag=dataset_tag,
-        ),
+        document=Document(**obj, sentences=sentences, dataset_tag=dataset_tag),
         entities=tuple(
-            Entity(
-                entity_id=e["entity_id"],
-                cui=e.get("cui"),
-                etype=e["etype"],
-                canonical_name=e["canonical_name"],
-                mentions=tuple(
-                    Mention(
-                        surface=m["surface"],
-                        sentence_index=m["sentence_index"],
-                        char_range=tuple(m["char_range"]),
-                    )
-                    for m in e["mentions"]
-                ),
-            )
-            for e in obj["entities"]
+            Entity(**{**e, "mentions": tuple(
+                Mention(**{**m, "char_range": tuple(m["char_range"])})
+                for m in e["mentions"])})
+            for e in entities
         ),
-        triplets=tuple(
-            Triplet(head_id=t["head_id"], tail_id=t["tail_id"], relation=t["relation"])
-            for t in obj["triplets"]
-        ),
+        triplets=tuple(Triplet(**t) for t in triplets),
     )
+
+
+PairKey = tuple[str, str, str]
+
+
+def gold_pair_labels(corpus: Corpus) -> dict[PairKey, str]:
+    """Gold label for every candidate pair in the corpus, keyed by
+    ``(doc_id, head_id, tail_id)``."""
+    gold: dict[PairKey, str] = {}
+    for sample in corpus.samples:
+        doc_id = sample.document.doc_id
+        for head_id, tail_id, label in enumerate_candidate_pairs(sample, corpus.schema):
+            gold[(doc_id, head_id, tail_id)] = label
+    return gold
 
 
 def enumerate_candidate_pairs(

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import Corpus, enumerate_candidate_pairs
+from .corpus import Corpus, gold_pair_labels
 from .files import dump_jsonl
 from .infer import build_instruction, build_task_input
 from .iors import DEFAULT_BETA, SyntheticRecord
@@ -93,10 +93,7 @@ def build_dataset(corpus: Corpus,
 
 
 def save_dataset(records: Iterable[AugmentedRecord]) -> str:
-    return dump_jsonl({
-        "doc_id": r.doc_id, "head_id": r.head_id, "tail_id": r.tail_id,
-        "relation": r.relation, "text": r.text, "provenance": r.provenance,
-    } for r in records)
+    return dump_jsonl(records)
 
 
 @dataclass(frozen=True)
@@ -131,15 +128,6 @@ class FinetuneExport:
     sidecar: dict
 
 
-def _negative_pool(corpus: Corpus) -> list[tuple[str, str, str]]:
-    pool = []
-    for sample in corpus.samples:
-        for head_id, tail_id, label in enumerate_candidate_pairs(sample, corpus.schema):
-            if label == corpus.schema.none_label:
-                pool.append((sample.document.doc_id, head_id, tail_id))
-    return sorted(pool)
-
-
 def export_finetune(corpus: Corpus, records: Sequence[AugmentedRecord],
                     preset: FinetunePreset, *, iors_beta: int = DEFAULT_BETA,
                     negative_ratio: float = 1.0, seed: int = 0,
@@ -157,56 +145,44 @@ def export_finetune(corpus: Corpus, records: Sequence[AugmentedRecord],
     instruction = build_instruction(corpus.schema, instruction_template)
 
     keyed_rows: list[tuple[tuple, dict]] = []
-    for record in records:
-        sample = samples.get(record.doc_id)
-        if sample is None:
-            raise ValueError(f"record for unknown document {record.doc_id!r}")
-        row = {
-            "instruction": instruction,
-            "input": build_task_input(
-                record.text,
-                sample.entity(record.head_id).canonical_name,
-                sample.entity(record.tail_id).canonical_name),
-            "output": record.relation,
-        }
-        keyed_rows.append(
-            ((record.doc_id, record.provenance, record.head_id, record.tail_id), row))
 
-    counts = {
-        PROVENANCE_ORIGINAL: sum(1 for r in records if r.provenance == PROVENANCE_ORIGINAL),
-        PROVENANCE_SYNTHETIC: sum(1 for r in records if r.provenance == PROVENANCE_SYNTHETIC),
-    }
-    pool = _negative_pool(corpus)
+    def row(key: tuple[str, str, str, str], text: str, output: str) -> None:
+        """Add the row for ``key = (doc_id, kind, head_id, tail_id)``."""
+        doc_id, _, head_id, tail_id = key
+        sample = samples.get(doc_id)
+        if sample is None:
+            raise ValueError(f"record for unknown document {doc_id!r}")
+        keyed_rows.append((key, {
+            "instruction": instruction,
+            "input": build_task_input(text, sample.entity(head_id).canonical_name,
+                                      sample.entity(tail_id).canonical_name),
+            "output": output,
+        }))
+
+    for r in records:
+        row((r.doc_id, r.provenance, r.head_id, r.tail_id), r.text, r.relation)
+
+    counts = {kind: sum(1 for r in records if r.provenance == kind)
+              for kind in (PROVENANCE_ORIGINAL, PROVENANCE_SYNTHETIC)}
+    none = corpus.schema.none_label
+    pool = sorted(key for key, label in gold_pair_labels(corpus).items() if label == none)
     want = min(len(pool), round(negative_ratio * len(records)))
     chosen = random.Random(seed).sample(pool, want) if want else []
     for doc_id, head_id, tail_id in chosen:
-        sample = samples[doc_id]
-        row = {
-            "instruction": instruction,
-            "input": build_task_input(
-                sample.document.text,
-                sample.entity(head_id).canonical_name,
-                sample.entity(tail_id).canonical_name),
-            "output": corpus.schema.none_label,
-        }
-        keyed_rows.append(((doc_id, "negative", head_id, tail_id), row))
+        row((doc_id, "negative", head_id, tail_id), samples[doc_id].document.text, none)
     counts["negative"] = len(chosen)
 
     keyed_rows.sort(key=lambda pair: pair[0])
-    rows = tuple(row for _, row in keyed_rows)
+    rows = tuple(r for _, r in keyed_rows)
     sidecar = {
-        "preset": preset.name,
-        "base_model_id": preset.base_model_id,
-        "lora_rank": preset.lora_rank,
-        "lora_alpha": preset.lora_alpha,
-        "learning_rate": preset.learning_rate,
-        "lora_dropout": preset.lora_dropout,
+        **vars(preset),
         "iors_beta": iors_beta,
         "negative_ratio": negative_ratio,
         "seed": seed,
         "row_counts": {**counts, "total": len(rows)},
         "dataset_fingerprint": fingerprint_rows(rows),
     }
+    sidecar["preset"] = sidecar.pop("name")
     return FinetuneExport(rows, sidecar)
 
 

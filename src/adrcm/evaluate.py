@@ -11,17 +11,15 @@ evidence spans sentences.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from dataclasses import asdict, dataclass
+from typing import Iterable, Mapping, Sequence
 
-from .corpus import Corpus, enumerate_candidate_pairs
+from .corpus import Corpus, PairKey, gold_pair_labels
 from .infer import PredictionRecord
 from .model import TrainingSample
 
 INTRA = "intra"
 INTER = "inter"
-
-PairKey = tuple[str, str, str]
 
 
 @dataclass(frozen=True)
@@ -78,16 +76,6 @@ class EvalReport:
     unparseable: int
 
 
-def gold_pair_labels(corpus: Corpus) -> dict[PairKey, str]:
-    """Gold label for every candidate pair in the corpus."""
-    gold: dict[PairKey, str] = {}
-    for sample in corpus.samples:
-        doc_id = sample.document.doc_id
-        for head_id, tail_id, label in enumerate_candidate_pairs(sample, corpus.schema):
-            gold[(doc_id, head_id, tail_id)] = label
-    return gold
-
-
 def compute_report(corpus: Corpus,
                    predictions: Sequence[PredictionRecord]) -> EvalReport:
     """Score predictions; coverage must match the candidate pairs exactly."""
@@ -114,74 +102,57 @@ def compute_report(corpus: Corpus,
             detail.append(f"unexpected {len(extra)} pairs, first {extra[:3]}")
         raise ValueError("prediction coverage mismatch: " + "; ".join(detail))
 
-    samples = {s.document.doc_id: s for s in corpus.samples}
-    tp = fp = fn = 0
-    label_counts = {label: [0, 0, 0] for label in schema.positive_labels}
-    local_counts = {INTRA: [0, 0, 0], INTER: [0, 0, 0]}
-    local_gold = {INTRA: 0, INTER: 0}
-    predicted_positives = 0
-    unparseable = 0
-
-    for key in sorted(gold):
-        gold_label = gold[key]
-        pred = predicted[key]
-        pred_label = pred.label
-        if pred.unparseable:
-            unparseable += 1
-        if pred_label != none:
-            predicted_positives += 1
-            counts = label_counts[pred_label]
-            if pred_label == gold_label:
-                tp += 1
-                counts[0] += 1
-            else:
-                fp += 1
-                counts[1] += 1
-        if gold_label != none:
-            if pred_label != gold_label:
+    def score(pairs: Iterable[tuple[str, str]]) -> Scores:
+        """Count tp/fp/fn over ``(gold label, predicted label)`` pairs."""
+        tp = fp = fn = 0
+        for gold_label, pred_label in pairs:
+            if pred_label != none:
+                if pred_label == gold_label:
+                    tp += 1
+                else:
+                    fp += 1
+            if gold_label != none and pred_label != gold_label:
                 fn += 1
-                label_counts[gold_label][2] += 1
-            doc_id, head_id, tail_id = key
-            side = classify_locality(samples[doc_id], head_id, tail_id)
-            local_gold[side] += 1
-            bucket = local_counts[side]
-            if pred_label == gold_label:
-                bucket[0] += 1
-            else:
-                bucket[2] += 1
-                if pred_label != none:
-                    bucket[1] += 1
+        return Scores.from_counts(tp, fp, fn)
 
+    samples = {s.document.doc_id: s for s in corpus.samples}
+    keys = sorted(gold)
+    pairs = [(gold[key], predicted[key].label) for key in keys]
+    # Per-label scores treat every other label as none; locality scores
+    # count the gold positives on their side only.
     per_label = {
-        label: Scores.from_counts(*counts) for label, counts in label_counts.items()
+        label: score((g if g == label else none, p if p == label else none)
+                     for g, p in pairs)
+        for label in schema.positive_labels
     }
+    local: dict[str, list[tuple[str, str]]] = {INTRA: [], INTER: []}
+    for (doc_id, head_id, tail_id), pair in zip(keys, pairs):
+        if pair[0] != none:
+            local[classify_locality(samples[doc_id], head_id, tail_id)].append(pair)
+
     macro_p = sum(s.precision for s in per_label.values()) / len(per_label)
     macro_r = sum(s.recall for s in per_label.values()) / len(per_label)
     macro_f = sum(s.f1 for s in per_label.values()) / len(per_label)
 
     return EvalReport(
-        micro=Scores.from_counts(tp, fp, fn),
+        micro=score(pairs),
         per_label=per_label,
         macro_precision=macro_p,
         macro_recall=macro_r,
         macro_f1=macro_f,
-        intra=Scores.from_counts(*local_counts[INTRA]),
-        inter=Scores.from_counts(*local_counts[INTER]),
-        intra_gold=local_gold[INTRA],
-        inter_gold=local_gold[INTER],
+        intra=score(local[INTRA]),
+        inter=score(local[INTER]),
+        intra_gold=len(local[INTRA]),
+        inter_gold=len(local[INTER]),
         n_pairs=len(gold),
         gold_positives=sum(1 for label in gold.values() if label != none),
-        predicted_positives=predicted_positives,
-        unparseable=unparseable,
+        predicted_positives=sum(1 for _, p in pairs if p != none),
+        unparseable=sum(1 for p in predictions if p.unparseable),
     )
 
 
 def _scores_dict(scores: Scores) -> dict:
-    return {
-        "tp": scores.tp, "fp": scores.fp, "fn": scores.fn,
-        "precision": scores.precision, "recall": scores.recall, "f1": scores.f1,
-        "flags": list(scores.flags),
-    }
+    return {**asdict(scores), "flags": list(scores.flags)}
 
 
 def report_to_dict(report: EvalReport) -> dict:

@@ -24,9 +24,10 @@ def atomic_write_text(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def dump_jsonl(rows: Iterable[dict]) -> str:
-    """One sorted-key JSON object per line, non-ASCII text left unescaped."""
-    lines = [json.dumps(row, sort_keys=True, ensure_ascii=False) for row in rows]
+def dump_jsonl(rows: Iterable[object]) -> str:
+    """One sorted-key JSON object per line, non-ASCII text left unescaped;
+    a dataclass row is written as its fields."""
+    lines = [json.dumps(row, sort_keys=True, ensure_ascii=False, default=vars) for row in rows]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

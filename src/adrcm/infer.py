@@ -165,16 +165,10 @@ def predict_corpus(gateway: LlmGateway, index: CuiIndex | None, corpus: Corpus,
 
 
 def save_predictions(predictions: Iterable[PredictionRecord]) -> str:
-    return dump_jsonl({
-        "doc_id": p.doc_id, "head_id": p.head_id, "tail_id": p.tail_id,
-        "label": p.label, "raw_output": p.raw_output,
-        "snippets_used": list(p.snippets_used), "unparseable": p.unparseable,
-    } for p in predictions)
+    return dump_jsonl(predictions)
 
 
 def load_predictions(text: str) -> tuple[PredictionRecord, ...]:
     return tuple(record for _, record in parse_jsonl(
         text, "prediction", lambda row: PredictionRecord(
-            row["doc_id"], row["head_id"], row["tail_id"], row["label"],
-            row["raw_output"], tuple(row["snippets_used"]),
-            bool(row["unparseable"]))))
+            **{**row, "snippets_used": tuple(row["snippets_used"])})))

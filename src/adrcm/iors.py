@@ -244,14 +244,9 @@ def run_corpus_synthesis(gateway: LlmGateway, corpus: Corpus,
 
 
 def save_synthetic(records: Iterable[SyntheticRecord]) -> str:
-    return dump_jsonl({
-        "doc_id": r.doc_id, "head_id": r.head_id, "tail_id": r.tail_id,
-        "relation": r.relation, "summary": r.summary,
-    } for r in records)
+    return dump_jsonl(records)
 
 
 def load_synthetic(text: str) -> tuple[SyntheticRecord, ...]:
     return tuple(record for _, record in parse_jsonl(
-        text, "synthetic", lambda row: SyntheticRecord(
-            row["doc_id"], row["head_id"], row["tail_id"],
-            row["relation"], row["summary"])))
+        text, "synthetic", lambda row: SyntheticRecord(**row)))

@@ -67,8 +67,7 @@ def load_kb(text: str) -> tuple[KbDocument, ...]:
 
 
 def save_kb(docs: Iterable[KbDocument]) -> str:
-    return dump_jsonl({"cui": d.cui, "source": d.source, "title": d.title, "text": d.text}
-                      for d in docs)
+    return dump_jsonl(docs)
 
 
 @dataclass(frozen=True)
@@ -279,15 +278,12 @@ def save_index(index: CuiIndex) -> str:
     """Serialize an index to a single JSONL string."""
     lines = [json.dumps({
         "kind": "header", "dimension": index.dimension, "chunks": len(index.chunks),
-        "params": {"size": index.params.size, "overlap": index.params.overlap,
-                   "min_tail": index.params.min_tail},
+        "params": vars(index.params),
         "fingerprint": index.fingerprint,
     }, sort_keys=True)]
     for _, doc in sorted(index.documents.items()):
-        lines.append(json.dumps({
-            "kind": "doc", "cui": doc.cui, "source": doc.source,
-            "title": doc.title, "text": doc.text,
-        }, sort_keys=True, ensure_ascii=False))
+        lines.append(json.dumps({"kind": "doc", **vars(doc)},
+                                sort_keys=True, ensure_ascii=False))
     for chunk in index.chunks.values():
         lines.append(json.dumps({
             "kind": "chunk", "chunk_id": chunk.chunk_id, "doc_id": chunk.doc_id,
@@ -315,9 +311,12 @@ def load_index(text: str) -> CuiIndex:
     matrix = np.empty((count, dimension))
     for line_no, line in enumerate(records, start=2):
         row = json.loads(line)
-        kind = row.get("kind")
+        kind = row.pop("kind", None)
         if kind == "doc":
-            doc = KbDocument(row["cui"], row["source"], row["title"], row["text"])
+            try:
+                doc = KbDocument(**row)
+            except TypeError as exc:
+                raise ValueError(f"line {line_no}: bad article record: {exc}") from None
             if doc.doc_id in documents:
                 raise ValueError(f"line {line_no}: duplicate article {doc.doc_id!r}")
             documents[doc.doc_id] = doc

@@ -87,12 +87,8 @@ def user_exchange(content: str, *, system: str | None = None, temperature: float
 
 def exchange_key(exchange: ChatExchange) -> str:
     """Stable content hash of an exchange, used for caching and scripting."""
-    payload = {
-        "messages": [[m.role, m.content] for m in exchange.messages],
-        "model_id": exchange.model_id,
-        "temperature": exchange.temperature,
-        "max_tokens": exchange.max_tokens,
-    }
+    payload = {**vars(exchange),
+               "messages": [[m.role, m.content] for m in exchange.messages]}
     blob = json.dumps(payload, sort_keys=True, ensure_ascii=False)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -216,7 +212,7 @@ class HttpChatBackend(_HttpClient):
     def complete(self, exchange: ChatExchange) -> str:
         content = self._post("chat/completions", {
             "model": exchange.model_id,
-            "messages": [{"role": m.role, "content": m.content} for m in exchange.messages],
+            "messages": [vars(m) for m in exchange.messages],
             "temperature": exchange.temperature,
             "max_tokens": exchange.max_tokens,
         }, lambda reply: reply["choices"][0]["message"]["content"])

@@ -145,8 +145,8 @@ def run_e2e_mock(workdir: str, *, beta: int = 3, k: int = 5,
     Only chat replies go through the on-disk cache, which is what makes
     interrupted runs resumable.
     """
-    # Imported here: the package imports this module, and a module-level
-    # import would load adrcm.cli before ``python -m adrcm.cli`` runs it.
+    # Imported here: adrcm.cli imports this module, so a module-level
+    # import of adrcm.cli would be circular.
     from .cli import build_parser
 
     paths = {name: os.path.join(workdir, name) for name in (
@@ -196,8 +196,7 @@ def run_e2e_mock(workdir: str, *, beta: int = 3, k: int = 5,
 
 
 def describe_run(paths: dict[str, str]) -> str:
-    with open(paths["report.json"], encoding="utf-8") as fh:
-        report = json.load(fh)
+    report = json.loads(read_text(paths["report.json"]))
     lines = ["artifacts:"]
     lines.extend(f"  {name}: {path}" for name, path in sorted(paths.items()))
     micro = report["micro"]

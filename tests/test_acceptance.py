@@ -19,9 +19,15 @@ from pathlib import Path
 
 import pytest
 
-from adrcm.corpus import Corpus, builtin_schema, enumerate_candidate_pairs, parse_pubtator
+from adrcm.corpus import (
+    Corpus,
+    builtin_schema,
+    enumerate_candidate_pairs,
+    gold_pair_labels,
+    parse_pubtator,
+)
 from adrcm.dataset import SyntheticRecord, build_dataset, export_finetune, preset_for
-from adrcm.evaluate import Scores, classify_locality, compute_report, gold_pair_labels
+from adrcm.evaluate import Scores, classify_locality, compute_report
 from adrcm.infer import (
     InferenceConfig,
     PredictionRecord,

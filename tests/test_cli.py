@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -66,13 +67,16 @@ def test_ingest_subcommand(tmp_path, capsys):
     assert "10 documents" in capsys.readouterr().out
 
 
+GDA_PUBTATOR = (
+    "7001|t|BRX1 variants in cardiomyopathy.\n"
+    "7001\t0\t4\tBRX1\tGene\t5001\n"
+    "7001\t17\t31\tcardiomyopathy\tDisease\tD70001\n"
+    "7001\tGDA\t5001\tD70001\n")
+
+
 def test_ingest_derives_tag_from_schema(tmp_path):
     pubtator = tmp_path / "gda.pubtator"
-    pubtator.write_text(
-        "7001|t|BRX1 variants in cardiomyopathy.\n"
-        "7001\t0\t4\tBRX1\tGene\t5001\n"
-        "7001\t17\t31\tcardiomyopathy\tDisease\tD70001\n"
-        "7001\tGDA\t5001\tD70001\n")
+    pubtator.write_text(GDA_PUBTATOR)
     out = tmp_path / "corpus.jsonl"
     assert main(["ingest", "--input", str(pubtator), "--schema", "gda",
                  "--out", str(out)]) == 0
@@ -268,3 +272,66 @@ def test_chat_model_precedence_through_infer(tmp_path, e2e_dir, capsys):
     assert main([*infer, "--config", str(cfg)]) == 2
     assert "no scripted reply" in capsys.readouterr().err
     assert main([*infer, "--config", str(cfg), "--model", "default"]) == 0
+
+
+@pytest.mark.parametrize("extra, config, want", [
+    ([], "", ("gda", 64, 16)),
+    (["--preset", "cdr"], "", ("cdr", 16, 32)),
+    ([], 'preset = "biored"\n', ("biored", 64, 16)),
+    (["--preset", "gda"], 'preset = "cdr"\n', ("gda", 64, 16)),
+], ids=["schema", "flag", "config", "flag-beats-config"])
+def test_build_adrcm_preset_defaults_to_corpus_schema(tmp_path, capsys, extra, config, want):
+    pubtator = tmp_path / "gda.pubtator"
+    pubtator.write_text(GDA_PUBTATOR)
+    corpus = tmp_path / "corpus.jsonl"
+    assert main(["ingest", "--input", str(pubtator), "--schema", "gda",
+                 "--out", str(corpus)]) == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "finetune.jsonl"
+    assert main(["build-adrcm", "--corpus", str(corpus), "--out", str(out),
+                 "--config", str(cfg), *extra]) == 0
+    sidecar = json.loads((tmp_path / "finetune.jsonl.meta.json").read_text())
+    assert (sidecar["preset"], sidecar["lora_rank"], sidecar["lora_alpha"]) == want
+    assert capsys.readouterr().out.endswith(
+        f"preset {want[0]}, rank {want[1]}, alpha {want[2]}\n")
+
+
+def test_build_adrcm_rejects_unknown_preset(tmp_path, e2e_dir, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text('preset = "mini"\n')
+    rc = main(["build-adrcm", "--corpus", str(e2e_dir / "corpus.jsonl"),
+               "--out", str(tmp_path / "f.jsonl"), "--config", str(cfg)])
+    assert rc == 2
+    assert "unknown preset 'mini'" in capsys.readouterr().err
+
+
+def test_index_embed_dim_applies_to_the_offline_embedder(tmp_path):
+    out = tmp_path / "index.jsonl"
+    assert main(["index", "--kb", _toy_path("toy_kb.jsonl"), "--out", str(out),
+                 "--embed-dim", "32"]) == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert records[0]["dimension"] == 32
+    assert {len(r["vector"]) for r in records if r["kind"] == "chunk"} == {32}
+
+
+# sha256 of every artifact `e2e-mock --rag cui` writes. Any change to an
+# artifact format, prompt, or scoring rule shows up here as a changed digest.
+E2E_CUI_DIGESTS = {
+    "corpus.jsonl": "6201098f9dcd74d9e6e94789bfb50bf344c099e5919fad2e703f2c4a7d0b2621",
+    "dataset.jsonl": "1cfba3c35c62721f9b294ff1e20d5199c37d79642992320f8065e65542d6dace",
+    "finetune.jsonl": "7266c96eba1da9be2d35d7ba913b7d600327133f29581ef17022efd37417a5be",
+    "finetune_meta.json": "a7b1cfc9eb5d6db41e27dd89db2cf17d9344dc847a5e53028b3f9923bde2b962",
+    "index.jsonl": "a09d939b97f345fcec0b45b6bd98886ba01ea4ad871682f62ae8e630b087bd4b",
+    "mock_script.json": "c33304cd762775056d421562dd44295749434d5b5882276392d4d41b2f0606c4",
+    "predictions.jsonl": "3d6c5d6268029e6dca367603c929e0b42fc15af4cc0b3a61ebca71bf69268b9c",
+    "report.json": "294c07d350af8a7442ae5e008a94ff4e1d1291d018ae576e7050a344d3725870",
+    "synth_report.json": "ff8b9944d9b81405f37eb9d8bd2b8d3a7a1a0c891bd3e7567b454232a0aa5cf3",
+    "synthetic.jsonl": "5f54e09a4abf1a54866978393d34104b302dce84a11e7e74e47e316f4f9b542c",
+}
+
+
+def test_e2e_mock_artifact_bytes_are_pinned(e2e_dir):
+    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+           for path in e2e_dir.iterdir() if path.is_file()}
+    assert got == E2E_CUI_DIGESTS

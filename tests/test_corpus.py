@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from adrcm.corpus import (
     save_corpus,
     segment_sentences,
 )
+from adrcm.model import validate_sample
 
 
 def test_segment_sentences_hand_cases():
@@ -25,13 +27,13 @@ def test_segment_sentences_hand_cases():
 
 def test_segment_sentences_concatenation_property():
     rng = random.Random(7)
-    alphabet = "ab .!?\n"
-    for _ in range(200):
+    alphabet = "ab .!?\n\t\u2028\u00a0\u0085"
+    for _ in range(500):
         text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 60)))
         ranges = segment_sentences(text)
         assert "".join(text[s:e] for s, e in ranges) == text
         assert all(s < e for s, e in ranges)
-        assert ranges == sorted(ranges)
+        assert [s for s, _ in ranges[1:]] == [e for _, e in ranges[:-1]]
 
 
 SIMPLE = """\
@@ -230,3 +232,60 @@ def test_builtin_schemas():
     assert biored.none_label in biored.labels
     with pytest.raises(KeyError):
         builtin_schema("nope")
+
+
+# Tokens for random PubTator documents: terminators inside mentions ("E.",
+# "Dr."), non-ASCII text, and Unicode whitespace that ends a sentence.
+_TOKENS = ["aspirin", "rash", "E.", "coli", "Dr.", "fever!", "why?", "naïve",
+           "β-blocker", "dose", "end.\u2028then", "ok.", "liver", "injury"]
+_IDS = {"C1": "Chemical", "C2": "Chemical", "D1": "Disease", "D2": "Disease",
+        "-1": "Disease"}
+
+
+def _random_document(rng: random.Random, pmid: str) -> str:
+    """One PubTator block with token-aligned mentions and noisy relations."""
+    title = " ".join(rng.choices(_TOKENS, k=rng.randint(1, 6)))
+    body = " ".join(rng.choices(_TOKENS, k=rng.randint(0, 20)))
+    text = f"{title} {body}" if body else title
+    spans, pos = [], 0
+    for token in text.split(" "):
+        spans.append((pos, pos + len(token)))
+        pos += len(token) + 1
+    lines = [f"{pmid}|t|{title}"] + ([f"{pmid}|a|{body}"] if body else [])
+    for _ in range(rng.randint(0, 8)):
+        first = rng.randrange(len(spans))
+        last = min(len(spans) - 1, first + rng.randint(0, 2))
+        start, end = spans[first][0], spans[last][1]
+        identifier = rng.choice(sorted(_IDS))
+        lines.append(f"{pmid}\t{start}\t{end}\t{text[start:end]}\t{_IDS[identifier]}"
+                     f"\t{identifier}")
+    for _ in range(rng.randint(0, 4)):
+        # Relations to absent or repeated ids, self-relations and conflicting
+        # labels become violations, not errors.
+        head = rng.choice(["C1", "C2", "C9"])
+        tail = rng.choice(["D1", "D2", "D9", head])
+        lines.append(f"{pmid}\t{rng.choice(['CID', 'None'])}\t{head}\t{tail}")
+    return "\n".join(lines) + "\n"
+
+
+def test_parse_pubtator_random_documents_are_valid_and_round_trip(cdr_schema):
+    rng = random.Random(11)
+    for _ in range(60):
+        content = "\n".join(_random_document(rng, str(1000 + i))
+                            for i in range(rng.randint(1, 4)))
+        cui_map = {"C1": "C0000001", "D2": "C0000002"} if rng.random() < 0.5 else None
+        corpus = parse_pubtator(content, cdr_schema, cui_map=cui_map)
+        for sample in corpus.samples:
+            assert validate_sample(sample, cdr_schema) == []
+            text = sample.document.text
+            assert "".join(text[s:e] for s, e in sample.document.sentences) == text
+        assert load_corpus(save_corpus(corpus)) == corpus
+
+
+def test_load_corpus_rejects_unknown_sample_fields(toy_corpus):
+    lines = save_corpus(toy_corpus).splitlines()
+    row = json.loads(lines[2])
+    row["entities"][0]["url"] = "https://example.org"
+    lines[2] = json.dumps(row)
+    with pytest.raises(ParseError, match="^line 3: bad sample record: .*'url'"):
+        load_corpus("\n".join(lines))

@@ -12,7 +12,7 @@ ROOT = Path(__file__).parents[1]
 
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.stem)
 def test_demo_runs(demo, tmp_path):
-    # Demos import from the package root; run_offline_pipeline writes its
+    # Demos import from the adrcm submodules; run_offline_pipeline writes its
     # artifacts under the working directory.
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     run = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,

@@ -2,12 +2,11 @@ import json
 
 import pytest
 
-from adrcm.corpus import Corpus
+from adrcm.corpus import Corpus, builtin_schema, gold_pair_labels
 from adrcm.evaluate import (
     Scores,
     classify_locality,
     compute_report,
-    gold_pair_labels,
     render_report,
     report_to_dict,
     save_report,
@@ -105,6 +104,31 @@ def test_compute_report_hand_confusion(confusion_corpus):
     assert report.intra_gold == 2
     assert report.inter_gold == 0
     assert (report.intra.tp, report.intra.fn) == (1, 1)
+
+
+def test_compute_report_per_label_counts_with_several_positive_labels():
+    # A wrong positive label is an fp for the predicted label and an fn for
+    # the gold one; other labels' counts do not move.
+    sample = make_sample(
+        "810", ["Xanol raises fever.", "Xanol lowers chills."],
+        [("C1", "chemical", [(0, "Xanol"), (1, "Xanol")]),
+         ("D1", "disease", [(0, "fever")]),
+         ("D2", "disease", [(1, "chills")])],
+        [("C1", "D1", "Association"), ("C1", "D2", "Positive_Correlation"),
+         ("D1", "C1", "Bind")], dataset_tag="BioRED")
+    corpus = Corpus(builtin_schema("biored"), (sample,))
+    report = compute_report(corpus, (
+        _pred("810", "C1", "D1", "Association"),
+        _pred("810", "C1", "D2", "Association"),
+        _pred("810", "D1", "C1", "None"),
+        _pred("810", "D2", "C1", "Bind"),
+    ))
+    counts = {label: (s.tp, s.fp, s.fn) for label, s in report.per_label.items()
+              if (s.tp, s.fp, s.fn) != (0, 0, 0)}
+    assert counts == {"Association": (1, 1, 0), "Positive_Correlation": (0, 0, 1),
+                      "Bind": (0, 1, 1)}
+    assert (report.micro.tp, report.micro.fp, report.micro.fn) == (1, 2, 2)
+    assert (report.intra.tp, report.intra.fp, report.intra.fn) == (1, 1, 2)
 
 
 def test_compute_report_locality_partition(cdr_schema):

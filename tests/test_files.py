@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from adrcm.infer import PredictionRecord, load_predictions, save_predictions
@@ -17,3 +19,25 @@ SEPARATORS = "before\u2028middle\u0085after"
 ], ids=["kb", "predictions", "synthetic"])
 def test_jsonl_round_trip_keeps_line_separators(record, save, load):
     assert load(save([record])) == (record,)
+
+
+@pytest.mark.parametrize("record, save, load, what", [
+    (PredictionRecord("1", "H", "T", "CID", "CID", ("c1",), False),
+     save_predictions, load_predictions, "prediction"),
+    (SyntheticRecord("1", "H", "T", "CID", "a summary"), save_synthetic, load_synthetic,
+     "synthetic"),
+], ids=["predictions", "synthetic"])
+def test_unknown_field_is_rejected_with_its_line_number(record, save, load, what):
+    lines = save([record, record]).splitlines()
+    row = json.loads(lines[1])
+    row["note"] = "added by hand"
+    lines[1] = json.dumps(row)
+    with pytest.raises(ValueError, match=f"^line 2: bad {what} record: .*'note'"):
+        load("\n".join(lines))
+
+
+def test_kb_row_with_extra_field_still_loads():
+    row = {"cui": "C0000001", "source": "src", "title": "aspirin", "text": "An analgesic.",
+           "url": "https://example.org/aspirin"}
+    assert load_kb(json.dumps(row) + "\n") == (
+        KbDocument("C0000001", "src", "aspirin", "An analgesic."),)

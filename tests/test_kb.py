@@ -335,8 +335,10 @@ def _swap_chunks(records):
     (_swap_chunks, "out of order"),
     (lambda rs: rs.insert(len(rs) - 1, dict(rs[-1])), "repeated"),
     (lambda rs: rs[-1]["vector"].pop(), "dim vector"),
+    (lambda rs: rs[1].update(url="https://example.org"), "line 2: bad article"),
+    (lambda rs: rs[1].pop("source"), "line 2: bad article"),
 ], ids=["count-small", "count-large", "count-missing", "count-huge", "order",
-        "duplicate", "vector-length"])
+        "duplicate", "vector-length", "article-extra-field", "article-missing-field"])
 def test_load_index_rejects_inconsistent_records(toy_index, edit, message):
     text = save_index(toy_index)
     assert save_index(load_index(text)) == text
