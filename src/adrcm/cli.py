@@ -23,7 +23,7 @@ from .corpus import (
     parse_cui_map,
     parse_pubtator,
     save_corpus,
-    schema_from_file,
+    schema_from_dict,
 )
 from .dataset import (
     build_dataset,
@@ -68,7 +68,7 @@ def _settings(args) -> dict:
 
 def _resolve_schema(name_or_path: str):
     if name_or_path.endswith(".json"):
-        return schema_from_file(name_or_path)
+        return schema_from_dict(json.loads(read_text(name_or_path)))
     return builtin_schema(name_or_path)
 
 

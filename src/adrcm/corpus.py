@@ -12,10 +12,12 @@ Blocks are separated by blank lines. Mention offsets address the
 concatenation ``title + " " + abstract``.
 
 The normalized corpus format is line-delimited JSON: a header object
-carrying the schema name, label list, and dataset tag, followed by one
-object per sample with the fields doc_id, title, body, sentences, entities,
-triplets. Negative (no-relation) pairs are never stored; they are
-materialized by :func:`enumerate_candidate_pairs`.
+carrying the dataset tag and the full relation schema (the fields of a
+``data/schemas/*.json`` file), followed by one object per sample with the
+fields doc_id, title, body, sentences, entities, triplets. A corpus file
+therefore needs no schema from anywhere else, custom schemas included.
+Negative (no-relation) pairs are never stored; they are materialized by
+:func:`enumerate_candidate_pairs`.
 """
 
 from __future__ import annotations
@@ -47,10 +49,6 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-class SchemaMismatchError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class Corpus:
     """A relation schema plus the samples annotated under it.
@@ -69,6 +67,9 @@ class Corpus:
         if len(set(ids)) != len(ids):
             dupes = sorted({i for i in ids if ids.count(i) > 1})
             raise ValueError(f"duplicate doc_ids in corpus: {dupes}")
+        tags = sorted({s.document.dataset_tag for s in self.samples})
+        if len(tags) > 1:
+            raise ValueError(f"mixed dataset_tags in corpus: {tags}")
 
 
 # PubTator entity-type strings, normalized case-insensitively.
@@ -326,17 +327,10 @@ def save_corpus(corpus: Corpus) -> str:
     """Serialize a corpus to the normalized line-delimited format."""
     tag = (corpus.samples[0].document.dataset_tag if corpus.samples
            else _SCHEMA_DATASET_TAGS.get(corpus.schema.name, "custom"))
-    out = [
-        json.dumps(
-            {
-                "schema": corpus.schema.name,
-                "labels": list(corpus.schema.labels),
-                "none_label": corpus.schema.none_label,
-                "dataset_tag": tag,
-            },
-            sort_keys=True,
-        )
-    ]
+    # The frozenset's iteration order depends on the hash seed.
+    schema = {**vars(corpus.schema),
+              "allowed_type_pairs": sorted(corpus.schema.allowed_type_pairs)}
+    out = [json.dumps({"dataset_tag": tag, "schema": schema}, sort_keys=True)]
     for sample in corpus.samples:
         # The dataset tag lives in the header, not on every sample.
         row = {**vars(sample.document), "entities": sample.entities,
@@ -346,39 +340,26 @@ def save_corpus(corpus: Corpus) -> str:
     return "\n".join(out) + "\n"
 
 
-def load_corpus(text: str, schema: RelationSchema | None = None) -> Corpus:
-    """Load a corpus saved by :func:`save_corpus`.
-
-    When ``schema`` is given, the file header must agree with it; otherwise
-    the schema is resolved from the built-in registry by header name.
-    """
+def load_corpus(text: str) -> Corpus:
+    """Load a corpus saved by :func:`save_corpus`, schema from its header."""
     lines = [l for l in text.split("\n") if l.strip()]
     if not lines:
         raise ParseError("empty corpus file")
     try:
         header = json.loads(lines[0])
-    except ValueError as exc:
-        raise ParseError(f"bad corpus header: {exc}", 1) from None
-    if not isinstance(header, dict):
-        raise ParseError("bad corpus header: expected a JSON object", 1)
-    for key in ("schema", "labels", "none_label", "dataset_tag"):
-        if key not in header:
-            raise ParseError(f"corpus header missing field {key!r}", 1)
-    if header["dataset_tag"] not in DATASET_TAGS:
-        raise ParseError(f"unknown dataset_tag {header['dataset_tag']!r}", 1)
-    if schema is None:
-        schema = builtin_schema(header["schema"])
-    if header["schema"] != schema.name or list(schema.labels) != header["labels"]:
-        raise SchemaMismatchError(
-            f"corpus header declares schema {header['schema']!r} with labels "
-            f"{header['labels']}, expected {schema.name!r} with {list(schema.labels)}"
-        )
+        tag = header["dataset_tag"]
+        schema = schema_from_dict(header["schema"])
+        if tag not in DATASET_TAGS:
+            raise ValueError(f"unknown dataset_tag {tag!r}")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"bad corpus header: {exc}; rerun `adrcm ingest` to "
+                         "rewrite the file", 1) from None
 
     samples = []
     for line_no, line in enumerate(lines[1:], start=2):
         try:
             obj = json.loads(line)
-            samples.append(_sample_from_json(obj, header["dataset_tag"]))
+            samples.append(_sample_from_json(obj, tag))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad sample record: {exc}", line_no)
     return Corpus(schema=schema, samples=tuple(samples))
@@ -463,11 +444,6 @@ def schema_from_dict(obj: dict) -> RelationSchema:
         allowed_type_pairs=frozenset(tuple(p) for p in obj["allowed_type_pairs"]),
         aliases=dict(obj.get("aliases", {})),
     )
-
-
-def schema_from_file(path: str) -> RelationSchema:
-    with open(path, encoding="utf-8") as f:
-        return schema_from_dict(json.load(f))
 
 
 def builtin_schema(name: str) -> RelationSchema:

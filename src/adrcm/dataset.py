@@ -180,7 +180,8 @@ def export_finetune(corpus: Corpus, records: Sequence[AugmentedRecord],
         "negative_ratio": negative_ratio,
         "seed": seed,
         "row_counts": {**counts, "total": len(rows)},
-        "dataset_fingerprint": fingerprint_rows(rows),
+        "dataset_fingerprint": hashlib.sha256(
+            save_finetune_rows(rows).encode("utf-8")).hexdigest(),
     }
     sidecar["preset"] = sidecar.pop("name")
     return FinetuneExport(rows, sidecar)
@@ -188,7 +189,3 @@ def export_finetune(corpus: Corpus, records: Sequence[AugmentedRecord],
 
 def save_finetune_rows(rows: Iterable[dict]) -> str:
     return dump_jsonl(rows)
-
-
-def fingerprint_rows(rows: Iterable[dict]) -> str:
-    return hashlib.sha256(save_finetune_rows(rows).encode("utf-8")).hexdigest()

@@ -15,11 +15,11 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .files import dump_jsonl, parse_jsonl
+from .files import parse_jsonl
 from .model import CUI_PATTERN, Entity
 
 _TOKEN = re.compile(r"\S+")
@@ -64,10 +64,6 @@ def load_kb(text: str) -> tuple[KbDocument, ...]:
         seen.add(doc.doc_id)
         docs.append(doc)
     return tuple(docs)
-
-
-def save_kb(docs: Iterable[KbDocument]) -> str:
-    return dump_jsonl(docs)
 
 
 @dataclass(frozen=True)

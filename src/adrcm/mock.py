@@ -2,8 +2,8 @@
 
 The mock run drives the ``adrcm`` subcommands in pipeline order with a
 scripted chat backend and the hashing embedder. Replies are a pure
-function of request content: the script is compiled up front by walking
-the exact prompts the pipeline will issue and keying canned replies by
+function of request content: the script is recorded up front by running
+the synthesis and inference code against a stand-in gateway, keyed by
 request hash. Reruns therefore produce byte-identical artifacts, and an
 interrupted run resumes through the gateway's reply cache.
 """
@@ -17,10 +17,10 @@ from importlib import resources
 
 from .corpus import Corpus, enumerate_candidate_pairs, load_corpus, parse_cui_map
 from .files import atomic_write_text, read_text
-from .infer import InferenceConfig, assemble_prompt, build_instruction, retrieve_for_pair
-from .iors import IorsConfig, build_confirmation_prompt, build_summary_prompt, positive_triplets
+from .infer import InferenceConfig, predict_pair
+from .iors import IorsConfig, generate_synthetic, positive_triplets
 from .kb import ChunkParams, CuiIndex, load_index
-from .llm import HashingEmbedder, exchange_key, user_exchange
+from .llm import ChatExchange, HashingEmbedder, ScriptedBackend, exchange_key
 
 TOY_CHUNK_PARAMS = ChunkParams(size=48, overlap=8, min_tail=8)
 
@@ -40,11 +40,6 @@ def load_toy_assets() -> tuple[str, dict[str, str], str]:
 def _digest(*parts: str) -> int:
     blob = "|".join(parts).encode("utf-8")
     return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
-
-
-def _summary_reply(doc_id: str, head: str, tail: str, relation: str, round_no: int) -> str:
-    return (f"In document {doc_id}, {head} is reported to stand in the "
-            f"{relation} relation to {tail} (draft {round_no}).")
 
 
 def _styled_label(label: str, style: int) -> str:
@@ -67,10 +62,27 @@ def _confirm_reply(schema, label: str, style: int) -> str:
     return label
 
 
+class _Recorder:
+    """Stand-in gateway for one triplet or pair: ``chat`` takes the next of
+    its canned replies and records it by request hash. A request recorded
+    earlier keeps its first reply, which is what the runtime will answer."""
+
+    embed_one = HashingEmbedder().embed_one
+
+    def __init__(self, script: dict[str, str], replies: list[str]):
+        self._script = script
+        self._replies = ScriptedBackend(replies)
+
+    def chat(self, exchange: ChatExchange) -> str:
+        reply = self._replies.complete(exchange)
+        return self._script.setdefault(exchange_key(exchange), reply)
+
+
 def build_mock_script(corpus: Corpus, index: CuiIndex | None,
                       iors_config: IorsConfig,
                       infer_config: InferenceConfig) -> dict[str, str]:
-    """Compile request-hash -> reply for every chat call the pipeline makes.
+    """Compile request-hash -> reply for every chat call the pipeline makes,
+    by running the synthesis and inference code against :class:`_Recorder`.
 
     Synthesis: each positive triplet fails a content-derived number of
     rounds (possibly all of them) before the confirmation accepts.
@@ -78,9 +90,8 @@ def build_mock_script(corpus: Corpus, index: CuiIndex | None,
     a slice answer wrongly and a slice are deliberately unparseable.
     """
     schema = corpus.schema
+    positives = schema.positive_labels
     script: dict[str, str] = {}
-    embedder = HashingEmbedder()
-
     for sample in corpus.samples:
         doc = sample.document
         for triplet in positive_triplets(sample, schema):
@@ -88,38 +99,17 @@ def build_mock_script(corpus: Corpus, index: CuiIndex | None,
             tail = sample.entity(triplet.tail_id)
             fail_rounds = _digest("synth", doc.doc_id, triplet.head_id,
                                   triplet.tail_id) % 4
-            failures: list[str] = []
+            replies: list[str] = []
             for round_no in range(iors_config.beta):
-                prompt = build_summary_prompt(doc, head, tail, triplet.relation,
-                                              iors_config, failures)
-                summary = _summary_reply(doc.doc_id, head.canonical_name,
-                                         tail.canonical_name, triplet.relation,
-                                         round_no + 1)
-                script.setdefault(exchange_key(user_exchange(
-                    prompt, temperature=iors_config.summary_temperature,
-                    model_id=iors_config.model_id)), summary)
-                check = build_confirmation_prompt(summary, head, tail, schema,
-                                                  iors_config)
-                accepted = round_no >= fail_rounds
-                reply = _confirm_reply(schema, triplet.relation, round_no % 3) \
-                    if accepted else _CONFIRM_REJECT
-                script.setdefault(exchange_key(user_exchange(
-                    check, temperature=iors_config.confirmation_temperature,
-                    model_id=iors_config.model_id)), reply)
-                if accepted:
-                    break
-                failures.append(summary)
+                replies.append(f"In document {doc.doc_id}, {head.canonical_name} is "
+                               f"reported to stand in the {triplet.relation} relation "
+                               f"to {tail.canonical_name} (draft {round_no + 1}).")
+                replies.append(_confirm_reply(schema, triplet.relation, round_no % 3)
+                               if round_no >= fail_rounds else _CONFIRM_REJECT)
+            generate_synthetic(_Recorder(script, replies), doc, head, tail,
+                               triplet.relation, schema, iors_config)
 
-    instruction = build_instruction(schema, infer_config.instruction)
-    positives = schema.positive_labels
-    for sample in corpus.samples:
-        doc = sample.document
         for head_id, tail_id, gold in enumerate_candidate_pairs(sample, schema):
-            head = sample.entity(head_id)
-            tail = sample.entity(tail_id)
-            snippets = retrieve_for_pair(embedder, index, schema, head, tail, infer_config)
-            prompt = assemble_prompt(instruction, doc.text, head.canonical_name,
-                                     tail.canonical_name, snippets)
             roll = _digest("infer", doc.doc_id, head_id, tail_id)
             if roll % 10 == 9:
                 reply = _UNPARSEABLE_REPLY
@@ -130,10 +120,8 @@ def build_mock_script(corpus: Corpus, index: CuiIndex | None,
                     reply = schema.none_label
             else:
                 reply = _styled_label(gold, (roll // 10) % 3)
-            script.setdefault(exchange_key(user_exchange(
-                prompt, temperature=infer_config.temperature,
-                model_id=infer_config.model_id,
-                max_tokens=infer_config.max_tokens)), reply)
+            predict_pair(_Recorder(script, [reply]), index, sample, head_id,
+                         tail_id, schema, infer_config)
     return script
 
 

@@ -318,7 +318,7 @@ def test_index_embed_dim_applies_to_the_offline_embedder(tmp_path):
 # sha256 of every artifact `e2e-mock --rag cui` writes. Any change to an
 # artifact format, prompt, or scoring rule shows up here as a changed digest.
 E2E_CUI_DIGESTS = {
-    "corpus.jsonl": "6201098f9dcd74d9e6e94789bfb50bf344c099e5919fad2e703f2c4a7d0b2621",
+    "corpus.jsonl": "0a8608fa14b84dee4af3b42cd5043da0e49844682a48c9582af4ebb815031710",
     "dataset.jsonl": "1cfba3c35c62721f9b294ff1e20d5199c37d79642992320f8065e65542d6dace",
     "finetune.jsonl": "7266c96eba1da9be2d35d7ba913b7d600327133f29581ef17022efd37417a5be",
     "finetune_meta.json": "a7b1cfc9eb5d6db41e27dd89db2cf17d9344dc847a5e53028b3f9923bde2b962",
@@ -335,3 +335,75 @@ def test_e2e_mock_artifact_bytes_are_pinned(e2e_dir):
     got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
            for path in e2e_dir.iterdir() if path.is_file()}
     assert got == E2E_CUI_DIGESTS
+
+
+# The chat script and predictions of the other two retrieval modes.
+E2E_RAG_DIGESTS = {
+    "chunks": {
+        "mock_script.json": "16437d46bc4d8dbb72864163364aa48dc45a8d7be330ea448e2b5acffb9a539a",
+        "predictions.jsonl": "dcacecd6a00b67f4634d7a20c065ee389abe0aeb7e9b8d8e7f6a5612da75ae63",
+    },
+    "off": {
+        "mock_script.json": "8f8705993d1277e20dbd836d6e39405733e56c8a9d5d46b069906c9e2500aa1d",
+        "predictions.jsonl": "a9e3dcb63e4b6d32ce626d438e18b0a00fd167a83c05796e0b9be7b88c3817ed",
+    },
+}
+
+
+@pytest.mark.parametrize("rag", sorted(E2E_RAG_DIGESTS))
+def test_e2e_mock_other_rag_modes_are_pinned(tmp_path, rag):
+    work = tmp_path / "e2e"
+    assert main(["e2e-mock", "--workdir", str(work), "--rag", rag]) == 0
+    got = {name: hashlib.sha256((work / name).read_bytes()).hexdigest()
+           for name in E2E_RAG_DIGESTS[rag]}
+    assert got == E2E_RAG_DIGESTS[rag]
+
+
+def test_custom_schema_file_serves_every_later_stage(tmp_path, capsys):
+    """The corpus header carries the schema, so no stage needs the file again."""
+    cdr = json.loads(resources.files("adrcm.data.schemas").joinpath("cdr.json")
+                     .read_text(encoding="utf-8"))
+    schema = tmp_path / "mini.json"
+    schema.write_text(json.dumps({**cdr, "name": "mini"}))
+    corpus, predictions = tmp_path / "corpus.jsonl", tmp_path / "predictions.jsonl"
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps({"replies": ["None"] * 16}))
+
+    assert main(["ingest", "--input", _toy_path("toy_corpus.pubtator"),
+                 "--schema", str(schema), "--cui-map", _toy_path("toy_cui_map.tsv"),
+                 "--out", str(corpus)]) == 0
+    assert load_corpus(corpus.read_text()).schema.name == "mini"
+    assert main(["build-adrcm", "--corpus", str(corpus), "--preset", "cdr",
+                 "--out", str(tmp_path / "finetune.jsonl")]) == 0
+    assert main(["infer", "--corpus", str(corpus), "--rag", "off",
+                 "--script", str(script), "--out", str(predictions)]) == 0
+    assert main(["eval", "--corpus", str(corpus), "--predictions", str(predictions),
+                 "--out", str(tmp_path / "report.json")]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["counts"]["pairs"] == 16
+    assert "error" not in capsys.readouterr().err
+
+
+BIORED_PUBTATOR = (
+    "8001|t|BRX1 binds drugox in cardiomyopathy.\n"
+    "8001\t0\t4\tBRX1\tGene\t5001\n"
+    "8001\t11\t17\tdrugox\tChemical\tD80001\n"
+    "8001\t21\t35\tcardiomyopathy\tDisease\tD80002\n"
+    "8001\tBind\t5001\tD80001\n")
+
+
+def test_ingest_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    pubtator = tmp_path / "biored.pubtator"
+    pubtator.write_text(BIORED_PUBTATOR)
+    outputs = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"corpus{seed}.jsonl"
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        run = subprocess.run(
+            [sys.executable, "-m", "adrcm.cli", "ingest", "--input", str(pubtator),
+             "--schema", "biored", "--out", str(out)],
+            env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]

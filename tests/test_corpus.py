@@ -1,11 +1,13 @@
+import dataclasses
 import json
 import random
+from importlib import resources
 
 import pytest
 
 from adrcm.corpus import (
+    Corpus,
     ParseError,
-    SchemaMismatchError,
     builtin_schema,
     enumerate_candidate_pairs,
     load_corpus,
@@ -14,7 +16,7 @@ from adrcm.corpus import (
     save_corpus,
     segment_sentences,
 )
-from adrcm.model import validate_sample
+from adrcm.model import RelationSchema, validate_sample
 
 
 def test_segment_sentences_hand_cases():
@@ -170,24 +172,59 @@ def test_parse_pubtator_merges_sentences_for_straddling_mentions(cdr_schema):
 
 def test_save_load_round_trip(toy_corpus, cdr_schema):
     text = save_corpus(toy_corpus)
-    again = load_corpus(text, cdr_schema)
-    assert again.samples == toy_corpus.samples
-    # schema resolvable from the header alone
-    assert load_corpus(text).samples == toy_corpus.samples
+    assert load_corpus(text) == toy_corpus
+    # The header carries the whole schema, in the layout of its JSON file.
+    header = json.loads(text.splitlines()[0])
+    cdr_file = resources.files("adrcm.data.schemas").joinpath("cdr.json")
+    assert header == {"dataset_tag": "CDR",
+                      "schema": json.loads(cdr_file.read_text(encoding="utf-8"))}
+
+
+def test_corpus_header_schema_needs_no_registry(toy_corpus):
+    custom = RelationSchema(
+        name="mini", labels=("Causes", "Treats", "Nil"), none_label="Nil",
+        allowed_type_pairs=frozenset({("disease", "chemical"), ("chemical", "disease")}),
+        aliases={"cid": "Causes"})
+    corpus = Corpus(custom, toy_corpus.samples[:2])
+    text = save_corpus(corpus)
+    assert load_corpus(text) == corpus
+    pairs = json.loads(text.splitlines()[0])["schema"]["allowed_type_pairs"]
+    assert pairs == [["chemical", "disease"], ["disease", "chemical"]]
 
 
 def test_load_corpus_header_errors(toy_corpus, cdr_schema):
     text = save_corpus(toy_corpus)
-    with pytest.raises(SchemaMismatchError):
-        load_corpus(text, builtin_schema("gda"))
+    header, rest = text.split("\n", 1)
+    bad_schema = json.loads(header)
+    bad_schema["schema"]["none_label"] = "Nothing"
+    with pytest.raises(ParseError, match="^line 1: bad corpus header: .*Nothing"):
+        load_corpus(json.dumps(bad_schema) + "\n" + rest)
     broken = text.replace('"dataset_tag": "CDR"', '"dataset_tag": "XX"', 1)
-    with pytest.raises(ParseError, match="dataset_tag"):
+    with pytest.raises(ParseError, match="^line 1: .*dataset_tag"):
         load_corpus(broken)
     with pytest.raises(ParseError, match="empty"):
         load_corpus("\n")
     headerless = "\n".join(text.splitlines()[1:])
-    with pytest.raises((ParseError, SchemaMismatchError, KeyError)):
+    with pytest.raises(ParseError, match="^line 1: "):
         load_corpus(headerless)
+
+
+def test_load_corpus_rejects_old_header_layout(toy_corpus, cdr_schema):
+    # Corpus files used to name the schema and repeat its labels; the
+    # schema itself came from the built-in registry.
+    old = json.dumps({"dataset_tag": "CDR", "labels": list(cdr_schema.labels),
+                      "none_label": "None", "schema": "cdr"}, sort_keys=True)
+    rest = save_corpus(toy_corpus).split("\n", 1)[1]
+    with pytest.raises(ParseError, match="^line 1: .*rerun `adrcm ingest`"):
+        load_corpus(old + "\n" + rest)
+
+
+def test_corpus_rejects_mixed_dataset_tags(toy_corpus, cdr_schema):
+    first, second = toy_corpus.samples[:2]
+    gda = dataclasses.replace(
+        second, document=dataclasses.replace(second.document, dataset_tag="GDA"))
+    with pytest.raises(ValueError, match=r"mixed dataset_tags in corpus: \['CDR', 'GDA'\]"):
+        Corpus(cdr_schema, (first, gda))
 
 
 def test_load_corpus_rejects_malformed_header():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from adrcm import kb
+from adrcm.files import dump_jsonl
 from adrcm.kb import (
     Chunk,
     ChunkParams,
@@ -18,7 +19,6 @@ from adrcm.kb import (
     load_kb,
     retrieve,
     save_index,
-    save_kb,
 )
 from adrcm.llm import HashingEmbedder
 from adrcm.model import Entity, Mention
@@ -39,7 +39,7 @@ def test_kb_document_validation():
 
 
 def test_load_save_kb_round_trip(toy_kb_docs):
-    text = save_kb(toy_kb_docs)
+    text = dump_jsonl(toy_kb_docs)
     assert load_kb(text) == toy_kb_docs
     with pytest.raises(ValueError, match="line 2: duplicate"):
         load_kb(text.splitlines()[0] + "\n" + text.splitlines()[0] + "\n")
