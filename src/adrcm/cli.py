@@ -205,6 +205,11 @@ def cmd_infer(args) -> int:
         if not args.index:
             raise UsageError(f"--index is required when rag mode is {rag_mode!r}")
         index = load_index(read_text(args.index))
+        built_by, identity = (json.dumps(e, sort_keys=True)
+                              for e in (index.embedder, _embedder(cfg).identity))
+        if built_by != identity:
+            raise UsageError(f"{args.index} was built by embedder {built_by}, but infer "
+                             f"embeds queries with {identity}; rebuild it with `adrcm index`")
     gateway = _chat_gateway(args, cfg)
     infer_config = InferenceConfig(
         instruction=_read_template(args.instruction_template),

@@ -11,6 +11,8 @@ a fallback for entities without a CUI.
 
 from __future__ import annotations
 
+import base64
+import binascii
 import hashlib
 import json
 import re
@@ -30,6 +32,8 @@ DEFAULT_CHUNK_OVERLAP = 32
 MIN_TAIL_TOKENS = 16
 EMBED_BATCH_SIZE = 256
 SHORTLIST_MARGIN = 1e-9
+INDEX_FORMAT = 2
+_CHUNK_FIELDS = {"kind", "chunk_id", "doc_id", "span", "vector"}
 
 
 @dataclass(frozen=True)
@@ -123,9 +127,11 @@ class CuiIndex:
 
     ``chunks`` and ``chunk_ids`` are in id order; row i of ``matrix`` (norm
     ``norms[i]``) is the vector of ``chunk_ids[i]``, and ``Chunk.vector`` a view of it.
+    ``embedder`` is the identity of the embedder that built the vectors.
     """
 
     dimension: int
+    embedder: dict
     params: ChunkParams
     documents: dict[str, KbDocument]
     chunks: dict[str, Chunk]
@@ -141,12 +147,16 @@ class CuiIndex:
         return len(self.chunks)
 
 
-def _assemble(dimension: int, params: ChunkParams, documents: dict[str, KbDocument],
+def _assemble(embedder: dict, params: ChunkParams, documents: dict[str, KbDocument],
               rows: Sequence[tuple[str, str, str]], matrix: np.ndarray) -> CuiIndex:
-    """Build the lookup maps and fingerprint over ``(chunk_id, doc_id, text)``
-    ``rows`` sorted by chunk id, row i of ``matrix`` being the vector of ``rows[i]``."""
+    """Build the lookup maps over ``(chunk_id, doc_id, text)`` ``rows`` sorted by
+    chunk id, row i of ``matrix`` being the vector of ``rows[i]``. The fingerprint
+    covers the chunk parameters, ``embedder``, the vector bytes and the rows."""
+    dimension = matrix.shape[1]
     digest = hashlib.sha256()
     digest.update(f"{dimension}|{params.size}|{params.overlap}|{params.min_tail}".encode())
+    digest.update(json.dumps(embedder, sort_keys=True).encode())
+    digest.update(matrix.astype("<f8").tobytes())
     chunks: dict[str, Chunk] = {}
     doc_chunks: dict[str, list[str]] = {d: [] for d in documents}
     for (chunk_id, doc_id, text), vec in zip(rows, matrix):
@@ -160,7 +170,7 @@ def _assemble(dimension: int, params: ChunkParams, documents: dict[str, KbDocume
         by_cui.setdefault(doc.cui, []).append(doc_id)
         by_title.setdefault(doc.title.casefold(), []).append(doc_id)
     return CuiIndex(
-        dimension, params, documents, chunks,
+        dimension, embedder, params, documents, chunks,
         doc_chunks={k: tuple(v) for k, v in doc_chunks.items()},
         by_cui={k: tuple(v) for k, v in sorted(by_cui.items())},
         by_title={k: tuple(v) for k, v in sorted(by_title.items())},
@@ -172,7 +182,8 @@ def build_index(docs: Sequence[KbDocument], gateway, *,
                 params: ChunkParams | None = None) -> CuiIndex:
     """Chunk and embed KB articles into a fresh index.
 
-    ``gateway`` only needs an ``embed_batch`` method. It receives chunk
+    ``gateway`` only needs an ``embed_batch`` method and an ``identity``,
+    which the index records. ``embed_batch`` receives chunk
     texts in chunk-id order, at most ``EMBED_BATCH_SIZE`` per call, so the
     result is reproducible for a given embedder.
     """
@@ -192,7 +203,7 @@ def build_index(docs: Sequence[KbDocument], gateway, *,
             matrix = np.empty((len(rows), len(vectors[0])))
         # raises ValueError unless the batch has one vector of the right length per text
         np.stack(vectors, out=matrix[start:start + EMBED_BATCH_SIZE])
-    return _assemble(matrix.shape[1], params, documents, rows, matrix)
+    return _assemble(gateway.identity, params, documents, rows, matrix)
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -271,9 +282,14 @@ def retrieve(index: CuiIndex, query_vec: np.ndarray, head: Entity, tail: Entity,
 
 
 def save_index(index: CuiIndex) -> str:
-    """Serialize an index to a single JSONL string."""
+    """Serialize an index to a single JSONL string.
+
+    A chunk record holds its text as a ``span`` of character offsets into its
+    article and its vector as base64 of little-endian float64 bytes.
+    """
     lines = [json.dumps({
-        "kind": "header", "dimension": index.dimension, "chunks": len(index.chunks),
+        "kind": "header", "format": INDEX_FORMAT, "dimension": index.dimension,
+        "embedder": index.embedder, "chunks": len(index.chunks),
         "params": vars(index.params),
         "fingerprint": index.fingerprint,
     }, sort_keys=True)]
@@ -281,11 +297,62 @@ def save_index(index: CuiIndex) -> str:
         lines.append(json.dumps({"kind": "doc", **vars(doc)},
                                 sort_keys=True, ensure_ascii=False))
     for chunk in index.chunks.values():
+        start = index.documents[chunk.doc_id].text.index(chunk.text)
         lines.append(json.dumps({
             "kind": "chunk", "chunk_id": chunk.chunk_id, "doc_id": chunk.doc_id,
-            "text": chunk.text, "vector": chunk.vector.tolist(),
+            "span": [start, start + len(chunk.text)],
+            "vector": base64.b64encode(chunk.vector.astype("<f8").tobytes()).decode("ascii"),
         }, sort_keys=True, ensure_ascii=False))
     return "\n".join(lines) + "\n"
+
+
+def _read_header(line: str, max_chunks: int) -> tuple[dict, ChunkParams, int, int, str]:
+    """``(embedder, params, chunk count, dimension, fingerprint)`` of an index header."""
+    header = json.loads(line)
+    if not isinstance(header, dict) or header.get("kind") != "header":
+        raise ValueError("index file must start with a header record")
+    if header.get("format") != INDEX_FORMAT:
+        raise ValueError(f"index format {header.get('format')!r} is not {INDEX_FORMAT}; "
+                         "rebuild it with `adrcm index`")
+    count = header.get("chunks")
+    if type(count) is not int or not 0 <= count <= max_chunks:
+        raise ValueError("index header has no valid chunk count; rebuild it with `adrcm index`")
+    try:
+        params = ChunkParams(**header["params"])
+        dimension, embedder, fingerprint = (
+            header["dimension"], header["embedder"], header["fingerprint"])
+        if type(dimension) is not int or dimension < 1:
+            raise ValueError(f"dimension {dimension!r} is not a positive int")
+        if not isinstance(embedder, dict) or type(fingerprint) is not str:
+            raise ValueError("embedder must be an object and fingerprint a string")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"line 1: bad index header: {exc}") from None
+    return embedder, params, count, dimension, fingerprint
+
+
+def _read_chunk(row: dict, documents: dict[str, KbDocument],
+                dimension: int) -> tuple[str, str, str, np.ndarray]:
+    """``(chunk_id, doc_id, text, vector)`` of a chunk record."""
+    if row.keys() != _CHUNK_FIELDS:
+        raise ValueError(f"bad chunk record: fields {sorted(row)}, "
+                         f"expected {sorted(_CHUNK_FIELDS)}")
+    chunk_id, doc_id, span, vector = row["chunk_id"], row["doc_id"], row["span"], row["vector"]
+    if type(chunk_id) is not str or type(doc_id) is not str or type(vector) is not str:
+        raise ValueError("bad chunk record: chunk_id, doc_id and vector must be strings")
+    if doc_id not in documents:
+        raise ValueError("chunk references unknown article")
+    text = documents[doc_id].text
+    if (type(span) is not list or len(span) != 2 or any(type(x) is not int for x in span)
+            or not 0 <= span[0] < span[1] <= len(text)):
+        raise ValueError(f"bad chunk record: span {span!r} is not [start, end] "
+                         f"with 0 <= start < end <= {len(text)}")
+    try:
+        raw = base64.b64decode(vector, validate=True)
+    except binascii.Error as exc:
+        raise ValueError(f"bad chunk record: vector is not base64: {exc}") from None
+    if len(raw) != 8 * dimension:
+        raise ValueError(f"expected {dimension}-dim vector, got {len(raw)} bytes")
+    return chunk_id, doc_id, text[span[0]:span[1]], np.frombuffer(raw, dtype="<f8")
 
 
 def load_index(text: str) -> CuiIndex:
@@ -294,45 +361,38 @@ def load_index(text: str) -> CuiIndex:
     first = next(records, None)
     if first is None:
         raise ValueError("empty index file")
-    header = json.loads(first)
-    if header.get("kind") != "header":
-        raise ValueError("index file must start with a header record")
-    count = header.get("chunks")
-    if type(count) is not int or not 0 <= count <= text.count("\n") + 1:
-        raise ValueError("index header has no valid chunk count; rebuild it with `adrcm index`")
-    params = ChunkParams(**header["params"])
-    dimension = int(header["dimension"])
+    embedder, params, count, dimension, fingerprint = _read_header(first, text.count("\n") + 1)
     documents: dict[str, KbDocument] = {}
     rows: list[tuple[str, str, str]] = []
     matrix = np.empty((count, dimension))
     for line_no, line in enumerate(records, start=2):
         row = json.loads(line)
-        kind = row.pop("kind", None)
+        kind = row.get("kind") if isinstance(row, dict) else None
         if kind == "doc":
+            del row["kind"]
             try:
                 doc = KbDocument(**row)
-            except TypeError as exc:
+            except (TypeError, ValueError, AttributeError) as exc:
                 raise ValueError(f"line {line_no}: bad article record: {exc}") from None
             if doc.doc_id in documents:
                 raise ValueError(f"line {line_no}: duplicate article {doc.doc_id!r}")
             documents[doc.doc_id] = doc
         elif kind == "chunk":
-            chunk_id = row["chunk_id"]
-            if row["doc_id"] not in documents:
-                raise ValueError(f"line {line_no}: chunk references unknown article")
+            try:
+                chunk_id, doc_id, chunk, vector = _read_chunk(row, documents, dimension)
+            except ValueError as exc:
+                raise ValueError(f"line {line_no}: {exc}") from None
             if rows and chunk_id <= rows[-1][0]:
                 raise ValueError(f"line {line_no}: chunk {chunk_id!r} repeated or out of order")
             if len(rows) == count:
                 raise ValueError(f"line {line_no}: more chunks than the header's {count}")
-            if len(row["vector"]) != dimension:
-                raise ValueError(f"line {line_no}: expected {dimension}-dim vector")
-            matrix[len(rows)] = row["vector"]
-            rows.append((chunk_id, row["doc_id"], row["text"]))
+            matrix[len(rows)] = vector
+            rows.append((chunk_id, doc_id, chunk))
         else:
             raise ValueError(f"line {line_no}: unknown record kind {kind!r}")
     if len(rows) != count:
         raise ValueError(f"index has {len(rows)} chunks, its header says {count}")
-    index = _assemble(dimension, params, documents, rows, matrix)
-    if index.fingerprint != header["fingerprint"]:
+    index = _assemble(embedder, params, documents, rows, matrix)
+    if index.fingerprint != fingerprint:
         raise ValueError("index fingerprint does not match its contents")
     return index

@@ -101,6 +101,7 @@ class ChatBackend(Protocol):
 
 class Embedder(Protocol):
     dimension: int
+    identity: dict  # {"kind", "model", "dimension"}: what an index records as its builder
 
     def embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]: ...
 
@@ -232,6 +233,10 @@ class HttpEmbeddingBackend(_HttpClient):
         self.model_id = model_id
         self.dimension = dimension
 
+    @property
+    def identity(self) -> dict:
+        return {"kind": "http", "model": self.model_id, "dimension": self.dimension}
+
     def embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
         vectors = self._post(
             "embeddings", {"model": self.model_id, "input": list(texts)},
@@ -266,7 +271,8 @@ class HashingEmbedder:
 
     Whitespace tokens are bucketed by FNV-1a into a fixed number of
     dimensions. Crude, but stable across platforms and good enough to give
-    related texts related vectors without any model weights.
+    related texts related vectors without any model weights. A text with
+    no tokens gets the first unit vector.
     """
 
     def __init__(self, dimension: int = EMBED_DIM_FALLBACK):
@@ -274,18 +280,33 @@ class HashingEmbedder:
             raise ValueError("dimension must be positive")
         self.dimension = dimension
 
+    @property
+    def identity(self) -> dict:
+        return {"kind": "hashing", "model": "fnv1a64", "dimension": self.dimension}
+
     def embed_one(self, text: str) -> np.ndarray:
-        vec = np.zeros(self.dimension, dtype=np.float64)
-        for token in text.lower().split():
-            vec[_fnv1a64(token) % self.dimension] += 1.0
-        norm = float(np.linalg.norm(vec))
-        if norm == 0.0:
-            vec[0] = 1.0
-            return vec
-        return vec / norm
+        return self.embed_batch([text])[0]
 
     def embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
-        return [self.embed_one(text) for text in texts]
+        # Each distinct token of the batch is hashed once. Counts are integers
+        # below 2**53, so the sums of squares are exact and the vectors equal
+        # a per-text count, norm and divide bit for bit.
+        dim = self.dimension
+        buckets: dict[str, int] = {}
+        cells: list[int] = []  # row * dim + bucket, one per token
+        for row, text in enumerate(texts):
+            tokens = text.lower().split()
+            if not tokens:
+                cells.append(row * dim)  # one count in bucket 0 normalizes to e_0
+            for token in tokens:
+                bucket = buckets.get(token)
+                if bucket is None:
+                    bucket = buckets[token] = _fnv1a64(token) % dim
+                cells.append(row * dim + bucket)
+        counts = np.bincount(cells, minlength=len(texts) * dim).astype(np.float64)
+        counts = counts.reshape(len(texts), dim)
+        norms = np.sqrt(np.einsum("ij,ij->i", counts, counts))
+        return list(counts / norms[:, None])
 
 
 @dataclass

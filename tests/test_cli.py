@@ -7,10 +7,12 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+import requests
 
 from adrcm.cli import _settings, build_parser, main
 from adrcm.config import DEFAULTS
 from adrcm.corpus import load_corpus
+from adrcm.kb import load_index
 
 
 def _toy_path(name: str) -> str:
@@ -310,9 +312,29 @@ def test_index_embed_dim_applies_to_the_offline_embedder(tmp_path):
     out = tmp_path / "index.jsonl"
     assert main(["index", "--kb", _toy_path("toy_kb.jsonl"), "--out", str(out),
                  "--embed-dim", "32"]) == 0
-    records = [json.loads(line) for line in out.read_text().splitlines()]
-    assert records[0]["dimension"] == 32
-    assert {len(r["vector"]) for r in records if r["kind"] == "chunk"} == {32}
+    index = load_index(out.read_text())
+    assert index.dimension == 32
+    assert index.embedder == {"kind": "hashing", "model": "fnv1a64", "dimension": 32}
+    assert index.matrix.shape == (len(index), 32)
+
+
+def test_infer_refuses_an_index_built_by_another_embedder(tmp_path, e2e_dir, capsys,
+                                                          monkeypatch):
+    requests_made = []
+    monkeypatch.setattr(requests.Session, "post",
+                        lambda self, *a, **kw: requests_made.append(a))
+    index = tmp_path / "index.jsonl"
+    assert main(["index", "--kb", _toy_path("toy_kb.jsonl"), "--out", str(index)]) == 0
+    capsys.readouterr()
+    rc = main(["infer", "--corpus", str(e2e_dir / "corpus.jsonl"), "--index", str(index),
+               "--out", str(tmp_path / "p.jsonl"), "--script", str(e2e_dir / "mock_script.json"),
+               "--embed-url", "http://127.0.0.1:9", "--embed-dim", "64"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert '{"dimension": 64, "kind": "hashing", "model": "fnv1a64"}' in err
+    assert '{"dimension": 64, "kind": "http", "model": "default"}' in err
+    assert requests_made == []
+    assert not (tmp_path / "p.jsonl").exists()
 
 
 # sha256 of every artifact `e2e-mock --rag cui` writes. Any change to an
@@ -322,7 +344,7 @@ E2E_CUI_DIGESTS = {
     "dataset.jsonl": "1cfba3c35c62721f9b294ff1e20d5199c37d79642992320f8065e65542d6dace",
     "finetune.jsonl": "7266c96eba1da9be2d35d7ba913b7d600327133f29581ef17022efd37417a5be",
     "finetune_meta.json": "a7b1cfc9eb5d6db41e27dd89db2cf17d9344dc847a5e53028b3f9923bde2b962",
-    "index.jsonl": "a09d939b97f345fcec0b45b6bd98886ba01ea4ad871682f62ae8e630b087bd4b",
+    "index.jsonl": "ca0d3f7ed38efb6136b9d1295c70dde2e4f3f3cffe7448c6761140c911aa580f",
     "mock_script.json": "c33304cd762775056d421562dd44295749434d5b5882276392d4d41b2f0606c4",
     "predictions.jsonl": "3d6c5d6268029e6dca367603c929e0b42fc15af4cc0b3a61ebca71bf69268b9c",
     "report.json": "294c07d350af8a7442ae5e008a94ff4e1d1291d018ae576e7050a344d3725870",

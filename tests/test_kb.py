@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 import random
@@ -228,20 +229,63 @@ def test_save_load_index_round_trip(toy_index):
 
 def test_load_index_rejects_tampering(toy_index):
     text = save_index(toy_index)
-    lines = text.splitlines()
-    chunk_at = next(i for i, l in enumerate(lines) if '"kind": "chunk"' in l)
-    lines[chunk_at] = lines[chunk_at].replace('"text": "', '"text": "x ', 1)
-    with pytest.raises(ValueError, match="fingerprint"):
-        load_index("\n".join(lines))
+
+    def shorten_span(records):
+        chunk = next(r for r in records if r["kind"] == "chunk" and r["span"][1] - r["span"][0] > 1)
+        chunk["span"][1] -= 1
+
+    def flip_vector_byte(records):
+        chunk = next(r for r in records if r["kind"] == "chunk")
+        raw = bytearray(base64.b64decode(chunk["vector"]))
+        raw[0] ^= 1
+        chunk["vector"] = base64.b64encode(bytes(raw)).decode("ascii")
+
+    for edit in (shorten_span, flip_vector_byte,
+                 lambda rs: rs[0]["embedder"].update(model="other")):
+        with pytest.raises(ValueError, match="fingerprint"):
+            load_index(_retamper(text, edit))
     with pytest.raises(ValueError, match="header"):
         load_index("\n".join(text.splitlines()[1:]))
     with pytest.raises(ValueError, match="empty"):
         load_index("")
 
 
+def test_index_file_layout(toy_index):
+    records = [json.loads(line) for line in save_index(toy_index).splitlines()]
+    assert records[0]["format"] == 2
+    assert records[0]["embedder"] == {"kind": "hashing", "model": "fnv1a64", "dimension": 64}
+    docs = {r["cui"] + "|" + r["source"] + "|" + r["title"]: r["text"]
+            for r in records if r["kind"] == "doc"}
+    chunks = [r for r in records if r["kind"] == "chunk"]
+    assert len(chunks) == len(toy_index)
+    for record in chunks:
+        assert set(record) == {"kind", "chunk_id", "doc_id", "span", "vector"}
+        start, end = record["span"]
+        assert docs[record["doc_id"]][start:end] == toy_index.chunks[record["chunk_id"]].text
+        vector = np.frombuffer(base64.b64decode(record["vector"]), dtype="<f8")
+        assert vector.tobytes() == toy_index.chunks[record["chunk_id"]].vector.tobytes()
+
+
+def test_load_index_refuses_format_1(toy_index):
+    """A file in the layout written before format 2 must be rebuilt."""
+    records = [json.loads(line) for line in save_index(toy_index).splitlines()]
+    for record in records:
+        record.pop("format", None)
+        record.pop("embedder", None)
+        if record["kind"] == "chunk":
+            record["text"] = toy_index.chunks[record.pop("chunk_id")].text
+            record["vector"] = np.frombuffer(base64.b64decode(record["vector"])).tolist()
+            del record["span"]
+    old = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+    with pytest.raises(ValueError, match="rebuild it with `adrcm index`"):
+        load_index(old)
+
+
 class _ScaledEmbedder:
     """Hashing vectors scaled by a text-dependent factor, so rows are not unit
     length; records the size of every batch it is asked for."""
+
+    identity = {"kind": "test", "model": "scaled-fnv1a64", "dimension": 64}
 
     def __init__(self):
         self.inner = HashingEmbedder()
@@ -327,18 +371,51 @@ def _swap_chunks(records):
     records[at], records[at + 1] = records[at + 1], records[at]
 
 
+def _drop_vector_bytes(records):
+    raw = base64.b64decode(records[-1]["vector"])
+    records[-1]["vector"] = base64.b64encode(raw[:-8]).decode("ascii")
+
+
+def _set_span(span):
+    return lambda rs: rs[-1].update(span=span)
+
+
+def _doc_length(records):
+    return len(next(r["text"] for r in records if r["kind"] == "doc"
+                    and f"{r['cui']}|{r['source']}|{r['title']}" == records[-1]["doc_id"]))
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda rs: rs[0].update(chunks=rs[0]["chunks"] - 1), "more chunks"),
     (lambda rs: rs[0].update(chunks=rs[0]["chunks"] + 1), "header says"),
     (lambda rs: rs[0].pop("chunks"), "adrcm index"),
     (lambda rs: rs[0].update(chunks=10 ** 12), "adrcm index"),
+    (lambda rs: rs[0].pop("embedder"), "line 1: bad index header: 'embedder'"),
+    (lambda rs: rs[0].update(dimension="64"), "line 1: bad index header: dimension"),
+    (lambda rs: rs[0].update(params=[48]), "line 1: bad index header"),
     (_swap_chunks, "out of order"),
     (lambda rs: rs.insert(len(rs) - 1, dict(rs[-1])), "repeated"),
-    (lambda rs: rs[-1]["vector"].pop(), "dim vector"),
+    (_drop_vector_bytes, "dim vector"),
+    (lambda rs: rs[-1].update(vector="not base64!"), "bad chunk record: vector is not base64"),
+    (lambda rs: rs[-1].pop("chunk_id"), r"line \d+: bad chunk record: fields"),
+    (lambda rs: rs[-1].update(text="extra"), r"line \d+: bad chunk record: fields"),
+    (lambda rs: rs[-1].update(doc_id=7), r"line \d+: bad chunk record: chunk_id, doc_id"),
+    (_set_span([0.0, 3]), "bad chunk record: span"),
+    (_set_span(["0", 3]), "bad chunk record: span"),
+    (_set_span([0, True]), "bad chunk record: span"),
+    (_set_span([0, 3, 5]), "bad chunk record: span"),
+    (_set_span({"start": 0}), "bad chunk record: span"),
+    (_set_span([-1, 3]), "bad chunk record: span"),
+    (_set_span([3, 3]), "bad chunk record: span"),
+    (lambda rs: rs[-1].update(span=[0, _doc_length(rs) + 1]), "bad chunk record: span"),
     (lambda rs: rs[1].update(url="https://example.org"), "line 2: bad article"),
     (lambda rs: rs[1].pop("source"), "line 2: bad article"),
-], ids=["count-small", "count-large", "count-missing", "count-huge", "order",
-        "duplicate", "vector-length", "article-extra-field", "article-missing-field"])
+], ids=["count-small", "count-large", "count-missing", "count-huge",
+        "header-missing-field", "header-dimension-type", "header-params-type", "order",
+        "duplicate", "vector-length", "vector-not-base64", "chunk-missing-field",
+        "chunk-extra-field", "chunk-field-type", "span-float", "span-str", "span-bool",
+        "span-three", "span-object", "span-negative", "span-empty", "span-past-end",
+        "article-extra-field", "article-missing-field"])
 def test_load_index_rejects_inconsistent_records(toy_index, edit, message):
     text = save_index(toy_index)
     assert save_index(load_index(text)) == text

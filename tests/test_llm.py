@@ -199,6 +199,39 @@ def test_hashing_embedder_matches_reference():
     assert np.array_equal(vec, expected)
 
 
+def _reference_embedding(text: str, dimension: int) -> np.ndarray:
+    # the per-token loop the batched embedder replaced
+    vec = np.zeros(dimension, dtype=np.float64)
+    for token in text.lower().split():
+        vec[_fnv64(token) % dimension] += 1.0
+    norm = float(np.linalg.norm(vec))
+    if norm == 0.0:
+        vec[0] = 1.0
+        return vec
+    return vec / norm
+
+
+def test_hashing_embed_batch_matches_per_token_loop_bit_for_bit():
+    texts = ["", "  \t\n ", "Alpha beta ALPHA", "alpha gamma", "Ünïcode tökens ß ﬁ 漢字",
+             "repeated repeated words", "repeated repeated words", "x " * 300, "\u2028 sep"]
+    for dimension in (1, 7, 64):
+        emb = HashingEmbedder(dimension)
+        got = emb.embed_batch(texts)
+        assert len(got) == len(texts)
+        for text, vec in zip(texts, got):
+            want = _reference_embedding(text, dimension)
+            assert vec.dtype == np.float64 and vec.tobytes() == want.tobytes(), text
+            assert emb.embed_one(text).tobytes() == want.tobytes()
+    assert HashingEmbedder().embed_batch([]) == []
+
+
+def test_embedder_identities():
+    assert HashingEmbedder(32).identity == {"kind": "hashing", "model": "fnv1a64",
+                                            "dimension": 32}
+    assert HttpEmbeddingBackend("http://x", model_id="m", dimension=8).identity == {
+        "kind": "http", "model": "m", "dimension": 8}
+
+
 def test_hashing_embedder_properties():
     emb = HashingEmbedder()
     assert emb.dimension == 64
