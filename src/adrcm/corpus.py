@@ -26,6 +26,7 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 
+from .files import jsonl_lines
 from .model import (
     CUI_PATTERN,
     DATASET_TAGS,
@@ -342,21 +343,22 @@ def save_corpus(corpus: Corpus) -> str:
 
 def load_corpus(text: str) -> Corpus:
     """Load a corpus saved by :func:`save_corpus`, schema from its header."""
-    lines = [l for l in text.split("\n") if l.strip()]
-    if not lines:
+    lines = jsonl_lines(text)
+    line_no, first = next(lines, (0, None))
+    if first is None:
         raise ParseError("empty corpus file")
     try:
-        header = json.loads(lines[0])
+        header = json.loads(first)
         tag = header["dataset_tag"]
         schema = schema_from_dict(header["schema"])
         if tag not in DATASET_TAGS:
             raise ValueError(f"unknown dataset_tag {tag!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad corpus header: {exc}; rerun `adrcm ingest` to "
-                         "rewrite the file", 1) from None
+                         "rewrite the file", line_no) from None
 
     samples = []
-    for line_no, line in enumerate(lines[1:], start=2):
+    for line_no, line in lines:
         try:
             obj = json.loads(line)
             samples.append(_sample_from_json(obj, tag))

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from typing import Callable, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
+
+_LINE = re.compile(r"(?m)^.*$")
 
 
 def read_text(path: str) -> str:
@@ -31,16 +34,21 @@ def dump_jsonl(rows: Iterable[object]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def parse_jsonl(text: str, what: str,
-                make: Callable[[dict], T]) -> Iterator[tuple[int, T]]:
-    """Yield ``(line number, make(row))`` for every non-blank JSONL line.
+def jsonl_lines(text: str) -> Iterator[tuple[int, str]]:
+    """Yield ``(line number, line)`` for every non-blank line, one at a time.
 
     Splits on ``\\n`` only: :func:`dump_jsonl` writes U+2028 and U+0085
     unescaped, and ``str.splitlines()`` would cut a record at either.
     """
-    for line_no, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
-            continue
+    for line_no, match in enumerate(_LINE.finditer(text), start=1):
+        if match.group().strip():
+            yield line_no, match.group()
+
+
+def parse_jsonl(text: str, what: str,
+                make: Callable[[dict], T]) -> Iterator[tuple[int, T]]:
+    """Yield ``(line number, make(row))`` for every line of :func:`jsonl_lines`."""
+    for line_no, line in jsonl_lines(text):
         try:
             record = make(json.loads(line))
         except (ValueError, KeyError, TypeError) as exc:

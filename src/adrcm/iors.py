@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from .corpus import Corpus
 from .files import dump_jsonl, parse_jsonl
-from .llm import LlmGateway, TransportError, user_exchange
+from .llm import LlmGateway, ProtocolError, TransportError, user_exchange
 from .model import Document, Entity, RelationSchema, TrainingSample, Triplet
 from .templating import load_default, render, require_placeholders
 
@@ -201,21 +201,22 @@ def run_corpus_synthesis(gateway: LlmGateway, corpus: Corpus,
     requests depend only on the corpus and its own replies, and results
     are folded in corpus order, triplets in canonical order, so the report
     does not depend on scheduling. Transport failures that survive the
-    gateway's retries skip just the affected triplet and are reported, not
-    raised.
+    gateway's retries, and replies the backend refuses or garbles
+    (``ProtocolError``), skip just the affected triplet and are reported, not
+    raised. A ``ScriptExhaustedError`` still aborts: the script is broken.
     """
     config = config if config is not None else IorsConfig()
     jobs = [(sample, triplet) for sample in corpus.samples
             for triplet in positive_triplets(sample, corpus.schema)]
 
-    def synthesize(job: tuple[TrainingSample, Triplet]) -> SynthesisResult | TransportError:
+    def synthesize(job: tuple[TrainingSample, Triplet]) -> SynthesisResult | Exception:
         sample, triplet = job
         try:
             return generate_synthetic(
                 gateway, sample.document, sample.entity(triplet.head_id),
                 sample.entity(triplet.tail_id), triplet.relation,
                 corpus.schema, config)
-        except TransportError as exc:
+        except (TransportError, ProtocolError) as exc:
             return exc
 
     records: list[SyntheticRecord] = []
@@ -225,7 +226,7 @@ def run_corpus_synthesis(gateway: LlmGateway, corpus: Corpus,
     confirmation_calls = 0
     for (sample, triplet), result in zip(jobs, gateway.map(synthesize, jobs)):
         doc_id = sample.document.doc_id
-        if isinstance(result, TransportError):
+        if isinstance(result, Exception):
             errors.append(f"{doc_id}/{triplet.head_id}/{triplet.tail_id}: {result}")
             continue
         summary_calls += result.summary_calls

@@ -12,7 +12,6 @@ a fallback for entities without a CUI.
 from __future__ import annotations
 
 import base64
-import binascii
 import hashlib
 import json
 import re
@@ -25,15 +24,13 @@ from .files import parse_jsonl
 from .model import CUI_PATTERN, Entity
 
 _TOKEN = re.compile(r"\S+")
-_RECORD = re.compile(r"[^\n]*\S[^\n]*")
 
 DEFAULT_CHUNK_SIZE = 256
 DEFAULT_CHUNK_OVERLAP = 32
 MIN_TAIL_TOKENS = 16
 EMBED_BATCH_SIZE = 256
 SHORTLIST_MARGIN = 1e-9
-INDEX_FORMAT = 2
-_CHUNK_FIELDS = {"kind", "chunk_id", "doc_id", "span", "vector"}
+INDEX_FORMAT = 3
 
 
 @dataclass(frozen=True)
@@ -125,8 +122,9 @@ class Chunk:
 class CuiIndex:
     """Two-layer retrieval index: CUI to articles, article to chunks.
 
-    ``chunks`` and ``chunk_ids`` are in id order; row i of ``matrix`` (norm
-    ``norms[i]``) is the vector of ``chunk_ids[i]``, and ``Chunk.vector`` a view of it.
+    ``chunks`` and ``chunk_ids`` are in article order (the order of ``documents``, then
+    chunk number), so an article's chunks fill consecutive rows; row i of ``matrix``
+    (norm ``norms[i]``) is the vector of ``chunk_ids[i]``, and ``Chunk.vector`` a view of it.
     ``embedder`` is the identity of the embedder that built the vectors.
     """
 
@@ -147,11 +145,16 @@ class CuiIndex:
         return len(self.chunks)
 
 
+def _chunk_rows(doc_id: str, pieces: Sequence[str]) -> list[tuple[str, str, str]]:
+    """``(chunk_id, doc_id, text)`` of one article's chunk texts, in chunk order."""
+    return [(f"{doc_id}#{i:04d}", doc_id, piece) for i, piece in enumerate(pieces)]
+
+
 def _assemble(embedder: dict, params: ChunkParams, documents: dict[str, KbDocument],
               rows: Sequence[tuple[str, str, str]], matrix: np.ndarray) -> CuiIndex:
-    """Build the lookup maps over ``(chunk_id, doc_id, text)`` ``rows`` sorted by
-    chunk id, row i of ``matrix`` being the vector of ``rows[i]``. The fingerprint
-    covers the chunk parameters, ``embedder``, the vector bytes and the rows."""
+    """Build the lookup maps over the ``_chunk_rows`` of every article of
+    ``documents`` in turn, row i of ``matrix`` being the vector of ``rows[i]``. The
+    fingerprint covers the chunk parameters, ``embedder``, the vector bytes and the rows."""
     dimension = matrix.shape[1]
     digest = hashlib.sha256()
     digest.update(f"{dimension}|{params.size}|{params.overlap}|{params.min_tail}".encode())
@@ -184,16 +187,15 @@ def build_index(docs: Sequence[KbDocument], gateway, *,
 
     ``gateway`` only needs an ``embed_batch`` method and an ``identity``,
     which the index records. ``embed_batch`` receives chunk
-    texts in chunk-id order, at most ``EMBED_BATCH_SIZE`` per call, so the
+    texts in article order, at most ``EMBED_BATCH_SIZE`` per call, so the
     result is reproducible for a given embedder.
     """
     params = params if params is not None else ChunkParams()
     documents = {d.doc_id: d for d in sorted(docs, key=lambda d: d.doc_id)}
     if len(documents) != len(docs):
         raise ValueError("duplicate KB article ids")
-    rows = sorted((f"{doc_id}#{i:04d}", doc_id, piece)
-                  for doc_id, doc in documents.items()
-                  for i, piece in enumerate(chunk_text(doc.text, params)))
+    rows = [row for doc_id, doc in documents.items()
+            for row in _chunk_rows(doc_id, chunk_text(doc.text, params))]
     if not rows:
         raise ValueError("KB snapshot produced no chunks")
     matrix = None
@@ -235,7 +237,7 @@ def _scope_doc_ids(index: CuiIndex, entity: Entity) -> list[str]:
 
 def candidate_chunk_ids(index: CuiIndex, head: Entity, tail: Entity, *,
                         cui_scoped: bool = True) -> Sequence[str]:
-    """Chunk ids eligible for a pair query, sorted for determinism."""
+    """Chunk ids eligible for a pair query: sorted when scoped, else in row order."""
     if not cui_scoped:
         return index.chunk_ids
     doc_ids = set(_scope_doc_ids(index, head)) | set(_scope_doc_ids(index, tail))
@@ -282,41 +284,39 @@ def retrieve(index: CuiIndex, query_vec: np.ndarray, head: Entity, tail: Entity,
 
 
 def save_index(index: CuiIndex) -> str:
-    """Serialize an index to a single JSONL string.
-
-    A chunk record holds its text as a ``span`` of character offsets into its
-    article and its vector as base64 of little-endian float64 bytes.
-    """
+    """Serialize an index to a single JSONL string: a header, then one record per
+    article, holding its chunks as ``spans`` of character offsets into its text
+    and their ``vectors`` as one base64 block of little-endian float64 bytes."""
     lines = [json.dumps({
         "kind": "header", "format": INDEX_FORMAT, "dimension": index.dimension,
         "embedder": index.embedder, "chunks": len(index.chunks),
         "params": vars(index.params),
         "fingerprint": index.fingerprint,
     }, sort_keys=True)]
-    for _, doc in sorted(index.documents.items()):
-        lines.append(json.dumps({"kind": "doc", **vars(doc)},
+    for doc_id, doc in sorted(index.documents.items()):
+        chunks = [index.chunks[chunk_id] for chunk_id in index.doc_chunks[doc_id]]
+        spans: list[list[int]] = []
+        start = 0
+        for chunk in chunks:
+            # chunks start in text order, and a passage may repeat within an article
+            start = doc.text.index(chunk.text, start)
+            spans.append([start, start + len(chunk.text)])
+        block = b"".join(chunk.vector.astype("<f8").tobytes() for chunk in chunks)
+        lines.append(json.dumps({**vars(doc), "spans": spans,
+                                 "vectors": base64.b64encode(block).decode("ascii")},
                                 sort_keys=True, ensure_ascii=False))
-    for chunk in index.chunks.values():
-        start = index.documents[chunk.doc_id].text.index(chunk.text)
-        lines.append(json.dumps({
-            "kind": "chunk", "chunk_id": chunk.chunk_id, "doc_id": chunk.doc_id,
-            "span": [start, start + len(chunk.text)],
-            "vector": base64.b64encode(chunk.vector.astype("<f8").tobytes()).decode("ascii"),
-        }, sort_keys=True, ensure_ascii=False))
     return "\n".join(lines) + "\n"
 
 
-def _read_header(line: str, max_chunks: int) -> tuple[dict, ChunkParams, int, int, str]:
-    """``(embedder, params, chunk count, dimension, fingerprint)`` of an index header."""
-    header = json.loads(line)
+def _read_header(header: object, line_no: int,
+                 text_length: int) -> tuple[dict, ChunkParams, int, int, str]:
+    """``(embedder, params, chunk count, dimension, fingerprint)`` of an index header.
+    The count sizes the vector matrix, so ``text_length`` characters must hold it."""
     if not isinstance(header, dict) or header.get("kind") != "header":
         raise ValueError("index file must start with a header record")
     if header.get("format") != INDEX_FORMAT:
         raise ValueError(f"index format {header.get('format')!r} is not {INDEX_FORMAT}; "
                          "rebuild it with `adrcm index`")
-    count = header.get("chunks")
-    if type(count) is not int or not 0 <= count <= max_chunks:
-        raise ValueError("index header has no valid chunk count; rebuild it with `adrcm index`")
     try:
         params = ChunkParams(**header["params"])
         dimension, embedder, fingerprint = (
@@ -326,70 +326,55 @@ def _read_header(line: str, max_chunks: int) -> tuple[dict, ChunkParams, int, in
         if not isinstance(embedder, dict) or type(fingerprint) is not str:
             raise ValueError("embedder must be an object and fingerprint a string")
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"line 1: bad index header: {exc}") from None
+        raise ValueError(f"line {line_no}: bad index header: {exc}") from None
+    count = header.get("chunks")
+    if type(count) is not int or not 0 <= count <= text_length // (8 * dimension):
+        raise ValueError("index header has no valid chunk count; rebuild it with `adrcm index`")
     return embedder, params, count, dimension, fingerprint
 
 
-def _read_chunk(row: dict, documents: dict[str, KbDocument],
-                dimension: int) -> tuple[str, str, str, np.ndarray]:
-    """``(chunk_id, doc_id, text, vector)`` of a chunk record."""
-    if row.keys() != _CHUNK_FIELDS:
-        raise ValueError(f"bad chunk record: fields {sorted(row)}, "
-                         f"expected {sorted(_CHUNK_FIELDS)}")
-    chunk_id, doc_id, span, vector = row["chunk_id"], row["doc_id"], row["span"], row["vector"]
-    if type(chunk_id) is not str or type(doc_id) is not str or type(vector) is not str:
-        raise ValueError("bad chunk record: chunk_id, doc_id and vector must be strings")
-    if doc_id not in documents:
-        raise ValueError("chunk references unknown article")
-    text = documents[doc_id].text
-    if (type(span) is not list or len(span) != 2 or any(type(x) is not int for x in span)
-            or not 0 <= span[0] < span[1] <= len(text)):
-        raise ValueError(f"bad chunk record: span {span!r} is not [start, end] "
-                         f"with 0 <= start < end <= {len(text)}")
+def _read_article(row: dict, dimension: int) -> tuple[KbDocument, list[str], np.ndarray]:
+    """``(article, chunk texts, vectors)`` of an article record. A malformed record
+    raises ``ValueError``, ``KeyError``, ``TypeError`` or ``AttributeError``."""
+    spans, vectors = row.pop("spans"), row.pop("vectors")
+    doc = KbDocument(**row)
+    if type(spans) is not list or not all(
+            type(span) is list and len(span) == 2 and all(type(x) is int for x in span)
+            and 0 <= span[0] < span[1] <= len(doc.text) for span in spans):
+        raise ValueError(f"spans {spans!r} are not [start, end] pairs "
+                         f"with 0 <= start < end <= {len(doc.text)}")
     try:
-        raw = base64.b64decode(vector, validate=True)
-    except binascii.Error as exc:
-        raise ValueError(f"bad chunk record: vector is not base64: {exc}") from None
-    if len(raw) != 8 * dimension:
-        raise ValueError(f"expected {dimension}-dim vector, got {len(raw)} bytes")
-    return chunk_id, doc_id, text[span[0]:span[1]], np.frombuffer(raw, dtype="<f8")
+        raw = base64.b64decode(vectors, validate=True)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"vectors are not base64: {exc}") from None
+    if len(raw) != 8 * dimension * len(spans):
+        raise ValueError(f"expected {len(spans)} {dimension}-dim vectors, got {len(raw)} bytes")
+    return (doc, [doc.text[start:end] for start, end in spans],
+            np.frombuffer(raw, dtype="<f8").reshape(len(spans), dimension))
 
 
 def load_index(text: str) -> CuiIndex:
     """Parse a ``save_index`` string; any inconsistency is a ``ValueError``."""
-    records = (m.group() for m in _RECORD.finditer(text))
-    first = next(records, None)
-    if first is None:
+    records = parse_jsonl(text, "index", lambda row: row)
+    line_no, header = next(records, (0, None))
+    if header is None:
         raise ValueError("empty index file")
-    embedder, params, count, dimension, fingerprint = _read_header(first, text.count("\n") + 1)
+    embedder, params, count, dimension, fingerprint = _read_header(header, line_no, len(text))
     documents: dict[str, KbDocument] = {}
     rows: list[tuple[str, str, str]] = []
     matrix = np.empty((count, dimension))
-    for line_no, line in enumerate(records, start=2):
-        row = json.loads(line)
-        kind = row.get("kind") if isinstance(row, dict) else None
-        if kind == "doc":
-            del row["kind"]
-            try:
-                doc = KbDocument(**row)
-            except (TypeError, ValueError, AttributeError) as exc:
-                raise ValueError(f"line {line_no}: bad article record: {exc}") from None
-            if doc.doc_id in documents:
-                raise ValueError(f"line {line_no}: duplicate article {doc.doc_id!r}")
-            documents[doc.doc_id] = doc
-        elif kind == "chunk":
-            try:
-                chunk_id, doc_id, chunk, vector = _read_chunk(row, documents, dimension)
-            except ValueError as exc:
-                raise ValueError(f"line {line_no}: {exc}") from None
-            if rows and chunk_id <= rows[-1][0]:
-                raise ValueError(f"line {line_no}: chunk {chunk_id!r} repeated or out of order")
-            if len(rows) == count:
-                raise ValueError(f"line {line_no}: more chunks than the header's {count}")
-            matrix[len(rows)] = vector
-            rows.append((chunk_id, doc_id, chunk))
-        else:
-            raise ValueError(f"line {line_no}: unknown record kind {kind!r}")
+    for line_no, row in records:
+        try:
+            doc, pieces, vectors = _read_article(row, dimension)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"line {line_no}: bad article record: {exc}") from None
+        if doc.doc_id in documents:
+            raise ValueError(f"line {line_no}: duplicate article {doc.doc_id!r}")
+        if len(rows) + len(pieces) > count:
+            raise ValueError(f"line {line_no}: more chunks than the header's {count}")
+        matrix[len(rows):len(rows) + len(pieces)] = vectors
+        documents[doc.doc_id] = doc
+        rows += _chunk_rows(doc.doc_id, pieces)
     if len(rows) != count:
         raise ValueError(f"index has {len(rows)} chunks, its header says {count}")
     index = _assemble(embedder, params, documents, rows, matrix)

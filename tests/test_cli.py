@@ -344,7 +344,7 @@ E2E_CUI_DIGESTS = {
     "dataset.jsonl": "1cfba3c35c62721f9b294ff1e20d5199c37d79642992320f8065e65542d6dace",
     "finetune.jsonl": "7266c96eba1da9be2d35d7ba913b7d600327133f29581ef17022efd37417a5be",
     "finetune_meta.json": "a7b1cfc9eb5d6db41e27dd89db2cf17d9344dc847a5e53028b3f9923bde2b962",
-    "index.jsonl": "ca0d3f7ed38efb6136b9d1295c70dde2e4f3f3cffe7448c6761140c911aa580f",
+    "index.jsonl": "84dafedbef075bc11d9b7b20eba44aa26273fa138754ae0f18fe4b1fa1a7e92d",
     "mock_script.json": "c33304cd762775056d421562dd44295749434d5b5882276392d4d41b2f0606c4",
     "predictions.jsonl": "3d6c5d6268029e6dca367603c929e0b42fc15af4cc0b3a61ebca71bf69268b9c",
     "report.json": "294c07d350af8a7442ae5e008a94ff4e1d1291d018ae576e7050a344d3725870",

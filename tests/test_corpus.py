@@ -326,3 +326,9 @@ def test_load_corpus_rejects_unknown_sample_fields(toy_corpus):
     lines[2] = json.dumps(row)
     with pytest.raises(ParseError, match="^line 3: bad sample record: .*'url'"):
         load_corpus("\n".join(lines))
+
+
+def test_load_corpus_reports_file_line_numbers(toy_corpus):
+    header, first = save_corpus(toy_corpus).splitlines()[:2]
+    with pytest.raises(ParseError, match="^line 4: bad sample record: "):
+        load_corpus(f"{header}\n\n\n{first[:-3]}\n")

@@ -1,8 +1,9 @@
 import json
+import random
 
 import pytest
 
-from adrcm.files import dump_jsonl
+from adrcm.files import dump_jsonl, jsonl_lines
 from adrcm.infer import PredictionRecord, load_predictions, save_predictions
 from adrcm.iors import SyntheticRecord, load_synthetic, save_synthetic
 from adrcm.kb import KbDocument, load_kb
@@ -42,3 +43,12 @@ def test_kb_row_with_extra_field_still_loads():
            "url": "https://example.org/aspirin"}
     assert load_kb(json.dumps(row) + "\n") == (
         KbDocument("C0000001", "src", "aspirin", "An analgesic."),)
+
+
+def test_jsonl_lines_number_lines_like_split():
+    rng = random.Random(17)
+    alphabet = ["a", " ", "\t", "\n", "\r", "\r\n", "\u0085", " ", " ", "{}"]
+    for _ in range(500):
+        text = "".join(rng.choices(alphabet, k=rng.randrange(0, 40)))
+        want = [(n, line) for n, line in enumerate(text.split("\n"), start=1) if line.strip()]
+        assert list(jsonl_lines(text)) == want

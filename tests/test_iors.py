@@ -15,7 +15,14 @@ from adrcm.iors import (
     run_corpus_synthesis,
     save_synthetic,
 )
-from adrcm.llm import LlmGateway, RetryPolicy, TransportError, mock_gateway
+from adrcm.llm import (
+    LlmGateway,
+    ProtocolError,
+    RetryPolicy,
+    ScriptExhaustedError,
+    TransportError,
+    mock_gateway,
+)
 from adrcm.model import Triplet
 from adrcm.templating import TemplateError, load_default, placeholders, render
 from conftest import OverlapBackend, make_sample
@@ -247,6 +254,38 @@ def test_run_corpus_synthesis_concurrent_matches_sequential(cdr_schema):
     assert [d.doc_id for d in report.discarded] == ["302"]
     assert [r.doc_id for r in report.records] == ["304"]
     assert (report.summary_calls, report.confirmation_calls) == (4, 4)
+
+
+def test_protocol_error_costs_only_its_own_triplet(cdr_schema):
+    corpus = _four_doc_corpus(cdr_schema)
+
+    def reply(prompt):
+        if "Aldrin" in prompt:
+            raise ProtocolError("chat backend returned HTTP 400: bad request")
+        if "Caldrin" in prompt:
+            raise TransportError("offline")
+        return _confirm_unless_rash(prompt)
+
+    reports = {}
+    for width in (1, 2):
+        gateway = LlmGateway(OverlapBackend(reply), retry=RetryPolicy(1, 0.0),
+                             max_in_flight=width)
+        reports[width] = run_corpus_synthesis(gateway, corpus)
+    assert reports[2] == reports[1]
+    report = reports[2]
+    assert [e.split(": ")[0] for e in report.errors] == ["301/D1/D2", "303/D1/D2"]
+    assert "HTTP 400" in report.errors[0]
+    assert [d.doc_id for d in report.discarded] == ["302"]
+    assert [r.doc_id for r in report.records] == ["304"]
+
+    def exhausted(prompt):
+        if "Caldrin" in prompt:
+            raise ScriptExhaustedError("no scripted reply left")
+        return _confirm_unless_rash(prompt)
+
+    gateway = LlmGateway(OverlapBackend(exhausted), retry=RetryPolicy(1, 0.0), max_in_flight=2)
+    with pytest.raises(ScriptExhaustedError):
+        run_corpus_synthesis(gateway, corpus)
 
 
 def test_run_corpus_synthesis_warm_cache_stays_on_calling_thread(cdr_schema,

@@ -231,14 +231,12 @@ def test_load_index_rejects_tampering(toy_index):
     text = save_index(toy_index)
 
     def shorten_span(records):
-        chunk = next(r for r in records if r["kind"] == "chunk" and r["span"][1] - r["span"][0] > 1)
-        chunk["span"][1] -= 1
+        records[1]["spans"][0][1] -= 1
 
     def flip_vector_byte(records):
-        chunk = next(r for r in records if r["kind"] == "chunk")
-        raw = bytearray(base64.b64decode(chunk["vector"]))
+        raw = bytearray(base64.b64decode(records[1]["vectors"]))
         raw[0] ^= 1
-        chunk["vector"] = base64.b64encode(bytes(raw)).decode("ascii")
+        records[1]["vectors"] = base64.b64encode(bytes(raw)).decode("ascii")
 
     for edit in (shorten_span, flip_vector_byte,
                  lambda rs: rs[0]["embedder"].update(model="other")):
@@ -251,24 +249,48 @@ def test_load_index_rejects_tampering(toy_index):
 
 
 def test_index_file_layout(toy_index):
-    records = [json.loads(line) for line in save_index(toy_index).splitlines()]
-    assert records[0]["format"] == 2
-    assert records[0]["embedder"] == {"kind": "hashing", "model": "fnv1a64", "dimension": 64}
-    docs = {r["cui"] + "|" + r["source"] + "|" + r["title"]: r["text"]
-            for r in records if r["kind"] == "doc"}
-    chunks = [r for r in records if r["kind"] == "chunk"]
-    assert len(chunks) == len(toy_index)
-    for record in chunks:
-        assert set(record) == {"kind", "chunk_id", "doc_id", "span", "vector"}
-        start, end = record["span"]
-        assert docs[record["doc_id"]][start:end] == toy_index.chunks[record["chunk_id"]].text
-        vector = np.frombuffer(base64.b64decode(record["vector"]), dtype="<f8")
-        assert vector.tobytes() == toy_index.chunks[record["chunk_id"]].vector.tobytes()
+    header, *articles = [json.loads(line) for line in save_index(toy_index).splitlines()]
+    assert header["format"] == 3
+    assert header["embedder"] == {"kind": "hashing", "model": "fnv1a64", "dimension": 64}
+    assert header["chunks"] == len(toy_index)
+    assert [f"{r['cui']}|{r['source']}|{r['title']}" for r in articles] == sorted(
+        toy_index.documents)
+    for record in articles:
+        assert set(record) == {"cui", "source", "title", "text", "spans", "vectors"}
+        doc_id = f"{record['cui']}|{record['source']}|{record['title']}"
+        chunks = [toy_index.chunks[c] for c in toy_index.doc_chunks[doc_id]]
+        assert [record["text"][start:end] for start, end in record["spans"]] == [
+            c.text for c in chunks]
+        assert base64.b64decode(record["vectors"]) == b"".join(
+            c.vector.astype("<f8").tobytes() for c in chunks)
+
+
+def _format_2_records(index):
+    """The records of ``index`` in the layout of format 2: one per article, then
+    one per chunk with its ids, its span and its own vector."""
+    records = [{"kind": "header", "format": 2, "dimension": index.dimension,
+                "embedder": index.embedder, "chunks": len(index), "params": vars(index.params),
+                "fingerprint": index.fingerprint}]
+    records += [{"kind": "doc", **vars(doc)} for _, doc in sorted(index.documents.items())]
+    for chunk_id in sorted(index.chunks):
+        chunk = index.chunks[chunk_id]
+        start = index.documents[chunk.doc_id].text.index(chunk.text)
+        records.append({"kind": "chunk", "chunk_id": chunk_id, "doc_id": chunk.doc_id,
+                        "span": [start, start + len(chunk.text)],
+                        "vector": base64.b64encode(chunk.vector.tobytes()).decode("ascii")})
+    return records
+
+
+def test_load_index_refuses_format_2(toy_index):
+    """A file in the per-chunk layout written before format 3 must be rebuilt."""
+    old = dump_jsonl(_format_2_records(toy_index))
+    with pytest.raises(ValueError, match="index format 2 is not 3; rebuild it with `adrcm index`"):
+        load_index(old)
 
 
 def test_load_index_refuses_format_1(toy_index):
     """A file in the layout written before format 2 must be rebuilt."""
-    records = [json.loads(line) for line in save_index(toy_index).splitlines()]
+    records = _format_2_records(toy_index)
     for record in records:
         record.pop("format", None)
         record.pop("embedder", None)
@@ -350,7 +372,8 @@ def test_unscoped_retrieve_rejects_bad_queries_like_the_scan():
 def test_chunk_vectors_are_views_of_the_index_matrix():
     built = _tie_index()
     for index in (built, load_index(save_index(built))):
-        assert index.chunk_ids == tuple(sorted(index.chunks))
+        assert index.chunk_ids == tuple(
+            c for doc_id in sorted(index.documents) for c in index.doc_chunks[doc_id])
         assert index.matrix.shape == (len(index), index.dimension)
         for row, chunk_id in enumerate(index.chunk_ids):
             vector = index.chunks[chunk_id].vector
@@ -366,61 +389,63 @@ def _retamper(text, edit):
     return "".join(json.dumps(r, sort_keys=True, ensure_ascii=False) + "\n" for r in records)
 
 
-def _swap_chunks(records):
-    at = next(i for i, r in enumerate(records) if r["kind"] == "chunk")
-    records[at], records[at + 1] = records[at + 1], records[at]
+def _swap_articles(records):
+    records[1], records[2] = records[2], records[1]
 
 
 def _drop_vector_bytes(records):
-    raw = base64.b64decode(records[-1]["vector"])
-    records[-1]["vector"] = base64.b64encode(raw[:-8]).decode("ascii")
+    raw = base64.b64decode(records[-1]["vectors"])
+    records[-1]["vectors"] = base64.b64encode(raw[:-8]).decode("ascii")
 
 
 def _set_span(span):
-    return lambda rs: rs[-1].update(span=span)
+    def edit(records):
+        records[-1]["spans"][-1] = span
+    return edit
 
 
-def _doc_length(records):
-    return len(next(r["text"] for r in records if r["kind"] == "doc"
-                    and f"{r['cui']}|{r['source']}|{r['title']}" == records[-1]["doc_id"]))
-
-
+# ``{last}`` stands for the file line of the last record.
 @pytest.mark.parametrize("edit, message", [
-    (lambda rs: rs[0].update(chunks=rs[0]["chunks"] - 1), "more chunks"),
+    (lambda rs: rs[0].update(chunks=rs[0]["chunks"] - 1), "^line {last}: more chunks"),
     (lambda rs: rs[0].update(chunks=rs[0]["chunks"] + 1), "header says"),
     (lambda rs: rs[0].pop("chunks"), "adrcm index"),
     (lambda rs: rs[0].update(chunks=10 ** 12), "adrcm index"),
-    (lambda rs: rs[0].pop("embedder"), "line 1: bad index header: 'embedder'"),
-    (lambda rs: rs[0].update(dimension="64"), "line 1: bad index header: dimension"),
-    (lambda rs: rs[0].update(params=[48]), "line 1: bad index header"),
-    (_swap_chunks, "out of order"),
-    (lambda rs: rs.insert(len(rs) - 1, dict(rs[-1])), "repeated"),
-    (_drop_vector_bytes, "dim vector"),
-    (lambda rs: rs[-1].update(vector="not base64!"), "bad chunk record: vector is not base64"),
-    (lambda rs: rs[-1].pop("chunk_id"), r"line \d+: bad chunk record: fields"),
-    (lambda rs: rs[-1].update(text="extra"), r"line \d+: bad chunk record: fields"),
-    (lambda rs: rs[-1].update(doc_id=7), r"line \d+: bad chunk record: chunk_id, doc_id"),
-    (_set_span([0.0, 3]), "bad chunk record: span"),
-    (_set_span(["0", 3]), "bad chunk record: span"),
-    (_set_span([0, True]), "bad chunk record: span"),
-    (_set_span([0, 3, 5]), "bad chunk record: span"),
-    (_set_span({"start": 0}), "bad chunk record: span"),
-    (_set_span([-1, 3]), "bad chunk record: span"),
-    (_set_span([3, 3]), "bad chunk record: span"),
-    (lambda rs: rs[-1].update(span=[0, _doc_length(rs) + 1]), "bad chunk record: span"),
-    (lambda rs: rs[1].update(url="https://example.org"), "line 2: bad article"),
-    (lambda rs: rs[1].pop("source"), "line 2: bad article"),
+    (lambda rs: rs[0].pop("embedder"), "^line 1: bad index header: 'embedder'"),
+    (lambda rs: rs[0].update(dimension="64"), "^line 1: bad index header: dimension"),
+    (lambda rs: rs[0].update(params=[48]), "^line 1: bad index header"),
+    (_swap_articles, "fingerprint"),
+    (lambda rs: rs.append(dict(rs[-1])), "^line {last}: duplicate article"),
+    (_drop_vector_bytes, r"^line {last}: bad article record: expected \d+ 64-dim vectors"),
+    (lambda rs: rs[-1].update(vectors="not base64!"),
+     "^line {last}: bad article record: vectors are not base64"),
+    (lambda rs: rs[-1].pop("spans"), "^line {last}: bad article record: 'spans'"),
+    (lambda rs: rs[-1].update(chunk_id="x"), "^line {last}: bad article record: .*'chunk_id'"),
+    (lambda rs: rs[-1].update(vectors=7), "^line {last}: bad article record: vectors"),
+    (_set_span([0.0, 3]), "^line {last}: bad article record: span"),
+    (_set_span(["0", 3]), "^line {last}: bad article record: span"),
+    (_set_span([0, True]), "^line {last}: bad article record: span"),
+    (_set_span([0, 3, 5]), "^line {last}: bad article record: span"),
+    (_set_span({"start": 0}), "^line {last}: bad article record: span"),
+    (lambda rs: rs[-1].update(spans={"start": 0}), "^line {last}: bad article record: spans"),
+    (_set_span([-1, 3]), "^line {last}: bad article record: span"),
+    (_set_span([3, 3]), "^line {last}: bad article record: span"),
+    (lambda rs: _set_span([0, len(rs[-1]["text"]) + 1])(rs),
+     "^line {last}: bad article record: span"),
+    (lambda rs: rs[1].update(url="https://example.org"), "^line 2: bad article"),
+    (lambda rs: rs[1].pop("source"), "^line 2: bad article"),
+    (lambda rs: rs[1].update(kind="doc"), "^line 2: bad article"),
 ], ids=["count-small", "count-large", "count-missing", "count-huge",
         "header-missing-field", "header-dimension-type", "header-params-type", "order",
         "duplicate", "vector-length", "vector-not-base64", "chunk-missing-field",
         "chunk-extra-field", "chunk-field-type", "span-float", "span-str", "span-bool",
-        "span-three", "span-object", "span-negative", "span-empty", "span-past-end",
-        "article-extra-field", "article-missing-field"])
+        "span-three", "span-object", "spans-object", "span-negative", "span-empty",
+        "span-past-end", "article-extra-field", "article-missing-field", "article-kind"])
 def test_load_index_rejects_inconsistent_records(toy_index, edit, message):
     text = save_index(toy_index)
     assert save_index(load_index(text)) == text
-    with pytest.raises(ValueError, match=message):
-        load_index(_retamper(text, edit))
+    tampered = _retamper(text, edit)
+    with pytest.raises(ValueError, match=message.format(last=tampered.count("\n"))):
+        load_index(tampered)
 
 
 def test_build_index_embeds_in_bounded_batches(monkeypatch):
@@ -458,3 +483,60 @@ def test_index_round_trip_keeps_unicode_line_separators():
     docs = [KbDocument("C0000001", "kb", "sep", "one\u2028two\x85three words here")]
     text = save_index(build_index(docs, HashingEmbedder()))
     assert save_index(load_index(text)) == text
+
+
+def test_load_index_reports_file_line_numbers(toy_index):
+    lines = save_index(toy_index).splitlines()
+    truncated = lines[:5] + [lines[5][:-3]] + lines[6:]
+    with pytest.raises(ValueError, match="^line 6: bad index record: Unterminated string"):
+        load_index("\n".join(truncated) + "\n")
+    bad = json.loads(lines[3])
+    bad["title"] = " "
+    spaced = lines[:1] + ["", "  "] + lines[1:3] + [json.dumps(bad)] + lines[4:]
+    with pytest.raises(ValueError, match="^line 6: bad article record: .*'title' is empty"):
+        load_index("\n".join(spaced) + "\n")
+
+
+_WORDS = ["alpha", "beta", "gamma", "kinase", "fever", "dose", "line\u2028sep", "next\x85line"]
+
+
+def _random_kb(rng):
+    """Articles of random length, among them a passage repeated inside one article,
+    one-token articles, and the ids ``…|alpha`` and ``…|alpha beta``, whose chunk-id
+    order ("alpha beta#0000" < "alpha#0000") is not their article order."""
+    def words(n):
+        return " ".join(rng.choices(_WORDS, k=n))
+
+    passage = words(rng.randint(3, 12))
+    docs = [KbDocument("C0000001", "kb", "alpha", words(rng.randint(1, 30))),
+            KbDocument("C0000001", "kb", "alpha beta", words(rng.randint(1, 30))),
+            KbDocument("C0000002", "kb", "repeat", " ".join([passage] * rng.randint(2, 5))),
+            KbDocument("C0000003", "kb", "one", rng.choice(_WORDS))]
+    docs += [KbDocument(f"C{4000000 + i}", rng.choice(["kb", "kb2"]), f"t{i}",
+                        words(rng.randint(1, 40))) for i in range(rng.randint(0, 8))]
+    rng.shuffle(docs)
+    return docs
+
+
+def test_format_3_round_trip_on_random_kbs():
+    rng = random.Random(23)
+    head, tail = _entity("E1", cui="C0000001"), _entity("E2", cui="C0000002")
+    for _ in range(40):
+        size = rng.randint(1, 6)
+        params = ChunkParams(size, rng.randrange(0, size), rng.randint(1, 3))
+        built = build_index(_random_kb(rng), _ScaledEmbedder(), params=params)
+        text = save_index(built)
+        loaded = load_index(text)
+        assert save_index(loaded) == text
+        assert loaded.chunk_ids == built.chunk_ids
+        for chunk_id, chunk in built.chunks.items():
+            assert loaded.chunks[chunk_id].text == chunk.text
+            assert loaded.chunks[chunk_id].vector.tobytes() == chunk.vector.tobytes()
+        for record in map(json.loads, text.split("\n")[1:-1]):
+            starts = [start for start, _ in record["spans"]]
+            assert starts == sorted(starts)
+        query = HashingEmbedder().embed_one(" ".join(rng.choices(_WORDS, k=3)))
+        k = rng.randint(1, len(built) + 2)
+        got = [(s.chunk_id, s.score.hex())
+               for s in retrieve(loaded, query, head, tail, k=k, cui_scoped=False)]
+        assert got == [(c, s.hex()) for c, s in _brute_scan(built, query, k)]
