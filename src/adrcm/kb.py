@@ -30,7 +30,7 @@ DEFAULT_CHUNK_OVERLAP = 32
 MIN_TAIL_TOKENS = 16
 EMBED_BATCH_SIZE = 256
 SHORTLIST_MARGIN = 1e-9
-INDEX_FORMAT = 3
+INDEX_FORMAT = 4
 
 
 @dataclass(frozen=True)
@@ -154,12 +154,16 @@ def _assemble(embedder: dict, params: ChunkParams, documents: dict[str, KbDocume
               rows: Sequence[tuple[str, str, str]], matrix: np.ndarray) -> CuiIndex:
     """Build the lookup maps over the ``_chunk_rows`` of every article of
     ``documents`` in turn, row i of ``matrix`` being the vector of ``rows[i]``. The
-    fingerprint covers the chunk parameters, ``embedder``, the vector bytes and the rows."""
+    fingerprint covers the chunk parameters, ``embedder``, the vector bytes, the
+    articles in order and the rows."""
     dimension = matrix.shape[1]
     digest = hashlib.sha256()
     digest.update(f"{dimension}|{params.size}|{params.overlap}|{params.min_tail}".encode())
     digest.update(json.dumps(embedder, sort_keys=True).encode())
     digest.update(matrix.astype("<f8").tobytes())
+    for doc in documents.values():  # length-prefixed fields: an unambiguous encoding
+        digest.update(f"{len(doc.cui)}:{doc.cui}{len(doc.source)}:{doc.source}"
+                      f"{len(doc.title)}:{doc.title}{len(doc.text)}:{doc.text}".encode("utf-8"))
     chunks: dict[str, Chunk] = {}
     doc_chunks: dict[str, list[str]] = {d: [] for d in documents}
     for (chunk_id, doc_id, text), vec in zip(rows, matrix):

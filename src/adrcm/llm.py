@@ -20,13 +20,14 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Mapping, Protocol, Sequence, TypeVar
+from urllib.parse import urlsplit
 
 import numpy as np
-import requests
 
 API_KEY_ENV = "ADRCM_API_KEY"
 FAULT_ENV = "ADRCM_FAULT_EXIT_AFTER_CALLS"
 FAULT_EXIT_CODE = 86
+HTTP_TIMEOUT_S = 60.0
 
 EMBED_DIM_FALLBACK = 64
 UNIT_NORM_TOL = 1e-6
@@ -161,35 +162,31 @@ class ScriptedBackend:
 class _HttpClient:
     """OpenAI-style JSON POST shared by the HTTP backends.
 
-    Holds the auth header, maps HTTP status to :class:`TransportError`
-    (retryable) or :class:`ProtocolError`, and turns a reply that ``pick``
-    cannot read into a :class:`ProtocolError`. ``requests`` does not promise
-    that a ``Session`` is thread-safe, so each thread gets its own unless
-    one is injected, which is then used as given.
+    Sends the bearer token from ``ADRCM_API_KEY``, maps HTTP status to
+    :class:`TransportError` (retryable) or :class:`ProtocolError`, and turns
+    a reply that ``pick`` cannot read into a :class:`ProtocolError`. Each
+    thread gets its own ``requests.Session``, which is not promised to be
+    thread-safe; ``requests`` is imported at first use, so offline runs skip it.
     """
 
     kind: str  # names the backend in error messages
 
-    def __init__(self, base_url: str, *, api_key: str | None = None,
-                 timeout: float = 60.0, session: requests.Session | None = None):
+    def __init__(self, base_url: str):
+        parts = urlsplit(base_url)
+        if parts.scheme not in ("http", "https") or not parts.netloc:
+            raise ValueError(f"{self.kind} URL {base_url!r} is not an http(s) URL")
         self.base_url = base_url.rstrip("/")
-        self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
-        self.timeout = timeout
-        self._session = session
+        key = os.environ.get(API_KEY_ENV)
+        self._headers = {"Authorization": f"Bearer {key}"} if key else {}
         self._local = threading.local()
 
     def _post(self, path: str, body: dict, pick: Callable[[Any], T]) -> T:
-        session = self._session
-        if session is None:
-            if not hasattr(self._local, "session"):
-                self._local.session = requests.Session()
-            session = self._local.session
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        try:
-            response = session.post(f"{self.base_url}/{path}", json=body,
-                                    headers=headers, timeout=self.timeout)
+        import requests
+        if not hasattr(self._local, "session"):
+            self._local.session = requests.Session()
+        try:  # json= sets the Content-Type
+            response = self._local.session.post(f"{self.base_url}/{path}", json=body,
+                                                headers=self._headers, timeout=HTTP_TIMEOUT_S)
         except requests.RequestException as exc:
             raise TransportError(f"{self.kind} request failed: {exc}") from exc
         if response.status_code == 429 or response.status_code >= 500:
@@ -228,8 +225,8 @@ class HttpEmbeddingBackend(_HttpClient):
     kind = "embedding"
 
     def __init__(self, base_url: str, *, model_id: str = "default",
-                 dimension: int = 768, **client):
-        super().__init__(base_url, **client)
+                 dimension: int = 768):
+        super().__init__(base_url)
         self.model_id = model_id
         self.dimension = dimension
 
@@ -251,6 +248,8 @@ class HttpEmbeddingBackend(_HttpClient):
                 raise ProtocolError(
                     f"expected {self.dimension}-dim embeddings, got shape {vec.shape}"
                 )
+            if not np.isfinite(vec).all():
+                raise ProtocolError("embedding has non-finite values")
         return vectors
 
 

@@ -1,4 +1,5 @@
-"""Shared fixtures: sample builders and the packaged toy pipeline pieces."""
+"""Shared fixtures: sample builders, the packaged toy pipeline pieces and a
+loopback HTTP stub."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ from adrcm.kb import build_index, load_kb
 from adrcm.llm import HashingEmbedder
 from adrcm.mock import TOY_CHUNK_PARAMS, load_toy_assets
 from adrcm.model import Document, Entity, Mention, TrainingSample, Triplet
+from http_stub import StubServer
 
 
 def make_sample(doc_id: str, sentences: list[str],
@@ -108,3 +110,16 @@ def toy_kb_docs():
 @pytest.fixture(scope="session")
 def toy_index(toy_kb_docs):
     return build_index(toy_kb_docs, HashingEmbedder(), params=TOY_CHUNK_PARAMS)
+
+
+@pytest.fixture()
+def http_stub():
+    server = StubServer()
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01})
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)

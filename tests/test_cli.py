@@ -7,7 +7,6 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
-import requests
 
 from adrcm.cli import _settings, build_parser, main
 from adrcm.config import DEFAULTS
@@ -319,22 +318,40 @@ def test_index_embed_dim_applies_to_the_offline_embedder(tmp_path):
 
 
 def test_infer_refuses_an_index_built_by_another_embedder(tmp_path, e2e_dir, capsys,
-                                                          monkeypatch):
-    requests_made = []
-    monkeypatch.setattr(requests.Session, "post",
-                        lambda self, *a, **kw: requests_made.append(a))
+                                                          http_stub):
     index = tmp_path / "index.jsonl"
     assert main(["index", "--kb", _toy_path("toy_kb.jsonl"), "--out", str(index)]) == 0
     capsys.readouterr()
     rc = main(["infer", "--corpus", str(e2e_dir / "corpus.jsonl"), "--index", str(index),
                "--out", str(tmp_path / "p.jsonl"), "--script", str(e2e_dir / "mock_script.json"),
-               "--embed-url", "http://127.0.0.1:9", "--embed-dim", "64"])
+               "--embed-url", http_stub.url, "--embed-dim", "64"])
     assert rc == 2
     err = capsys.readouterr().err
     assert '{"dimension": 64, "kind": "hashing", "model": "fnv1a64"}' in err
     assert '{"dimension": 64, "kind": "http", "model": "default"}' in err
-    assert requests_made == []
+    assert http_stub.requests == []
     assert not (tmp_path / "p.jsonl").exists()
+
+
+def test_urls_that_are_not_http_are_usage_errors(tmp_path, e2e_dir, capsys):
+    # Before any call: a typo in a URL must not be retried as a network fault.
+    synth = ["synth", "--corpus", str(e2e_dir / "corpus.jsonl"),
+             "--out", str(tmp_path / "s.jsonl"), "--chat-url", "localhost:8000"]
+    index = ["index", "--kb", _toy_path("toy_kb.jsonl"), "--out", str(tmp_path / "i.jsonl"),
+             "--embed-url", "127.0.0.1:9"]
+    for argv, url in ((synth, "localhost:8000"), (index, "127.0.0.1:9")):
+        assert main(argv) == 2
+        assert f"URL '{url}' is not an http(s) URL" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [e2e_dir]
+
+
+def test_importing_the_cli_does_not_load_requests():
+    # A fresh interpreter, because other tests load requests into this one.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    code = "import sys, adrcm.cli; print(sorted(m for m in sys.modules if 'requests' in m))"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
 
 
 # sha256 of every artifact `e2e-mock --rag cui` writes. Any change to an
@@ -344,7 +361,7 @@ E2E_CUI_DIGESTS = {
     "dataset.jsonl": "1cfba3c35c62721f9b294ff1e20d5199c37d79642992320f8065e65542d6dace",
     "finetune.jsonl": "7266c96eba1da9be2d35d7ba913b7d600327133f29581ef17022efd37417a5be",
     "finetune_meta.json": "a7b1cfc9eb5d6db41e27dd89db2cf17d9344dc847a5e53028b3f9923bde2b962",
-    "index.jsonl": "84dafedbef075bc11d9b7b20eba44aa26273fa138754ae0f18fe4b1fa1a7e92d",
+    "index.jsonl": "139bde7b32187708cbd1eedb6e74df805836733abb73306a81583b8ea3324375",
     "mock_script.json": "c33304cd762775056d421562dd44295749434d5b5882276392d4d41b2f0606c4",
     "predictions.jsonl": "3d6c5d6268029e6dca367603c929e0b42fc15af4cc0b3a61ebca71bf69268b9c",
     "report.json": "294c07d350af8a7442ae5e008a94ff4e1d1291d018ae576e7050a344d3725870",

@@ -250,7 +250,7 @@ def test_load_index_rejects_tampering(toy_index):
 
 def test_index_file_layout(toy_index):
     header, *articles = [json.loads(line) for line in save_index(toy_index).splitlines()]
-    assert header["format"] == 3
+    assert header["format"] == 4
     assert header["embedder"] == {"kind": "hashing", "model": "fnv1a64", "dimension": 64}
     assert header["chunks"] == len(toy_index)
     assert [f"{r['cui']}|{r['source']}|{r['title']}" for r in articles] == sorted(
@@ -282,10 +282,14 @@ def _format_2_records(index):
 
 
 def test_load_index_refuses_format_2(toy_index):
-    """A file in the per-chunk layout written before format 3 must be rebuilt."""
+    """A file in the per-chunk layout written before format 3 must be rebuilt, and so
+    must a format 3 file, whose fingerprint does not cover the article records."""
     old = dump_jsonl(_format_2_records(toy_index))
-    with pytest.raises(ValueError, match="index format 2 is not 3; rebuild it with `adrcm index`"):
+    with pytest.raises(ValueError, match="index format 2 is not 4; rebuild it with `adrcm index`"):
         load_index(old)
+    format_3 = _retamper(save_index(toy_index), lambda rs: rs[0].update(format=3))
+    with pytest.raises(ValueError, match="index format 3 is not 4; rebuild it with `adrcm index`"):
+        load_index(format_3)
 
 
 def test_load_index_refuses_format_1(toy_index):
@@ -434,12 +438,17 @@ def _set_span(span):
     (lambda rs: rs[1].update(url="https://example.org"), "^line 2: bad article"),
     (lambda rs: rs[1].pop("source"), "^line 2: bad article"),
     (lambda rs: rs[1].update(kind="doc"), "^line 2: bad article"),
+    (lambda rs: rs.append({"cui": "C0000009", "source": "kb", "title": "ghost",
+                           "text": "never indexed", "spans": [], "vectors": ""}),
+     "fingerprint"),
+    (lambda rs: rs[1].update(text=rs[1]["text"] + "   "), "fingerprint"),
 ], ids=["count-small", "count-large", "count-missing", "count-huge",
         "header-missing-field", "header-dimension-type", "header-params-type", "order",
         "duplicate", "vector-length", "vector-not-base64", "chunk-missing-field",
         "chunk-extra-field", "chunk-field-type", "span-float", "span-str", "span-bool",
         "span-three", "span-object", "spans-object", "span-negative", "span-empty",
-        "span-past-end", "article-extra-field", "article-missing-field", "article-kind"])
+        "span-past-end", "article-extra-field", "article-missing-field", "article-kind",
+        "article-added", "article-text-edited"])
 def test_load_index_rejects_inconsistent_records(toy_index, edit, message):
     text = save_index(toy_index)
     assert save_index(load_index(text)) == text

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import socket
 import subprocess
 import sys
 import threading
@@ -8,7 +9,6 @@ import time
 
 import numpy as np
 import pytest
-import requests
 
 from adrcm.llm import (
     API_KEY_ENV,
@@ -29,6 +29,7 @@ from adrcm.llm import (
     user_exchange,
 )
 from conftest import OverlapBackend
+from http_stub import Reply
 
 
 def test_chat_message_role_checked():
@@ -92,93 +93,84 @@ def test_scripted_backend_from_file(tmp_path):
         ScriptedBackend.from_file(str(bad))
 
 
-class FakeResponse:
-    def __init__(self, status_code=200, payload=None, text=""):
-        self.status_code = status_code
-        self._payload = payload
-        self.text = text
-
-    def json(self):
-        if self._payload is None:
-            raise ValueError("no json")
-        return self._payload
-
-
-class FakeSession:
-    """Duck-typed requests.Session returning queued responses."""
-
-    def __init__(self, outcomes):
-        self.outcomes = list(outcomes)
-        self.requests = []
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.requests.append({"url": url, "json": json, "headers": headers})
-        outcome = self.outcomes.pop(0)
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
-
-
 def _chat_payload(content):
     return {"choices": [{"message": {"content": content}}]}
 
 
-def test_http_chat_backend_success(monkeypatch):
+def test_http_chat_backend_success(monkeypatch, http_stub):
     monkeypatch.setenv(API_KEY_ENV, "sk-test")
-    session = FakeSession([FakeResponse(payload=_chat_payload("pong"))])
-    backend = HttpChatBackend("http://api.example/v1", session=session)
+    http_stub.script = lambda request: Reply(body=_chat_payload("pong"))
+    backend = HttpChatBackend(http_stub.url + "/v1/")
     reply = backend.complete(user_exchange("ping", temperature=0.5))
     assert reply == "pong"
-    sent = session.requests[0]
-    assert sent["url"] == "http://api.example/v1/chat/completions"
-    assert sent["headers"]["Authorization"] == "Bearer sk-test"
-    assert sent["json"]["temperature"] == 0.5
-    assert sent["json"]["messages"] == [{"role": "user", "content": "ping"}]
+    [sent] = http_stub.requests
+    assert sent.path == "/v1/chat/completions"
+    assert sent.headers["Authorization"] == "Bearer sk-test"
+    assert sent.headers["Content-Type"] == "application/json"
+    assert sent.json["temperature"] == 0.5
+    assert sent.json["messages"] == [{"role": "user", "content": "ping"}]
 
 
-def test_http_chat_backend_explicit_key_wins(monkeypatch):
-    monkeypatch.setenv(API_KEY_ENV, "sk-env")
-    session = FakeSession([FakeResponse(payload=_chat_payload("ok"))])
-    HttpChatBackend("http://x", api_key="sk-direct", session=session).complete(
-        user_exchange("q"))
-    assert session.requests[0]["headers"]["Authorization"] == "Bearer sk-direct"
-
-
-def test_http_chat_backend_error_taxonomy():
-    for outcome, expected in [
-        (FakeResponse(status_code=429), TransportError),
-        (FakeResponse(status_code=503), TransportError),
-        (requests.ConnectionError("down"), TransportError),
-        (FakeResponse(status_code=404, text="missing"), ProtocolError),
-        (FakeResponse(payload={"weird": True}), ProtocolError),
-        (FakeResponse(payload=_chat_payload(42)), ProtocolError),
+def test_http_chat_backend_error_taxonomy(http_stub):
+    for reply, expected in [
+        (Reply(429), TransportError),
+        (Reply(503), TransportError),
+        (Reply(404, raw=b"missing"), ProtocolError),
+        (Reply(raw=b"not json {"), ProtocolError),
+        (Reply(body={"weird": True}), ProtocolError),
+        (Reply(body=_chat_payload(42)), ProtocolError),
     ]:
-        backend = HttpChatBackend("http://x", session=FakeSession([outcome]))
+        http_stub.script = lambda request: reply
         with pytest.raises(expected):
-            backend.complete(user_exchange("q"))
+            HttpChatBackend(http_stub.url).complete(user_exchange("q"))
+    assert http_stub.per_path == {"/chat/completions": 6}
+    with socket.socket() as unused:
+        unused.bind(("127.0.0.1", 0))  # bound but not listening: connecting is refused
+        refused = HttpChatBackend(f"http://127.0.0.1:{unused.getsockname()[1]}")
+        with pytest.raises(TransportError, match="chat request failed"):
+            refused.complete(user_exchange("q"))
 
 
-def test_http_embedding_backend(monkeypatch):
+def test_http_embedding_backend(monkeypatch, http_stub):
     monkeypatch.delenv(API_KEY_ENV, raising=False)
-    rows = {"data": [{"embedding": [1.0, 0.0]}, {"embedding": [0.0, 2.0]}]}
-    session = FakeSession([FakeResponse(payload=rows)])
-    backend = HttpEmbeddingBackend("http://x", dimension=2, session=session)
-    vecs = backend.embed_batch(["a", "b"])
+    backend = HttpEmbeddingBackend(http_stub.url, dimension=2)
+
+    def embed(rows, texts, *, status=200):
+        http_stub.script = lambda request: Reply(status, body={
+            "data": [{"embedding": row} for row in rows]})
+        return backend.embed_batch(texts)
+
+    vecs = embed([[1.0, 0.0], [0.0, 2.0]], ["a", "b"])
     assert [v.tolist() for v in vecs] == [[1.0, 0.0], [0.0, 2.0]]
-    assert session.requests[0]["url"] == "http://x/embeddings"
-    assert "Authorization" not in session.requests[0]["headers"]
-
-    short = FakeSession([FakeResponse(payload={"data": [{"embedding": [1.0, 0.0]}]})])
+    [sent] = http_stub.requests
+    assert sent.path == "/embeddings"
+    assert sent.json == {"model": "default", "input": ["a", "b"]}
+    assert "Authorization" not in sent.headers
     with pytest.raises(ProtocolError, match="expected 2 embeddings"):
-        HttpEmbeddingBackend("http://x", dimension=2, session=short).embed_batch(["a", "b"])
-
-    wrong_dim = FakeSession([FakeResponse(payload={"data": [{"embedding": [1.0]}]})])
+        embed([[1.0, 0.0]], ["a", "b"])
     with pytest.raises(ProtocolError, match="dim"):
-        HttpEmbeddingBackend("http://x", dimension=2, session=wrong_dim).embed_batch(["a"])
-
-    flaky = FakeSession([FakeResponse(status_code=500)])
+        embed([[1.0]], ["a"])
     with pytest.raises(TransportError):
-        HttpEmbeddingBackend("http://x", session=flaky).embed_batch(["a"])
+        embed([], ["a"], status=500)
+
+
+def test_http_embedding_backend_refuses_non_finite_vectors(http_stub):
+    backend = HttpEmbeddingBackend(http_stub.url, dimension=2)
+    for raw in (b'{"data": [{"embedding": [NaN, 1.0]}]}',
+                b'{"data": [{"embedding": [1.0, -Infinity]}]}'):
+        http_stub.script = lambda request: Reply(raw=raw)
+        with pytest.raises(ProtocolError, match="non-finite"):
+            backend.embed_batch(["a"])
+    assert len(http_stub.requests) == 2
+
+
+def test_http_backends_refuse_urls_that_are_not_http():
+    for url in ("localhost:8000/v1", "127.0.0.1:9", "ftp://host/v1", "http:/host", ""):
+        with pytest.raises(ValueError, match="is not an http"):
+            HttpChatBackend(url)
+        with pytest.raises(ValueError, match="is not an http"):
+            HttpEmbeddingBackend(url)
+    assert HttpChatBackend("HTTPS://api.example/v1").base_url == "HTTPS://api.example/v1"
 
 
 def _fnv64(token: str) -> int:
@@ -424,20 +416,15 @@ def test_reply_cache_concurrent_puts_of_one_key(tmp_path):
     assert cache.get("absent") is None
 
 
-def test_http_backend_gives_each_thread_its_own_session(monkeypatch):
+def test_http_backend_gives_each_thread_its_own_session(http_stub):
     meet = threading.Barrier(2, timeout=5)
-    made = []
 
-    class CountingSession:
-        def __init__(self):
-            made.append(self)
+    def both_in_flight(request):
+        meet.wait()
+        return Reply(body=_chat_payload("ok"))
 
-        def post(self, url, json=None, headers=None, timeout=None):
-            meet.wait()  # both threads are mid-request at once
-            return FakeResponse(payload=_chat_payload(str(id(self))))
-
-    monkeypatch.setattr(requests, "Session", CountingSession)
-    backend = HttpChatBackend("http://x")
+    http_stub.script = both_in_flight
+    backend = HttpChatBackend(http_stub.url)
     replies = []
     threads = [threading.Thread(target=lambda: replies.append(
         backend.complete(user_exchange("q")))) for _ in range(2)]
@@ -445,14 +432,15 @@ def test_http_backend_gives_each_thread_its_own_session(monkeypatch):
         t.start()
     for t in threads:
         t.join(timeout=10)
-    assert len(replies) == 2
-    assert len(made) == 2
-    assert set(replies) == {str(id(s)) for s in made}
+    assert not any(t.is_alive() for t in threads)
+    assert replies == ["ok", "ok"]
+    assert sorted(http_stub.per_connection.values()) == [1, 1]
 
-    injected = FakeSession([FakeResponse(payload=_chat_payload("ok"))])
-    assert HttpChatBackend("http://x", session=injected).complete(user_exchange("q")) == "ok"
-    assert len(made) == 2
-    assert len(injected.requests) == 1
+    # One session shared by all threads would reuse an idle connection here.
+    http_stub.script = lambda request: Reply(body=_chat_payload("ok"))
+    for _ in range(3):
+        assert backend.complete(user_exchange("q")) == "ok"
+    assert sorted(http_stub.per_connection.values()) == [1, 1, 3]
 
 
 def test_reply_cache_removes_temp_files_of_dead_writers(tmp_path):
