@@ -191,7 +191,7 @@ def cmd_index(args) -> int:
     index = build_index(docs, _embedder(cfg), params=params)
     atomic_write_text(args.out, save_index(index))
     print(f"wrote {args.out}: {len(index.documents)} articles, "
-          f"{len(index.chunks)} chunks, dim {index.dimension}")
+          f"{len(index)} chunks, dim {index.dimension}")
     print(f"fingerprint: {index.fingerprint}")
     return 0
 

@@ -3,18 +3,24 @@
 A KB snapshot is a JSONL file of short concept articles, each tied to a
 CUI. Articles are chunked with token-window overlap, chunks are embedded,
 and everything is kept in a two-layer index: concept (CUI) to article, and
-article to chunks. At query time retrieval is scoped to the CUIs of the
-two entities in question, so snippets about unrelated concepts never make
-it into the prompt. Articles can also be reached by exact title match as
-a fallback for entities without a CUI.
+article to chunks, the chunks held as columns (vectors, character spans,
+row ranges) rather than objects. At query time retrieval is scoped to the
+CUIs of the two entities in question, so snippets about unrelated concepts
+never make it into the prompt. Articles can also be reached by exact title
+match as a fallback for entities without a CUI.
 """
 
 from __future__ import annotations
 
 import base64
+import bisect
+import functools
 import hashlib
+import itertools
 import json
+import math
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -30,7 +36,7 @@ DEFAULT_CHUNK_OVERLAP = 32
 MIN_TAIL_TOKENS = 16
 EMBED_BATCH_SIZE = 256
 SHORTLIST_MARGIN = 1e-9
-INDEX_FORMAT = 4
+INDEX_FORMAT = 5
 
 
 @dataclass(frozen=True)
@@ -82,141 +88,149 @@ class ChunkParams:
             raise ValueError("min_tail must be >= 1")
 
 
-def chunk_text(text: str, params: ChunkParams | None = None) -> list[str]:
-    """Split text into overlapping windows of whitespace tokens.
-
-    Windows advance by ``size - overlap`` tokens. A final window shorter
-    than ``min_tail`` tokens is merged into the previous one instead of
-    standing alone. Each chunk is the original substring from its first
-    to its last token, so no characters are invented or lost inside it.
-    """
+def chunk_spans(text: str, params: ChunkParams | None = None) -> list[tuple[int, int]]:
+    """``(start, end)`` offsets of the windows of whitespace tokens that split ``text``,
+    from a window's first token to its last; windows advance by ``size - overlap``
+    tokens, and a final window shorter than ``min_tail`` tokens joins the one before."""
     params = params if params is not None else ChunkParams()
     spans = [m.span() for m in _TOKEN.finditer(text)]
     if not spans:
         return []
     n = len(spans)
-    stride = params.size - params.overlap
-    starts = [0]
-    while starts[-1] + params.size < n:
-        starts.append(starts[-1] + stride)
+    # the first window, then one per stride while the previous one ends before token n
+    starts = range(0, max(n - params.overlap, 1), params.size - params.overlap)
     windows = [(s, min(s + params.size, n)) for s in starts]
     if len(windows) >= 2 and windows[-1][1] - windows[-1][0] < params.min_tail:
-        last = windows.pop()
-        prev = windows.pop()
-        windows.append((prev[0], last[1]))
-    return [text[spans[s][0]:spans[e - 1][1]] for s, e in windows]
+        windows[-2:] = [(windows[-2][0], windows[-1][1])]
+    return [(spans[s][0], spans[e - 1][1]) for s, e in windows]
 
 
-@dataclass(frozen=True)
-class Chunk:
-    chunk_id: str
-    doc_id: str
-    cui: str
-    source: str
-    title: str
-    text: str
-    vector: np.ndarray = field(repr=False, compare=False)
+def chunk_text(text: str, params: ChunkParams | None = None) -> list[str]:
+    """The texts of the :func:`chunk_spans` windows of ``text``."""
+    return [text[start:end] for start, end in chunk_spans(text, params)]
+
+
+Chunk = namedtuple("Chunk", "chunk_id doc_id cui source title text vector")
 
 
 @dataclass
 class CuiIndex:
-    """Two-layer retrieval index: CUI to articles, article to chunks.
+    """Two-layer retrieval index: CUI to articles, article to chunks, as columns.
 
-    ``chunks`` and ``chunk_ids`` are in article order (the order of ``documents``, then
-    chunk number), so an article's chunks fill consecutive rows; row i of ``matrix``
-    (norm ``norms[i]``) is the vector of ``chunk_ids[i]``, and ``Chunk.vector`` a view of it.
-    ``embedder`` is the identity of the embedder that built the vectors.
+    ``documents`` is in doc-id order, its keys listed in ``doc_ids``. Article j owns
+    rows ``offsets[j]:offsets[j + 1]``, one per chunk in chunk order. Row i has vector
+    ``matrix[i]`` (``norms[i]`` is finite and not 0) and text ``spans[i]``, ``[start,
+    end)`` offsets into its article's text. ``ids_follow_rows``: chunk ids ascend with
+    the rows. ``embedder`` is the identity of the embedder that built the vectors.
     """
 
     dimension: int
     embedder: dict
     params: ChunkParams
     documents: dict[str, KbDocument]
-    chunks: dict[str, Chunk]
-    doc_chunks: dict[str, tuple[str, ...]]
     by_cui: dict[str, tuple[str, ...]]
     by_title: dict[str, tuple[str, ...]]
     fingerprint: str
-    chunk_ids: tuple[str, ...] = field(repr=False)
+    doc_ids: tuple[str, ...] = field(repr=False, compare=False)
     matrix: np.ndarray = field(repr=False, compare=False)
     norms: np.ndarray = field(repr=False, compare=False)
+    spans: np.ndarray = field(repr=False, compare=False)
+    offsets: tuple[int, ...] = field(repr=False, compare=False)
+    ids_follow_rows: bool = field(repr=False, compare=False)
 
     def __len__(self) -> int:
-        return len(self.chunks)
+        return len(self.matrix)
 
+    def chunk(self, row: int) -> tuple[str, str, str, str, str, str]:
+        """``(chunk id, doc id, cui, source, title, chunk text)`` of a row."""
+        article = bisect.bisect_right(self.offsets, row) - 1
+        doc_id = self.doc_ids[article]
+        doc = self.documents[doc_id]
+        start, end = self.spans[row].tolist()
+        return (f"{doc_id}#{row - self.offsets[article]:04d}", doc_id, doc.cui,
+                doc.source, doc.title, doc.text[start:end])
 
-def _chunk_rows(doc_id: str, pieces: Sequence[str]) -> list[tuple[str, str, str]]:
-    """``(chunk_id, doc_id, text)`` of one article's chunk texts, in chunk order."""
-    return [(f"{doc_id}#{i:04d}", doc_id, piece) for i, piece in enumerate(pieces)]
+    @functools.cached_property
+    def chunks(self) -> dict[str, Chunk]:
+        """Chunk id to ``Chunk``, its ``vector`` a view of its row: a per-chunk view for
+        code outside this package. It costs an object per chunk, so retrieval never reads it."""
+        chunks = (Chunk(*self.chunk(row), self.matrix[row]) for row in range(len(self)))
+        return {chunk.chunk_id: chunk for chunk in chunks}
 
 
 def _assemble(embedder: dict, params: ChunkParams, documents: dict[str, KbDocument],
-              rows: Sequence[tuple[str, str, str]], matrix: np.ndarray) -> CuiIndex:
-    """Build the lookup maps over the ``_chunk_rows`` of every article of
-    ``documents`` in turn, row i of ``matrix`` being the vector of ``rows[i]``. The
-    fingerprint covers the chunk parameters, ``embedder``, the vector bytes, the
-    articles in order and the rows."""
-    dimension = matrix.shape[1]
-    digest = hashlib.sha256()
-    digest.update(f"{dimension}|{params.size}|{params.overlap}|{params.min_tail}".encode())
-    digest.update(json.dumps(embedder, sort_keys=True).encode())
-    digest.update(matrix.astype("<f8").tobytes())
-    for doc in documents.values():  # length-prefixed fields: an unambiguous encoding
-        digest.update(f"{len(doc.cui)}:{doc.cui}{len(doc.source)}:{doc.source}"
-                      f"{len(doc.title)}:{doc.title}{len(doc.text)}:{doc.text}".encode("utf-8"))
-    chunks: dict[str, Chunk] = {}
-    doc_chunks: dict[str, list[str]] = {d: [] for d in documents}
-    for (chunk_id, doc_id, text), vec in zip(rows, matrix):
-        doc = documents[doc_id]
-        chunks[chunk_id] = Chunk(chunk_id, doc_id, doc.cui, doc.source, doc.title, text, vec)
-        doc_chunks[doc_id].append(chunk_id)
-        digest.update((chunk_id + text).encode("utf-8"))
+              matrix: np.ndarray, spans: list, counts: list[int]) -> CuiIndex:
+    """The index whose article j (of ``documents``) owns the next ``counts[j]`` rows of
+    ``matrix`` and ``spans``; a zero or non-finite vector is a ``ValueError``."""
+    spans = np.array(spans, dtype=np.int64).reshape(-1, 2)
+    offsets = (0, *itertools.accumulate(counts))
+    digest = hashlib.sha256(json.dumps([matrix.shape, len(offsets), vars(params), embedder],
+                                       sort_keys=True).encode())
+    for column, dtype in ((matrix, "<f8"), (spans, "<i8"), (offsets, "<i8")):
+        digest.update(np.ascontiguousarray(column, dtype))
+    # length-prefixed fields: an unambiguous encoding
+    digest.update("".join(f"{len(doc.cui)}:{doc.cui}{len(doc.source)}:{doc.source}"
+                          f"{len(doc.title)}:{doc.title}{len(doc.text)}:{doc.text}"
+                          for doc in documents.values()).encode("utf-8"))
     by_cui: dict[str, list[str]] = {}
     by_title: dict[str, list[str]] = {}
     for doc_id, doc in sorted(documents.items()):
         by_cui.setdefault(doc.cui, []).append(doc_id)
         by_title.setdefault(doc.title.casefold(), []).append(doc_id)
-    return CuiIndex(
-        dimension, embedder, params, documents, chunks,
-        doc_chunks={k: tuple(v) for k, v in doc_chunks.items()},
+    doc_ids = tuple(documents)
+    # Ids ascend within an article while chunk numbers have four digits. Across
+    # articles ``a#...`` can sort after ``b#0000`` only where doc id ``b`` extends ``a``.
+    ids_follow_rows = max(counts, default=0) <= 10_000 and all(
+        not b.startswith(a) or f"{a}#{n - 1:04d}" < f"{b}#0000"
+        for a, b, n in zip(doc_ids, doc_ids[1:], counts))
+    norms = np.linalg.norm(matrix, axis=1)
+    index = CuiIndex(
+        matrix.shape[1], embedder, params, documents,
         by_cui={k: tuple(v) for k, v in sorted(by_cui.items())},
         by_title={k: tuple(v) for k, v in sorted(by_title.items())},
-        fingerprint=digest.hexdigest(), chunk_ids=tuple(chunks),
-        matrix=matrix, norms=np.linalg.norm(matrix, axis=1))
+        fingerprint=digest.hexdigest(), doc_ids=doc_ids, matrix=matrix, norms=norms,
+        spans=spans, offsets=offsets, ids_follow_rows=ids_follow_rows)
+    bad = np.flatnonzero(~(np.isfinite(norms) & (norms > 0)))
+    if len(bad):
+        raise ValueError(f"chunk {index.chunk(bad[0])[0]!r} has a zero or non-finite vector")
+    return index
 
 
 def build_index(docs: Sequence[KbDocument], gateway, *,
                 params: ChunkParams | None = None) -> CuiIndex:
     """Chunk and embed KB articles into a fresh index.
 
-    ``gateway`` only needs an ``embed_batch`` method and an ``identity``,
-    which the index records. ``embed_batch`` receives chunk
-    texts in article order, at most ``EMBED_BATCH_SIZE`` per call, so the
-    result is reproducible for a given embedder.
+    ``gateway`` only needs an ``embed_batch`` method and an ``identity``, which the
+    index records. ``embed_batch`` receives chunk texts in article order, at most
+    ``EMBED_BATCH_SIZE`` per call, so the result is reproducible for an embedder.
     """
     params = params if params is not None else ChunkParams()
     documents = {d.doc_id: d for d in sorted(docs, key=lambda d: d.doc_id)}
     if len(documents) != len(docs):
         raise ValueError("duplicate KB article ids")
-    rows = [row for doc_id, doc in documents.items()
-            for row in _chunk_rows(doc_id, chunk_text(doc.text, params))]
-    if not rows:
+    per_article = [chunk_spans(doc.text, params) for doc in documents.values()]
+    texts = [doc.text[start:end] for doc, spans in zip(documents.values(), per_article)
+             for start, end in spans]
+    if not texts:
         raise ValueError("KB snapshot produced no chunks")
     matrix = None
-    for start in range(0, len(rows), EMBED_BATCH_SIZE):
-        vectors = gateway.embed_batch([t for _, _, t in rows[start:start + EMBED_BATCH_SIZE]])
+    for start in range(0, len(texts), EMBED_BATCH_SIZE):
+        vectors = gateway.embed_batch(texts[start:start + EMBED_BATCH_SIZE])
         if matrix is None:
-            matrix = np.empty((len(rows), len(vectors[0])))
+            matrix = np.empty((len(texts), len(vectors[0])))
         # raises ValueError unless the batch has one vector of the right length per text
         np.stack(vectors, out=matrix[start:start + EMBED_BATCH_SIZE])
-    return _assemble(gateway.identity, params, documents, rows, matrix)
+    return _assemble(gateway.identity, params, documents, matrix,
+                     [span for spans in per_article for span in spans],
+                     [len(spans) for spans in per_article])
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    norm_a = float(np.linalg.norm(a))
-    norm_b = float(np.linalg.norm(b))
+    # ``np.linalg.norm`` of a vector, without its per-call overhead
+    norm_a = math.sqrt(a.dot(a))
+    norm_b = math.sqrt(b.dot(b))
     if norm_a == 0.0 or norm_b == 0.0:
         raise ValueError("cosine undefined for zero vector")
     return float(np.dot(a, b) / (norm_a * norm_b))
@@ -233,58 +247,48 @@ class RetrievedSnippet:
     score: float
 
 
-def _scope_doc_ids(index: CuiIndex, entity: Entity) -> list[str]:
-    if entity.cui is not None:
-        return list(index.by_cui.get(entity.cui, ()))
-    return list(index.by_title.get(entity.canonical_name.casefold(), ()))
-
-
 def candidate_chunk_ids(index: CuiIndex, head: Entity, tail: Entity, *,
-                        cui_scoped: bool = True) -> Sequence[str]:
-    """Chunk ids eligible for a pair query: sorted when scoped, else in row order."""
+                        cui_scoped: bool = True) -> Sequence[int]:
+    """Rows of the chunks eligible for a pair query, ascending: those of the
+    articles in scope, or every row when unscoped."""
     if not cui_scoped:
-        return index.chunk_ids
-    doc_ids = set(_scope_doc_ids(index, head)) | set(_scope_doc_ids(index, tail))
-    return sorted(c for doc_id in doc_ids for c in index.doc_chunks[doc_id])
-
-
-def _shortlist(index: CuiIndex, chunk_ids: Sequence[str], query_vec: np.ndarray,
-               k: int) -> list[str]:
-    """Ids of the rows that can reach the top ``k`` of a whole-index scan.
-
-    ``chunk_ids`` names the matrix rows in order. One pass scores every row;
-    rows within ``SHORTLIST_MARGIN`` of the k-th best are kept for exact
-    rescoring, a margin far above the rounding gap between the two, so ties
-    resolve exactly as in a per-chunk ``cosine`` scan. The einsum stays off
-    BLAS, whose gemv wakes a second thread that spins on the CPU.
-    """
-    if query_vec.shape != (index.dimension,):
-        raise ValueError(f"dimension mismatch: {query_vec.shape} vs {(index.dimension,)}")
-    query_norm = float(np.linalg.norm(query_vec))
-    if query_norm == 0.0 or not index.norms.all():
-        raise ValueError("cosine undefined for zero vector")
-    approx = np.einsum("ij,j->i", index.matrix, query_vec) / (index.norms * query_norm)
-    kth = np.partition(approx, -k)[-k] if k <= len(approx) else -np.inf
-    return [chunk_ids[i] for i in np.flatnonzero(approx >= kth - SHORTLIST_MARGIN)]
+        return range(len(index))
+    doc_ids = {doc_id for e in (head, tail) for doc_id in (
+        index.by_cui.get(e.cui, ()) if e.cui is not None
+        else index.by_title.get(e.canonical_name.casefold(), ()))}
+    # ``doc_ids`` is sorted: build_index sorts the articles and the fingerprint pins their order
+    articles = sorted(bisect.bisect_left(index.doc_ids, doc_id) for doc_id in doc_ids)
+    return [row for j in articles for row in range(index.offsets[j], index.offsets[j + 1])]
 
 
 def retrieve(index: CuiIndex, query_vec: np.ndarray, head: Entity, tail: Entity,
              *, k: int = 5, cui_scoped: bool = True) -> list[RetrievedSnippet]:
-    """Rank eligible chunks by cosine similarity to the query vector.
+    """Rank eligible chunks by cosine similarity to the query vector, ties by chunk id.
 
-    Ties are broken by chunk id so results are stable. An empty scope
-    (no article for either entity) yields an empty list rather than
-    falling back to the whole index. Unscoped, only a ``_shortlist`` is ranked.
-    """
+    An empty scope yields an empty list, not the whole index. One einsum pass, kept
+    off BLAS (whose gemv wakes a second thread that spins on the CPU), scores the
+    eligible rows; only rows within ``SHORTLIST_MARGIN`` of the k-th best, a margin far
+    above the rounding gap, are rescored with ``cosine``, as a ``cosine`` scan would."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    chunk_ids = candidate_chunk_ids(index, head, tail, cui_scoped=cui_scoped)
-    if not cui_scoped:
-        chunk_ids = _shortlist(index, chunk_ids, query_vec, k)
-    chunks = [index.chunks[chunk_id] for chunk_id in chunk_ids]
-    ranked = sorted((-cosine(query_vec, c.vector), c.chunk_id, c) for c in chunks)
-    return [RetrievedSnippet(c.chunk_id, c.doc_id, c.cui, c.source, c.title, c.text, -neg)
-            for neg, _, c in ranked[:k]]
+    rows = candidate_chunk_ids(index, head, tail, cui_scoped=cui_scoped)
+    if query_vec.shape != (index.dimension,):
+        raise ValueError(f"dimension mismatch: {query_vec.shape} vs {(index.dimension,)}")
+    query_norm = float(np.linalg.norm(query_vec))
+    if query_norm == 0.0:
+        raise ValueError("cosine undefined for zero vector")
+    if len(rows) > k:
+        # all rows are scored in place: gathering the whole matrix costs more than scoring it
+        matrix, norms = ((index.matrix, index.norms) if len(rows) == len(index)
+                         else (index.matrix[rows], index.norms[rows]))
+        approx = np.einsum("ij,j->i", matrix, query_vec) / norms  # cosine times query_norm
+        kth = np.partition(approx, -k)[-k]
+        rows = [rows[i] for i in np.flatnonzero(approx >= kth - SHORTLIST_MARGIN * query_norm)]
+    scored = [(-cosine(query_vec, index.matrix[row]), row) for row in rows]
+    # ranking ties by row ranks them by chunk id without making one per tie
+    ranked = sorted(scored if index.ids_follow_rows else
+                    [(neg, index.chunk(row)[0], row) for neg, row in scored])[:k]
+    return [RetrievedSnippet(*index.chunk(row), -neg) for neg, *_, row in ranked]
 
 
 def save_index(index: CuiIndex) -> str:
@@ -293,20 +297,13 @@ def save_index(index: CuiIndex) -> str:
     and their ``vectors`` as one base64 block of little-endian float64 bytes."""
     lines = [json.dumps({
         "kind": "header", "format": INDEX_FORMAT, "dimension": index.dimension,
-        "embedder": index.embedder, "chunks": len(index.chunks),
+        "embedder": index.embedder, "chunks": len(index),
         "params": vars(index.params),
         "fingerprint": index.fingerprint,
     }, sort_keys=True)]
-    for doc_id, doc in sorted(index.documents.items()):
-        chunks = [index.chunks[chunk_id] for chunk_id in index.doc_chunks[doc_id]]
-        spans: list[list[int]] = []
-        start = 0
-        for chunk in chunks:
-            # chunks start in text order, and a passage may repeat within an article
-            start = doc.text.index(chunk.text, start)
-            spans.append([start, start + len(chunk.text)])
-        block = b"".join(chunk.vector.astype("<f8").tobytes() for chunk in chunks)
-        lines.append(json.dumps({**vars(doc), "spans": spans,
+    for doc, start, end in zip(index.documents.values(), index.offsets, index.offsets[1:]):
+        block = np.ascontiguousarray(index.matrix[start:end], "<f8")
+        lines.append(json.dumps({**vars(doc), "spans": index.spans[start:end].tolist(),
                                  "vectors": base64.b64encode(block).decode("ascii")},
                                 sort_keys=True, ensure_ascii=False))
     return "\n".join(lines) + "\n"
@@ -337,8 +334,8 @@ def _read_header(header: object, line_no: int,
     return embedder, params, count, dimension, fingerprint
 
 
-def _read_article(row: dict, dimension: int) -> tuple[KbDocument, list[str], np.ndarray]:
-    """``(article, chunk texts, vectors)`` of an article record. A malformed record
+def _read_article(row: dict, dimension: int) -> tuple[KbDocument, list, bytes]:
+    """``(article, spans, vector bytes)`` of an article record. A malformed record
     raises ``ValueError``, ``KeyError``, ``TypeError`` or ``AttributeError``."""
     spans, vectors = row.pop("spans"), row.pop("vectors")
     doc = KbDocument(**row)
@@ -353,8 +350,7 @@ def _read_article(row: dict, dimension: int) -> tuple[KbDocument, list[str], np.
         raise ValueError(f"vectors are not base64: {exc}") from None
     if len(raw) != 8 * dimension * len(spans):
         raise ValueError(f"expected {len(spans)} {dimension}-dim vectors, got {len(raw)} bytes")
-    return (doc, [doc.text[start:end] for start, end in spans],
-            np.frombuffer(raw, dtype="<f8").reshape(len(spans), dimension))
+    return doc, spans, raw
 
 
 def load_index(text: str) -> CuiIndex:
@@ -365,23 +361,26 @@ def load_index(text: str) -> CuiIndex:
         raise ValueError("empty index file")
     embedder, params, count, dimension, fingerprint = _read_header(header, line_no, len(text))
     documents: dict[str, KbDocument] = {}
-    rows: list[tuple[str, str, str]] = []
-    matrix = np.empty((count, dimension))
+    spans: list[list[int]] = []
+    counts: list[int] = []
+    vectors = bytearray(8 * dimension * count)
     for line_no, row in records:
         try:
-            doc, pieces, vectors = _read_article(row, dimension)
+            doc, doc_spans, raw = _read_article(row, dimension)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"line {line_no}: bad article record: {exc}") from None
         if doc.doc_id in documents:
             raise ValueError(f"line {line_no}: duplicate article {doc.doc_id!r}")
-        if len(rows) + len(pieces) > count:
+        if len(spans) + len(doc_spans) > count:
             raise ValueError(f"line {line_no}: more chunks than the header's {count}")
-        matrix[len(rows):len(rows) + len(pieces)] = vectors
+        vectors[8 * dimension * len(spans):8 * dimension * (len(spans) + len(doc_spans))] = raw
         documents[doc.doc_id] = doc
-        rows += _chunk_rows(doc.doc_id, pieces)
-    if len(rows) != count:
-        raise ValueError(f"index has {len(rows)} chunks, its header says {count}")
-    index = _assemble(embedder, params, documents, rows, matrix)
+        spans += doc_spans
+        counts.append(len(doc_spans))
+    if len(spans) != count:
+        raise ValueError(f"index has {len(spans)} chunks, its header says {count}")
+    index = _assemble(embedder, params, documents,
+                      np.frombuffer(vectors, "<f8").reshape(count, dimension), spans, counts)
     if index.fingerprint != fingerprint:
         raise ValueError("index fingerprint does not match its contents")
     return index

@@ -164,13 +164,15 @@ def _entity(name, cui):
 
 def _brute_retrieve(index, qvec, head, tail, k, cui_scoped):
     def in_scope(chunk, ent):
+        _, _, cui, _, title, _ = chunk
         if ent.cui is not None:
-            return chunk.cui == ent.cui
-        return chunk.title.casefold() == ent.canonical_name.casefold()
+            return cui == ent.cui
+        return title.casefold() == ent.canonical_name.casefold()
 
-    eligible = [c for c in index.chunks.values()
-                if not cui_scoped or in_scope(c, head) or in_scope(c, tail)]
-    scored = [(-cosine(qvec, c.vector), c.chunk_id) for c in eligible]
+    chunks = [index.chunk(row) for row in range(len(index))]
+    eligible = [row for row, chunk in enumerate(chunks)
+                if not cui_scoped or in_scope(chunk, head) or in_scope(chunk, tail)]
+    scored = [(-cosine(qvec, index.matrix[row]), chunks[row][0]) for row in eligible]
     scored.sort()
     return [(cid, -neg) for neg, cid in scored[:k]]
 

@@ -11,7 +11,9 @@ import pytest
 from adrcm.cli import _settings, build_parser, main
 from adrcm.config import DEFAULTS
 from adrcm.corpus import load_corpus
-from adrcm.kb import load_index
+from adrcm.kb import build_index, load_index, load_kb
+from adrcm.llm import HashingEmbedder
+from http_stub import Reply
 
 
 def _toy_path(name: str) -> str:
@@ -317,6 +319,23 @@ def test_index_embed_dim_applies_to_the_offline_embedder(tmp_path):
     assert index.matrix.shape == (len(index), 32)
 
 
+def test_index_refuses_a_zero_embedding(tmp_path, capsys, http_stub):
+    """``index`` fails, naming the chunk, rather than every later unscoped query."""
+    def script(request):
+        vectors = [HashingEmbedder().embed_one(text).tolist() for text in request.json["input"]]
+        vectors[2] = [0.0] * 64
+        return Reply(body={"data": [{"embedding": v} for v in vectors]})
+
+    http_stub.script = script
+    out = tmp_path / "index.jsonl"
+    kb = _toy_path("toy_kb.jsonl")
+    rc = main(["index", "--kb", kb, "--out", str(out), "--embed-url", http_stub.url])
+    assert rc == 2
+    chunk_id = build_index(load_kb(Path(kb).read_text()), HashingEmbedder()).chunk(2)[0]
+    assert f"chunk {chunk_id!r} has a zero or non-finite vector" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_infer_refuses_an_index_built_by_another_embedder(tmp_path, e2e_dir, capsys,
                                                           http_stub):
     index = tmp_path / "index.jsonl"
@@ -361,7 +380,7 @@ E2E_CUI_DIGESTS = {
     "dataset.jsonl": "1cfba3c35c62721f9b294ff1e20d5199c37d79642992320f8065e65542d6dace",
     "finetune.jsonl": "7266c96eba1da9be2d35d7ba913b7d600327133f29581ef17022efd37417a5be",
     "finetune_meta.json": "a7b1cfc9eb5d6db41e27dd89db2cf17d9344dc847a5e53028b3f9923bde2b962",
-    "index.jsonl": "139bde7b32187708cbd1eedb6e74df805836733abb73306a81583b8ea3324375",
+    "index.jsonl": "99805f1291dfa5210c7fb78d2383dfd4734c11ffa0febcf5acc567945add4e16",
     "mock_script.json": "c33304cd762775056d421562dd44295749434d5b5882276392d4d41b2f0606c4",
     "predictions.jsonl": "3d6c5d6268029e6dca367603c929e0b42fc15af4cc0b3a61ebca71bf69268b9c",
     "report.json": "294c07d350af8a7442ae5e008a94ff4e1d1291d018ae576e7050a344d3725870",

@@ -9,7 +9,6 @@ import pytest
 from adrcm import kb
 from adrcm.files import dump_jsonl
 from adrcm.kb import (
-    Chunk,
     ChunkParams,
     KbDocument,
     build_index,
@@ -131,12 +130,17 @@ def test_build_index_structure(toy_index, toy_kb_docs):
     for doc in toy_kb_docs:
         assert doc.cui in toy_index.by_cui
         assert doc.title.casefold() in toy_index.by_title
-    for doc_id, chunk_ids in toy_index.doc_chunks.items():
-        for i, chunk_id in enumerate(chunk_ids):
-            assert chunk_id == f"{doc_id}#{i:04d}"
-            assert toy_index.chunks[chunk_id].doc_id == doc_id
-    norms = [np.linalg.norm(c.vector) for c in toy_index.chunks.values()]
-    assert all(abs(n - 1.0) < 1e-9 for n in norms)
+    assert toy_index.doc_ids == tuple(sorted(d.doc_id for d in toy_kb_docs))
+    assert toy_index.offsets[0] == 0 and toy_index.offsets[-1] == len(toy_index)
+    for j, doc_id in enumerate(toy_index.doc_ids):
+        rows = range(toy_index.offsets[j], toy_index.offsets[j + 1])
+        assert rows
+        assert [toy_index.chunk(row)[:2] for row in rows] == [
+            (f"{doc_id}#{i:04d}", doc_id) for i in range(len(rows))]
+        assert [toy_index.chunk(row)[5] for row in rows] == chunk_text(
+            toy_index.documents[doc_id].text, toy_index.params)
+    assert np.array_equal(toy_index.norms, np.linalg.norm(toy_index.matrix, axis=1))
+    assert np.allclose(toy_index.norms, 1.0, rtol=0, atol=1e-9)
 
 
 def test_build_index_rejects_duplicates():
@@ -218,11 +222,11 @@ def test_save_load_index_round_trip(toy_index):
     assert again.dimension == toy_index.dimension
     assert again.params == toy_index.params
     assert again.fingerprint == toy_index.fingerprint
-    assert set(again.chunks) == set(toy_index.chunks)
-    for chunk_id, chunk in toy_index.chunks.items():
-        assert np.array_equal(again.chunks[chunk_id].vector, chunk.vector)
+    assert again.doc_ids == toy_index.doc_ids
+    assert again.offsets == toy_index.offsets
+    for column in ("matrix", "norms", "spans"):
+        assert np.array_equal(getattr(again, column), getattr(toy_index, column))
     assert again.by_cui == toy_index.by_cui
-    assert again.doc_chunks == toy_index.doc_chunks
     # serialization is stable byte for byte
     assert save_index(again) == text
 
@@ -250,19 +254,19 @@ def test_load_index_rejects_tampering(toy_index):
 
 def test_index_file_layout(toy_index):
     header, *articles = [json.loads(line) for line in save_index(toy_index).splitlines()]
-    assert header["format"] == 4
+    assert header["format"] == 5
     assert header["embedder"] == {"kind": "hashing", "model": "fnv1a64", "dimension": 64}
     assert header["chunks"] == len(toy_index)
     assert [f"{r['cui']}|{r['source']}|{r['title']}" for r in articles] == sorted(
         toy_index.documents)
-    for record in articles:
+    for j, record in enumerate(articles):
         assert set(record) == {"cui", "source", "title", "text", "spans", "vectors"}
-        doc_id = f"{record['cui']}|{record['source']}|{record['title']}"
-        chunks = [toy_index.chunks[c] for c in toy_index.doc_chunks[doc_id]]
-        assert [record["text"][start:end] for start, end in record["spans"]] == [
-            c.text for c in chunks]
-        assert base64.b64decode(record["vectors"]) == b"".join(
-            c.vector.astype("<f8").tobytes() for c in chunks)
+        rows = slice(toy_index.offsets[j], toy_index.offsets[j + 1])
+        assert record["spans"] == toy_index.spans[rows].tolist()
+        assert [record["text"][start:end] for start, end in record["spans"]] == chunk_text(
+            record["text"], toy_index.params)
+        assert base64.b64decode(record["vectors"]) == toy_index.matrix[rows].astype(
+            "<f8").tobytes()
 
 
 def _format_2_records(index):
@@ -272,24 +276,26 @@ def _format_2_records(index):
                 "embedder": index.embedder, "chunks": len(index), "params": vars(index.params),
                 "fingerprint": index.fingerprint}]
     records += [{"kind": "doc", **vars(doc)} for _, doc in sorted(index.documents.items())]
-    for chunk_id in sorted(index.chunks):
-        chunk = index.chunks[chunk_id]
-        start = index.documents[chunk.doc_id].text.index(chunk.text)
-        records.append({"kind": "chunk", "chunk_id": chunk_id, "doc_id": chunk.doc_id,
-                        "span": [start, start + len(chunk.text)],
-                        "vector": base64.b64encode(chunk.vector.tobytes()).decode("ascii")})
+    for row in sorted(range(len(index)), key=lambda row: index.chunk(row)[0]):
+        chunk_id, doc_id, *_ = index.chunk(row)
+        records.append({"kind": "chunk", "chunk_id": chunk_id, "doc_id": doc_id,
+                        "span": index.spans[row].tolist(),
+                        "vector": base64.b64encode(index.matrix[row].tobytes()).decode("ascii")})
     return records
 
 
 def test_load_index_refuses_format_2(toy_index):
     """A file in the per-chunk layout written before format 3 must be rebuilt, and so
-    must a format 3 file, whose fingerprint does not cover the article records."""
+    must a format 3 file, whose fingerprint does not cover the article records, and a
+    format 4 file, whose fingerprint hashes every chunk rather than the columns."""
     old = dump_jsonl(_format_2_records(toy_index))
-    with pytest.raises(ValueError, match="index format 2 is not 4; rebuild it with `adrcm index`"):
+    with pytest.raises(ValueError, match="index format 2 is not 5; rebuild it with `adrcm index`"):
         load_index(old)
-    format_3 = _retamper(save_index(toy_index), lambda rs: rs[0].update(format=3))
-    with pytest.raises(ValueError, match="index format 3 is not 4; rebuild it with `adrcm index`"):
-        load_index(format_3)
+    for format_ in (3, 4):
+        older = _retamper(save_index(toy_index), lambda rs: rs[0].update(format=format_))
+        with pytest.raises(ValueError, match=f"index format {format_} is not 5; "
+                                             "rebuild it with `adrcm index`"):
+            load_index(older)
 
 
 def test_load_index_refuses_format_1(toy_index):
@@ -299,7 +305,9 @@ def test_load_index_refuses_format_1(toy_index):
         record.pop("format", None)
         record.pop("embedder", None)
         if record["kind"] == "chunk":
-            record["text"] = toy_index.chunks[record.pop("chunk_id")].text
+            record.pop("chunk_id")
+            start, end = record["span"]
+            record["text"] = toy_index.documents[record["doc_id"]].text[start:end]
             record["vector"] = np.frombuffer(base64.b64decode(record["vector"])).tolist()
             del record["span"]
     old = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
@@ -337,12 +345,14 @@ def _tie_index():
 
 
 def _brute_scan(index, query, k):
-    scored = sorted((-cosine(query, c.vector), c.chunk_id) for c in index.chunks.values())
+    scored = sorted((-cosine(query, index.matrix[row]), index.chunk(row)[0])
+                    for row in range(len(index)))
     return [(chunk_id, -neg) for neg, chunk_id in scored[:k]]
 
 
 def test_unscoped_retrieve_equals_bruteforce_scan_with_ties():
     index = _tie_index()
+    assert index.ids_follow_rows
     head, tail = _entity("E1", cui="C2000000"), _entity("E2", cui="C3000000")
     rng = random.Random(9)
     queries = [3.5 * HashingEmbedder().embed_one(_TIED)]
@@ -360,6 +370,21 @@ def test_unscoped_retrieve_equals_bruteforce_scan_with_ties():
     assert len({r.score for r in top}) == 1
 
 
+def test_tied_chunks_rank_by_chunk_id_past_chunk_9999():
+    """Chunk ids compare as strings, so ``…#10000`` ranks between ``…#1000`` and
+    ``…#1001`` among equal scores, not after ``…#9999`` as its row does."""
+    index = build_index([KbDocument("C0000001", "kb", "t", " ".join(["x"] * 10_001))],
+                        HashingEmbedder(), params=ChunkParams(1, 0, 1))
+    assert len(index) == 10_001 and not index.ids_follow_rows
+    head = _entity("E1", cui="C0000001")
+    want = sorted(f"C0000001|kb|t#{i:04d}" for i in range(10_001))[:1002]
+    assert want[-1] == "C0000001|kb|t#10000"
+    for scoped in (True, False):
+        got = retrieve(index, HashingEmbedder().embed_one("x"), head, head, k=1002,
+                       cui_scoped=scoped)
+        assert [s.chunk_id for s in got] == want
+
+
 def test_unscoped_retrieve_rejects_bad_queries_like_the_scan():
     index = _tie_index()
     head, tail = _entity("E1", cui="C2000000"), _entity("E2", cui="C3000000")
@@ -374,17 +399,49 @@ def test_unscoped_retrieve_rejects_bad_queries_like_the_scan():
 
 
 def test_chunk_vectors_are_views_of_the_index_matrix():
+    """The ``chunks`` view that code outside the package reads equals the columns."""
     built = _tie_index()
     for index in (built, load_index(save_index(built))):
-        assert index.chunk_ids == tuple(
-            c for doc_id in sorted(index.documents) for c in index.doc_chunks[doc_id])
         assert index.matrix.shape == (len(index), index.dimension)
-        for row, chunk_id in enumerate(index.chunk_ids):
-            vector = index.chunks[chunk_id].vector
-            assert np.shares_memory(vector, index.matrix)
-            assert np.array_equal(vector, index.matrix[row])
+        assert len(index.chunks) == len(index)
+        articles = [j for j in range(len(index.doc_ids))
+                    for _ in range(index.offsets[j], index.offsets[j + 1])]
+        for row, (chunk_id, chunk), j in zip(range(len(index)), index.chunks.items(), articles):
+            doc_id = index.doc_ids[j]
+            start, end = index.spans[row]
+            assert chunk.chunk_id == chunk_id == f"{doc_id}#{row - index.offsets[j]:04d}"
+            assert chunk.doc_id == doc_id
+            assert chunk.text == index.documents[doc_id].text[start:end]
+            assert np.shares_memory(chunk.vector, index.matrix)
+            assert np.array_equal(chunk.vector, index.matrix[row])
         assert np.allclose(index.norms, [np.linalg.norm(v) for v in index.matrix],
                            rtol=1e-15, atol=0)
+
+
+def test_benchmark_facing_contract(monkeypatch):
+    """What code outside the package relies on: the fingerprint survives a round
+    trip, ``by_cui`` names keys of ``documents``, ``retrieve`` calls the module's
+    ``candidate_chunk_ids`` once per query with one entry per row scored, and
+    retrieval never builds the ``chunks`` view."""
+    built = _tie_index()
+    index = load_index(save_index(built))
+    assert index.fingerprint == built.fingerprint
+    assert all(d in index.documents for doc_ids in index.by_cui.values() for d in doc_ids)
+    results = []
+
+    def spy(*args, **kwargs):
+        results.append(candidate_chunk_ids(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(kb, "candidate_chunk_ids", spy)
+    head, tail = _entity("E1", cui="C2000000"), _entity("E2", cui="C3000001")
+    query = HashingEmbedder().embed_one("kinase fever")
+    for scoped in (True, False):
+        assert len(retrieve(index, query, head, tail, k=1, cui_scoped=scoped)) == 1
+    assert "chunks" not in vars(index)
+    in_scope = [c for c in index.chunks.values() if c.cui in {head.cui, tail.cui}]
+    assert len(in_scope) > 1
+    assert [len(r) for r in results] == [len(in_scope), len(index)]
 
 
 def _retamper(text, edit):
@@ -400,6 +457,14 @@ def _swap_articles(records):
 def _drop_vector_bytes(records):
     raw = base64.b64decode(records[-1]["vectors"])
     records[-1]["vectors"] = base64.b64encode(raw[:-8]).decode("ascii")
+
+
+def _set_first_vector(value):
+    def edit(records):
+        raw = bytearray(base64.b64decode(records[-1]["vectors"]))
+        raw[:8 * 64] = np.full(64, value, dtype="<f8").tobytes()
+        records[-1]["vectors"] = base64.b64encode(bytes(raw)).decode("ascii")
+    return edit
 
 
 def _set_span(span):
@@ -420,6 +485,8 @@ def _set_span(span):
     (_swap_articles, "fingerprint"),
     (lambda rs: rs.append(dict(rs[-1])), "^line {last}: duplicate article"),
     (_drop_vector_bytes, r"^line {last}: bad article record: expected \d+ 64-dim vectors"),
+    (_set_first_vector(0.0), "^chunk '.*#0000' has a zero or non-finite vector$"),
+    (_set_first_vector(np.nan), "^chunk '.*#0000' has a zero or non-finite vector$"),
     (lambda rs: rs[-1].update(vectors="not base64!"),
      "^line {last}: bad article record: vectors are not base64"),
     (lambda rs: rs[-1].pop("spans"), "^line {last}: bad article record: 'spans'"),
@@ -444,7 +511,7 @@ def _set_span(span):
     (lambda rs: rs[1].update(text=rs[1]["text"] + "   "), "fingerprint"),
 ], ids=["count-small", "count-large", "count-missing", "count-huge",
         "header-missing-field", "header-dimension-type", "header-params-type", "order",
-        "duplicate", "vector-length", "vector-not-base64", "chunk-missing-field",
+        "duplicate", "vector-length", "vector-zero", "vector-nan", "vector-not-base64", "chunk-missing-field",
         "chunk-extra-field", "chunk-field-type", "span-float", "span-str", "span-bool",
         "span-three", "span-object", "spans-object", "span-negative", "span-empty",
         "span-past-end", "article-extra-field", "article-missing-field", "article-kind",
@@ -472,10 +539,10 @@ def test_build_index_embeds_in_bounded_batches(monkeypatch):
     single = build_index(docs, single_embedder, params=params)
     assert single_embedder.batches == [len(batched)]
     assert single.fingerprint == batched.fingerprint
-    assert single.chunk_ids == batched.chunk_ids
-    assert np.array_equal(single.matrix, batched.matrix)
-    for chunk_id, chunk in batched.chunks.items():
-        assert np.array_equal(chunk.vector, single.chunks[chunk_id].vector)
+    assert single.doc_ids == batched.doc_ids
+    assert single.offsets == batched.offsets
+    for column in ("matrix", "spans"):
+        assert np.array_equal(getattr(single, column), getattr(batched, column))
 
 
 def test_build_index_rejects_short_embedding_batches():
@@ -486,6 +553,23 @@ def test_build_index_rejects_short_embedding_batches():
     with pytest.raises(ValueError):
         build_index([KbDocument("C0000001", "kb", "t", _tokens(20))], Short(),
                     params=ChunkParams(4, 1, 1))
+
+
+@pytest.mark.parametrize("bad", [np.zeros(64), np.full(64, np.nan), np.r_[np.inf, np.zeros(63)]],
+                         ids=["zero", "nan", "inf"])
+def test_build_index_refuses_zero_or_non_finite_vectors(bad):
+    """Such a vector would pass ``--rag cui`` and fail every unscoped query, so the
+    index is refused where it is built, naming the first bad chunk."""
+    class Bad(_ScaledEmbedder):
+        def embed_batch(self, texts):
+            return [bad if "dose" in t else v for t, v in zip(texts, super().embed_batch(texts))]
+
+    docs = [KbDocument("C0000001", "kb", "a", "alpha beta gamma delta"),
+            KbDocument("C0000002", "kb", "b", "kinase fever dose lesion"),
+            KbDocument("C0000003", "kb", "c", "dose")]
+    with pytest.raises(ValueError, match=r"^chunk 'C0000002\|kb\|b#0001' has a zero or "
+                                         "non-finite vector$"):
+        build_index(docs, Bad(), params=ChunkParams(2, 0, 1))
 
 
 def test_index_round_trip_keeps_unicode_line_separators():
@@ -527,20 +611,21 @@ def _random_kb(rng):
     return docs
 
 
-def test_format_3_round_trip_on_random_kbs():
+def test_format_5_round_trip_on_random_kbs():
     rng = random.Random(23)
     head, tail = _entity("E1", cui="C0000001"), _entity("E2", cui="C0000002")
     for _ in range(40):
         size = rng.randint(1, 6)
         params = ChunkParams(size, rng.randrange(0, size), rng.randint(1, 3))
         built = build_index(_random_kb(rng), _ScaledEmbedder(), params=params)
+        assert not built.ids_follow_rows  # "…|alpha beta#0000" < "…|alpha#0000"
         text = save_index(built)
         loaded = load_index(text)
         assert save_index(loaded) == text
-        assert loaded.chunk_ids == built.chunk_ids
-        for chunk_id, chunk in built.chunks.items():
-            assert loaded.chunks[chunk_id].text == chunk.text
-            assert loaded.chunks[chunk_id].vector.tobytes() == chunk.vector.tobytes()
+        assert [loaded.chunk(row) for row in range(len(loaded))] == [
+            built.chunk(row) for row in range(len(built))]
+        assert loaded.matrix.tobytes() == built.matrix.tobytes()
+        assert np.array_equal(loaded.spans, built.spans)
         for record in map(json.loads, text.split("\n")[1:-1]):
             starts = [start for start, _ in record["spans"]]
             assert starts == sorted(starts)
