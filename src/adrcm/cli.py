@@ -199,6 +199,7 @@ def cmd_index(args) -> int:
 def cmd_infer(args) -> int:
     cfg = _settings(args)
     corpus = load_corpus(read_text(args.corpus))
+    gateway = _chat_gateway(args, cfg)
     rag_mode = cfg["rag_mode"]
     index = None
     if rag_mode != "off":
@@ -206,11 +207,10 @@ def cmd_infer(args) -> int:
             raise UsageError(f"--index is required when rag mode is {rag_mode!r}")
         index = load_index(read_text(args.index))
         built_by, identity = (json.dumps(e, sort_keys=True)
-                              for e in (index.embedder, _embedder(cfg).identity))
+                              for e in (index.embedder, gateway.embedder.identity))
         if built_by != identity:
             raise UsageError(f"{args.index} was built by embedder {built_by}, but infer "
                              f"embeds queries with {identity}; rebuild it with `adrcm index`")
-    gateway = _chat_gateway(args, cfg)
     infer_config = InferenceConfig(
         instruction=_read_template(args.instruction_template),
         k=cfg["k"],

@@ -22,14 +22,15 @@ Negative (no-relation) pairs are never stored; they are materialized by
 
 from __future__ import annotations
 
+import bisect
 import json
+import re
 from dataclasses import dataclass, field
 from importlib import resources
 
 from .files import jsonl_lines
 from .model import (
     CUI_PATTERN,
-    DATASET_TAGS,
     Document,
     Entity,
     Mention,
@@ -54,6 +55,9 @@ class ParseError(ValueError):
 class Corpus:
     """A relation schema plus the samples annotated under it.
 
+    Every sample must satisfy :func:`validate_sample` under the schema,
+    however the corpus was made. ``dataset_tag`` defaults to the tag that
+    the schema name selects (``cdr`` gives ``CDR``), else ``custom``.
     ``violations`` collects per-line anomalies tolerated during parsing
     (dropped relations, conflicting duplicates). It is diagnostic only and
     is not serialized.
@@ -61,16 +65,24 @@ class Corpus:
 
     schema: RelationSchema
     samples: tuple[TrainingSample, ...]
+    dataset_tag: str | None = None
     violations: tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
+        if self.dataset_tag is None:
+            object.__setattr__(self, "dataset_tag",
+                               _SCHEMA_DATASET_TAGS.get(self.schema.name, "custom"))
+        if self.dataset_tag not in DATASET_TAGS:
+            raise ValueError(f"unknown dataset_tag {self.dataset_tag!r}")
         ids = [s.document.doc_id for s in self.samples]
         if len(set(ids)) != len(ids):
             dupes = sorted({i for i in ids if ids.count(i) > 1})
             raise ValueError(f"duplicate doc_ids in corpus: {dupes}")
-        tags = sorted({s.document.dataset_tag for s in self.samples})
-        if len(tags) > 1:
-            raise ValueError(f"mixed dataset_tags in corpus: {tags}")
+        for sample in self.samples:
+            issues = validate_sample(sample, self.schema)
+            if issues:
+                raise ParseError(f"doc {sample.document.doc_id}: sample violates "
+                                 "invariants: " + "; ".join(issues))
 
 
 # PubTator entity-type strings, normalized case-insensitively.
@@ -92,60 +104,19 @@ ETYPE_MAP = {
 _UNLINKED_IDS = {"", "-1"}
 
 _SCHEMA_DATASET_TAGS = {"cdr": "CDR", "gda": "GDA", "biored": "BioRED"}
+DATASET_TAGS = (*_SCHEMA_DATASET_TAGS.values(), "custom")
+
+
+# A sentence ends after '.', '!' or '?' followed by whitespace or the end of
+# the text, and takes that whitespace with it; a trailing segment without a
+# terminator is its own sentence.
+_SENTENCE = re.compile(r".*?[.!?](?:\s+|\Z)|.+", re.S)
 
 
 def segment_sentences(text: str) -> list[tuple[int, int]]:
-    """Split text into half-open sentence ranges.
-
-    A sentence ends after '.', '!' or '?' followed by whitespace or
-    end-of-text; trailing whitespace belongs to the sentence it follows, so
-    the ranges concatenate back to the input exactly. A trailing segment
-    without a terminator is its own sentence.
-    """
-    ranges: list[tuple[int, int]] = []
-    n = len(text)
-    start = 0
-    i = 0
-    while i < n:
-        if text[i] in ".!?":
-            j = i + 1
-            if j >= n or text[j].isspace():
-                while j < n and text[j].isspace():
-                    j += 1
-                ranges.append((start, j))
-                start = j
-                i = j
-                continue
-        i += 1
-    if start < n:
-        ranges.append((start, n))
-    return ranges
-
-
-def _fit_sentences_to_mentions(
-    ranges: list[tuple[int, int]], spans: list[tuple[int, int]]
-) -> list[tuple[int, int]]:
-    # The terminator rule has no abbreviation dictionary, so a mention such
-    # as "E. coli" can straddle a boundary; merge ranges until every span
-    # fits inside one sentence.
-    ranges = list(ranges)
-    for m_start, m_end in sorted(spans):
-        idx = next(
-            (k for k, (s, e) in enumerate(ranges) if s <= m_start < e), None
-        )
-        if idx is None:
-            continue
-        while m_end > ranges[idx][1] and idx + 1 < len(ranges):
-            ranges[idx] = (ranges[idx][0], ranges[idx + 1][1])
-            del ranges[idx + 1]
-    return ranges
-
-
-def _sentence_index(ranges: list[tuple[int, int]], pos: int) -> int:
-    for k, (s, e) in enumerate(ranges):
-        if s <= pos < e:
-            return k
-    raise ValueError(f"position {pos} outside all sentences")
+    """Split text into half-open sentence ranges that concatenate back to
+    the input exactly."""
+    return [m.span() for m in _SENTENCE.finditer(text)]
 
 
 def parse_pubtator(
@@ -163,8 +134,6 @@ def parse_pubtator(
     field counts, offset/surface mismatches, unknown relation tags) raise
     :class:`ParseError` with the offending line number.
     """
-    if dataset_tag is None:
-        dataset_tag = _SCHEMA_DATASET_TAGS.get(schema.name, "custom")
     cui_map = cui_map or {}
 
     samples: list[TrainingSample] = []
@@ -177,27 +146,17 @@ def parse_pubtator(
             block.append((line_no, raw))
             continue
         if block:
-            samples.append(
-                _parse_block(block, schema, cui_map, dataset_tag, violations)
-            )
+            samples.append(_parse_block(block, schema, cui_map, violations))
             block = []
 
-    corpus = Corpus(schema=schema, samples=tuple(samples), violations=tuple(violations))
-    for sample in corpus.samples:
-        issues = validate_sample(sample, schema)
-        if issues:
-            raise ParseError(
-                f"doc {sample.document.doc_id}: parsed sample violates invariants: "
-                + "; ".join(issues)
-            )
-    return corpus
+    return Corpus(schema=schema, samples=tuple(samples), dataset_tag=dataset_tag,
+                  violations=tuple(violations))
 
 
 def _parse_block(
     block: list[tuple[int, str]],
     schema: RelationSchema,
     cui_map: dict[str, str],
-    dataset_tag: str,
     violations: list[str],
 ) -> TrainingSample:
     line_no, first = block[0]
@@ -251,9 +210,10 @@ def _parse_block(
                 ln,
             )
 
-    sentences = _fit_sentences_to_mentions(
-        segment_sentences(text), [(s, e) for s, e, *_ in mention_rows]
-    )
+    # The terminator rule has no abbreviation dictionary, so a mention such
+    # as "E. coli" can straddle a sentence end; such an end is dropped.
+    cuts = [cut for _, cut in segment_sentences(text)
+            if not any(start < cut < end for start, end, *_ in mention_rows)]
 
     by_id: dict[str, list[tuple[int, int, str, str]]] = {}
     for start, end, ln, surface, etype, identifier in sorted(mention_rows):
@@ -278,7 +238,7 @@ def _parse_block(
                 mentions=tuple(
                     Mention(
                         surface=surface,
-                        sentence_index=_sentence_index(sentences, start),
+                        sentence_index=bisect.bisect_right(cuts, start),
                         char_range=(start, end),
                     )
                     for start, end, surface, _ in rows
@@ -316,8 +276,7 @@ def _parse_block(
             doc_id=pmid,
             title=title,
             body=body,
-            sentences=tuple(sentences),
-            dataset_tag=dataset_tag,
+            sentences=tuple(zip([0] + cuts, cuts)),
         ),
         entities=tuple(entities),
         triplets=tuple(triplets),
@@ -326,17 +285,14 @@ def _parse_block(
 
 def save_corpus(corpus: Corpus) -> str:
     """Serialize a corpus to the normalized line-delimited format."""
-    tag = (corpus.samples[0].document.dataset_tag if corpus.samples
-           else _SCHEMA_DATASET_TAGS.get(corpus.schema.name, "custom"))
     # The frozenset's iteration order depends on the hash seed.
     schema = {**vars(corpus.schema),
               "allowed_type_pairs": sorted(corpus.schema.allowed_type_pairs)}
-    out = [json.dumps({"dataset_tag": tag, "schema": schema}, sort_keys=True)]
+    out = [json.dumps({"dataset_tag": corpus.dataset_tag, "schema": schema},
+                      sort_keys=True)]
     for sample in corpus.samples:
-        # The dataset tag lives in the header, not on every sample.
         row = {**vars(sample.document), "entities": sample.entities,
                "triplets": sample.triplets}
-        del row["dataset_tag"]
         out.append(json.dumps(row, sort_keys=True, default=vars))
     return "\n".join(out) + "\n"
 
@@ -361,18 +317,18 @@ def load_corpus(text: str) -> Corpus:
     for line_no, line in lines:
         try:
             obj = json.loads(line)
-            samples.append(_sample_from_json(obj, tag))
+            samples.append(_sample_from_json(obj))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad sample record: {exc}", line_no)
-    return Corpus(schema=schema, samples=tuple(samples))
+    return Corpus(schema=schema, samples=tuple(samples), dataset_tag=tag)
 
 
-def _sample_from_json(obj: dict, dataset_tag: str) -> TrainingSample:
+def _sample_from_json(obj: dict) -> TrainingSample:
     entities = obj.pop("entities")
     triplets = obj.pop("triplets")
     sentences = tuple(tuple(r) for r in obj.pop("sentences"))
     return TrainingSample(
-        document=Document(**obj, sentences=sentences, dataset_tag=dataset_tag),
+        document=Document(**obj, sentences=sentences),
         entities=tuple(
             Entity(**{**e, "mentions": tuple(
                 Mention(**{**m, "char_range": tuple(m["char_range"])})

@@ -30,7 +30,6 @@ FAULT_EXIT_CODE = 86
 HTTP_TIMEOUT_S = 60.0
 
 EMBED_DIM_FALLBACK = 64
-UNIT_NORM_TOL = 1e-6
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -243,13 +242,14 @@ class HttpEmbeddingBackend(_HttpClient):
             raise ProtocolError(
                 f"expected {len(texts)} embeddings, got {len(vectors)}"
             )
-        for vec in vectors:
+        for text, vec in zip(texts, vectors):
             if vec.ndim != 1 or vec.shape[0] != self.dimension:
                 raise ProtocolError(
                     f"expected {self.dimension}-dim embeddings, got shape {vec.shape}"
                 )
-            if not np.isfinite(vec).all():
-                raise ProtocolError("embedding has non-finite values")
+            # Cosine retrieval cannot score such a vector.
+            if not vec.any() or not np.isfinite(vec).all():
+                raise ProtocolError(f"embedding of {text[:40]!r} is zero or non-finite")
         return vectors
 
 
@@ -394,7 +394,7 @@ class LlmGateway:
     Responsibilities: consult the reply cache before touching the chat
     backend, retry transient transport failures with exponential backoff,
     run independent work units ``max_in_flight`` at a time (:meth:`map`),
-    normalize embeddings, and count traffic.
+    and count traffic.
     """
 
     def __init__(self, chat_backend: ChatBackend, embedder: Embedder | None = None, *,
@@ -494,22 +494,12 @@ class LlmGateway:
             os._exit(FAULT_EXIT_CODE)
 
     def embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
-        texts = list(texts)
         if not texts:
             return []
         vectors = self.embedder.embed_batch(texts)
         with self._lock:
             self.stats.embed_texts += len(texts)
-        out: list[np.ndarray] = []
-        for text, vec in zip(texts, vectors):
-            vec = np.asarray(vec, dtype=np.float64)
-            norm = float(np.linalg.norm(vec))
-            if norm == 0.0:
-                raise ProtocolError(f"embedder returned a zero vector for {text[:40]!r}")
-            if abs(norm - 1.0) > UNIT_NORM_TOL:
-                vec = vec / norm
-            out.append(vec)
-        return out
+        return vectors
 
     def embed_one(self, text: str) -> np.ndarray:
         return self.embed_batch([text])[0]

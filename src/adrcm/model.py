@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 CUI_PATTERN = re.compile(r"^C\d{7}$")
 
 ENTITY_TYPES = ("chemical", "disease", "gene", "variant", "species", "cell_line")
-DATASET_TAGS = ("CDR", "GDA", "BioRED", "custom")
 
 
 @dataclass(frozen=True)
@@ -39,13 +38,10 @@ class Document:
     title: str
     body: str
     sentences: tuple[tuple[int, int], ...]
-    dataset_tag: str = "custom"
 
     def __post_init__(self):
         if not self.doc_id:
             raise ValueError("doc_id must be non-empty")
-        if self.dataset_tag not in DATASET_TAGS:
-            raise ValueError(f"unknown dataset_tag {self.dataset_tag!r}")
 
     @property
     def text(self) -> str:
@@ -98,6 +94,9 @@ class RelationSchema:
             raise ValueError("labels must be unique")
         if self.none_label not in self.labels:
             raise ValueError(f"none_label {self.none_label!r} not in labels")
+        if not self.positive_labels:
+            # An eval report's macro average divides by their number.
+            raise ValueError("labels need at least one besides none_label")
         bad = [v for v in self.aliases.values() if v not in self.labels]
         if bad:
             raise ValueError(f"aliases map to unknown labels: {bad}")

@@ -17,8 +17,7 @@ from http_stub import StubServer
 
 def make_sample(doc_id: str, sentences: list[str],
                 entities: list[tuple[str, str, list[tuple[int, str]]]],
-                triplets: list[tuple[str, str, str]] = (),
-                dataset_tag: str = "CDR") -> TrainingSample:
+                triplets: list[tuple[str, str, str]] = ()) -> TrainingSample:
     """Build a consistent sample from sentence strings and mention specs.
 
     Each entity is (entity_id, etype, [(sentence_index, surface), ...]);
@@ -46,7 +45,7 @@ def make_sample(doc_id: str, sentences: list[str],
         built.append(Entity(entity_id, etype, ms[0].surface, tuple(ms)))
     title = sentences[0]
     body = " ".join(sentences[1:])
-    doc = Document(doc_id, title, body, tuple(ranges), dataset_tag)
+    doc = Document(doc_id, title, body, tuple(ranges))
     return TrainingSample(doc, tuple(built),
                           tuple(Triplet(h, t, r) for h, t, r in triplets))
 

@@ -85,7 +85,7 @@ def test_ingest_derives_tag_from_schema(tmp_path):
                  "--out", str(out)]) == 0
     corpus = load_corpus(out.read_text())
     assert json.loads(out.read_text().split("\n")[0])["dataset_tag"] == "GDA"
-    assert corpus.samples[0].document.dataset_tag == "GDA"
+    assert corpus.dataset_tag == "GDA"
 
 
 def test_manual_chain_matches_e2e_mock(tmp_path, e2e_dir):
@@ -161,6 +161,23 @@ def test_eval_rejects_mismatched_predictions(tmp_path, e2e_dir, capsys):
                "--predictions", str(truncated)])
     assert rc == 2
     assert "missing" in capsys.readouterr().err
+
+
+def test_infer_and_eval_refuse_an_edited_corpus(tmp_path, e2e_dir, capsys):
+    lines = (e2e_dir / "corpus.jsonl").read_text().splitlines(keepends=True)
+    row = json.loads(lines[1])
+    row["triplets"][0]["relation"] = "Bogus"
+    edited = tmp_path / "corpus.jsonl"
+    edited.write_text("".join([lines[0], json.dumps(row) + "\n", *lines[2:]]))
+    e2e = {name: str(e2e_dir / name)
+           for name in ("index.jsonl", "mock_script.json", "predictions.jsonl")}
+    for argv in (["infer", "--index", e2e["index.jsonl"], "--script", e2e["mock_script.json"],
+                  "--out", str(tmp_path / "p.jsonl")],
+                 ["eval", "--predictions", e2e["predictions.jsonl"]]):
+        assert main([*argv, "--corpus", str(edited)]) == 2
+        assert (f"error: doc {row['doc_id']}: sample violates invariants: "
+                "triplet" in capsys.readouterr().err)
+    assert not (tmp_path / "p.jsonl").exists()
 
 
 def test_config_file_overrides_defaults(tmp_path, e2e_dir):
@@ -320,7 +337,8 @@ def test_index_embed_dim_applies_to_the_offline_embedder(tmp_path):
 
 
 def test_index_refuses_a_zero_embedding(tmp_path, capsys, http_stub):
-    """``index`` fails, naming the chunk, rather than every later unscoped query."""
+    """``index`` fails, naming the chunk by its text, rather than every later
+    unscoped query."""
     def script(request):
         vectors = [HashingEmbedder().embed_one(text).tolist() for text in request.json["input"]]
         vectors[2] = [0.0] * 64
@@ -331,8 +349,8 @@ def test_index_refuses_a_zero_embedding(tmp_path, capsys, http_stub):
     kb = _toy_path("toy_kb.jsonl")
     rc = main(["index", "--kb", kb, "--out", str(out), "--embed-url", http_stub.url])
     assert rc == 2
-    chunk_id = build_index(load_kb(Path(kb).read_text()), HashingEmbedder()).chunk(2)[0]
-    assert f"chunk {chunk_id!r} has a zero or non-finite vector" in capsys.readouterr().err
+    text = build_index(load_kb(Path(kb).read_text()), HashingEmbedder()).chunk(2)[-1]
+    assert f"embedding of {text[:40]!r} is zero or non-finite" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -440,6 +458,17 @@ def test_custom_schema_file_serves_every_later_stage(tmp_path, capsys):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["counts"]["pairs"] == 16
     assert "error" not in capsys.readouterr().err
+
+
+def test_ingest_refuses_a_schema_without_a_positive_label(tmp_path, capsys):
+    schema = tmp_path / "empty.json"
+    schema.write_text(json.dumps({"name": "empty", "labels": ["None"], "none_label": "None",
+                                  "allowed_type_pairs": [["chemical", "disease"]]}))
+    out = tmp_path / "corpus.jsonl"
+    assert main(["ingest", "--input", _toy_path("toy_corpus.pubtator"),
+                 "--schema", str(schema), "--out", str(out)]) == 2
+    assert "at least one besides none_label" in capsys.readouterr().err
+    assert not out.exists()
 
 
 BIORED_PUBTATOR = (

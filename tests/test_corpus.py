@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 from importlib import resources
@@ -27,12 +26,35 @@ def test_segment_sentences_hand_cases():
     assert segment_sentences("One.  Two.") == [(0, 6), (6, 10)]
 
 
+def _reference_sentences(text: str) -> list[tuple[int, int]]:
+    """The character loop that segment_sentences replaced."""
+    ranges: list[tuple[int, int]] = []
+    n = len(text)
+    start = 0
+    i = 0
+    while i < n:
+        if text[i] in ".!?":
+            j = i + 1
+            if j >= n or text[j].isspace():
+                while j < n and text[j].isspace():
+                    j += 1
+                ranges.append((start, j))
+                start = j
+                i = j
+                continue
+        i += 1
+    if start < n:
+        ranges.append((start, n))
+    return ranges
+
+
 def test_segment_sentences_concatenation_property():
     rng = random.Random(7)
-    alphabet = "ab .!?\n\t\u2028\u00a0\u0085"
-    for _ in range(500):
+    alphabet = "ab .!?\n\t\u2028\u00a0\u0085\x1c\r"
+    for _ in range(2000):
         text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 60)))
         ranges = segment_sentences(text)
+        assert ranges == _reference_sentences(text), text
         assert "".join(text[s:e] for s, e in ranges) == text
         assert all(s < e for s, e in ranges)
         assert [s for s, _ in ranges[1:]] == [e for _, e in ranges[:-1]]
@@ -170,6 +192,12 @@ def test_parse_pubtator_merges_sentences_for_straddling_mentions(cdr_schema):
     assert corpus.samples[0].entity("S1").mentions[0].sentence_index == 0
 
 
+def test_parse_pubtator_empty_title_has_no_sentences(cdr_schema):
+    corpus = parse_pubtator("7|t|\n", cdr_schema)
+    assert corpus.samples[0].document.sentences == ()
+    assert load_corpus(save_corpus(corpus)) == corpus
+
+
 def test_save_load_round_trip(toy_corpus, cdr_schema):
     text = save_corpus(toy_corpus)
     assert load_corpus(text) == toy_corpus
@@ -182,10 +210,11 @@ def test_save_load_round_trip(toy_corpus, cdr_schema):
 
 def test_corpus_header_schema_needs_no_registry(toy_corpus):
     custom = RelationSchema(
-        name="mini", labels=("Causes", "Treats", "Nil"), none_label="Nil",
+        name="mini", labels=("CID", "Treats", "Nil"), none_label="Nil",
         allowed_type_pairs=frozenset({("disease", "chemical"), ("chemical", "disease")}),
-        aliases={"cid": "Causes"})
+        aliases={"causes": "CID"})
     corpus = Corpus(custom, toy_corpus.samples[:2])
+    assert corpus.dataset_tag == "custom"
     text = save_corpus(corpus)
     assert load_corpus(text) == corpus
     pairs = json.loads(text.splitlines()[0])["schema"]["allowed_type_pairs"]
@@ -219,12 +248,43 @@ def test_load_corpus_rejects_old_header_layout(toy_corpus, cdr_schema):
         load_corpus(old + "\n" + rest)
 
 
-def test_corpus_rejects_mixed_dataset_tags(toy_corpus, cdr_schema):
-    first, second = toy_corpus.samples[:2]
-    gda = dataclasses.replace(
-        second, document=dataclasses.replace(second.document, dataset_tag="GDA"))
-    with pytest.raises(ValueError, match=r"mixed dataset_tags in corpus: \['CDR', 'GDA'\]"):
-        Corpus(cdr_schema, (first, gda))
+def test_corpus_dataset_tag_defaults_to_the_schema_dataset(toy_corpus, cdr_schema):
+    assert Corpus(cdr_schema, toy_corpus.samples).dataset_tag == "CDR"
+    assert Corpus(builtin_schema("gda"), ()).dataset_tag == "GDA"
+    tagged = Corpus(cdr_schema, toy_corpus.samples, dataset_tag="custom")
+    assert tagged != toy_corpus
+    assert load_corpus(save_corpus(tagged)) == tagged
+    with pytest.raises(ValueError, match="unknown dataset_tag 'MINE'"):
+        Corpus(cdr_schema, (), dataset_tag="MINE")
+
+
+def _edit_first_sample(text: str, edit) -> str:
+    lines = text.splitlines()
+    row = json.loads(lines[1])
+    edit(row)
+    lines[1] = json.dumps(row)
+    return "\n".join(lines) + "\n"
+
+
+def _set_relation(row):
+    row["triplets"][0]["relation"] = "Bogus"
+
+
+def _cut_mention(row):
+    # End the first sentence inside a mention that it holds.
+    mention = row["entities"][0]["mentions"][0]
+    assert mention["sentence_index"] == 0
+    row["sentences"][0][1] = row["sentences"][1][0] = mention["char_range"][0] + 1
+
+
+@pytest.mark.parametrize("edit, issue", [
+    (_set_relation, "relation 'Bogus' not in schema 'cdr'"),
+    (_cut_mention, "outside sentence 0"),
+], ids=["relation", "mention"])
+def test_load_corpus_refuses_an_edited_corpus(toy_corpus, edit, issue):
+    doc_id = toy_corpus.samples[0].document.doc_id
+    with pytest.raises(ParseError, match=f"^doc {doc_id}: sample violates invariants: .*{issue}"):
+        load_corpus(_edit_first_sample(save_corpus(toy_corpus), edit))
 
 
 def test_load_corpus_rejects_malformed_header():

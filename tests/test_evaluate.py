@@ -115,7 +115,7 @@ def test_compute_report_per_label_counts_with_several_positive_labels():
          ("D1", "disease", [(0, "fever")]),
          ("D2", "disease", [(1, "chills")])],
         [("C1", "D1", "Association"), ("C1", "D2", "Positive_Correlation"),
-         ("D1", "C1", "Bind")], dataset_tag="BioRED")
+         ("D1", "C1", "Bind")])
     corpus = Corpus(builtin_schema("biored"), (sample,))
     report = compute_report(corpus, (
         _pred("810", "C1", "D1", "Association"),

@@ -157,11 +157,12 @@ def test_http_embedding_backend(monkeypatch, http_stub):
 def test_http_embedding_backend_refuses_non_finite_vectors(http_stub):
     backend = HttpEmbeddingBackend(http_stub.url, dimension=2)
     for raw in (b'{"data": [{"embedding": [NaN, 1.0]}]}',
-                b'{"data": [{"embedding": [1.0, -Infinity]}]}'):
+                b'{"data": [{"embedding": [1.0, -Infinity]}]}',
+                b'{"data": [{"embedding": [0.0, -0.0]}]}'):
         http_stub.script = lambda request: Reply(raw=raw)
-        with pytest.raises(ProtocolError, match="non-finite"):
+        with pytest.raises(ProtocolError, match="^embedding of 'a' is zero or non-finite$"):
             backend.embed_batch(["a"])
-    assert len(http_stub.requests) == 2
+    assert len(http_stub.requests) == 3
 
 
 def test_http_backends_refuse_urls_that_are_not_http():
@@ -298,7 +299,9 @@ def test_gateway_cache_persists_on_disk(tmp_path):
     assert json.loads(entries[0].read_text())["reply"] == "reply-a"
 
 
-def test_gateway_embed_normalizes_and_rejects_zero():
+def test_gateway_embed_passes_vectors_through_and_counts_texts():
+    # Cosine retrieval is scale-invariant, so the gateway leaves vectors as
+    # the embedder made them.
     class RawEmbedder:
         dimension = 3
 
@@ -306,20 +309,9 @@ def test_gateway_embed_normalizes_and_rejects_zero():
             return [np.array([3.0, 4.0, 0.0]) for _ in texts]
 
     gateway = LlmGateway(ScriptedBackend([]), RawEmbedder())
-    vec = gateway.embed_batch(["x"])[0]
-    assert np.allclose(vec, [0.6, 0.8, 0.0])
+    assert gateway.embed_one("x").tolist() == [3.0, 4.0, 0.0]
     assert gateway.embed_batch([]) == []
     assert gateway.stats.embed_texts == 1
-
-    class ZeroEmbedder:
-        dimension = 2
-
-        def embed_batch(self, texts):
-            return [np.zeros(2) for _ in texts]
-
-    broken = LlmGateway(ScriptedBackend([]), ZeroEmbedder())
-    with pytest.raises(ProtocolError, match="zero vector"):
-        broken.embed_one("x")
 
 
 def test_gateway_rejects_bad_settings():

@@ -18,20 +18,18 @@ def _mention(surface="aspirin", sent=0, rng=(0, 7)):
 
 
 def test_document_text_joins_title_and_body():
-    doc = Document("d1", "Title.", "Body text.", ((0, 7), (7, 17)), "CDR")
+    doc = Document("d1", "Title.", "Body text.", ((0, 7), (7, 17)))
     assert doc.text == "Title. Body text."
 
 
 def test_document_text_title_only_when_body_empty():
-    doc = Document("d1", "Title.", "", ((0, 6),), "CDR")
+    doc = Document("d1", "Title.", "", ((0, 6),))
     assert doc.text == "Title."
 
 
-def test_document_rejects_empty_id_and_unknown_tag():
+def test_document_rejects_empty_id():
     with pytest.raises(ValueError):
-        Document("", "t", "b", (), "CDR")
-    with pytest.raises(ValueError):
-        Document("d1", "t", "b", (), "MINE")
+        Document("", "t", "b", ())
 
 
 def test_cui_pattern():
@@ -65,6 +63,8 @@ def test_schema_invariants():
         RelationSchema("s", ("CID",), "None", pairs)
     with pytest.raises(ValueError):
         RelationSchema("s", ("CID", "None"), "None", pairs, {"induce": "XX"})
+    with pytest.raises(ValueError, match="at least one besides none_label"):
+        RelationSchema("s", ("None",), "None", pairs)
     schema = RelationSchema("s", ("CID", "None"), "None", pairs)
     assert schema.positive_labels == ("CID",)
 
@@ -90,7 +90,7 @@ def test_validate_sample_clean(cdr_schema):
 
 
 def test_validate_sample_structural_violations(cdr_schema):
-    doc = Document("d1", "Aspirin causes rash.", "", ((0, 30),), "CDR")
+    doc = Document("d1", "Aspirin causes rash.", "", ((0, 30),))
     ent = Entity("E1", "chemical", "Aspirin", (Mention("Aspirin", 3, (0, 7)),))
     sample = TrainingSample(doc, (ent, ent), ())
     issues = validate_sample(sample, cdr_schema)
@@ -100,7 +100,7 @@ def test_validate_sample_structural_violations(cdr_schema):
 
 
 def test_validate_sample_mention_outside_sentence(cdr_schema):
-    doc = Document("d1", "Aspirin causes rash.", "", ((0, 20),), "CDR")
+    doc = Document("d1", "Aspirin causes rash.", "", ((0, 20),))
     ent = Entity("E1", "chemical", "Aspirin", (Mention("Aspirin", 0, (15, 25)),))
     issues = validate_sample(TrainingSample(doc, (ent,), ()), cdr_schema)
     assert any("outside sentence" in v for v in issues)
@@ -121,6 +121,6 @@ def test_validate_sample_triplet_violations(cdr_schema):
 
 
 def test_validate_sample_unsorted_sentences(cdr_schema):
-    doc = Document("d1", "One two three four.", "", ((5, 10), (0, 5)), "CDR")
+    doc = Document("d1", "One two three four.", "", ((5, 10), (0, 5)))
     issues = validate_sample(TrainingSample(doc, (), ()), cdr_schema)
     assert any("unsorted" in v for v in issues)
