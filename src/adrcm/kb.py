@@ -19,7 +19,6 @@ import hashlib
 import itertools
 import json
 import math
-import re
 from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -29,12 +28,19 @@ import numpy as np
 from .files import parse_jsonl
 from .model import CUI_PATTERN, Entity
 
-_TOKEN = re.compile(r"\S+")
+# The 29 code points for which ``str.isspace()`` holds: the whitespace of ``str.split()``
+# and of ``\s`` in a ``str`` regex.
+_WHITESPACE = (0x09, 0x0A, 0x0B, 0x0C, 0x0D, 0x1C, 0x1D, 0x1E, 0x1F, 0x20, 0x85, 0xA0, 0x1680,
+               *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F, 0x205F, 0x3000)
+# one entry per code point up to the last whitespace one, then one for all above it
+_IS_SPACE = np.zeros(max(_WHITESPACE) + 2, dtype=bool)
+_IS_SPACE[list(_WHITESPACE)] = True
 
 DEFAULT_CHUNK_SIZE = 256
 DEFAULT_CHUNK_OVERLAP = 32
 MIN_TAIL_TOKENS = 16
 EMBED_BATCH_SIZE = 256
+CHUNK_GROUP_SIZE = 256  # articles encoded at once: amortizes numpy calls, bounds the UTF-32 copy
 SHORTLIST_MARGIN = 1e-9
 INDEX_FORMAT = 5
 
@@ -49,11 +55,13 @@ class KbDocument:
     text: str
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if type(value) is not str:
+                raise TypeError(f"KB document field {name!r} is not a string: {value!r}")
+            if not value.strip():
+                raise ValueError(f"KB document field {name!r} is empty")
         if not CUI_PATTERN.fullmatch(self.cui):
             raise ValueError(f"bad CUI: {self.cui!r}")
-        for name in ("source", "title", "text"):
-            if not getattr(self, name).strip():
-                raise ValueError(f"KB document field {name!r} is empty")
 
     @property
     def doc_id(self) -> str:
@@ -88,26 +96,50 @@ class ChunkParams:
             raise ValueError("min_tail must be >= 1")
 
 
-def chunk_spans(text: str, params: ChunkParams | None = None) -> list[tuple[int, int]]:
-    """``(start, end)`` offsets of the windows of whitespace tokens that split ``text``,
-    from a window's first token to its last; windows advance by ``size - overlap``
-    tokens, and a final window shorter than ``min_tail`` tokens joins the one before."""
-    params = params if params is not None else ChunkParams()
-    spans = [m.span() for m in _TOKEN.finditer(text)]
-    if not spans:
+def _windows(first: int, end: int, params: ChunkParams) -> list[tuple[int, int]]:
+    """``[first, last + 1)`` token ranges of the windows over tokens ``first:end``."""
+    if first == end:
         return []
-    n = len(spans)
-    # the first window, then one per stride while the previous one ends before token n
-    starts = range(0, max(n - params.overlap, 1), params.size - params.overlap)
-    windows = [(s, min(s + params.size, n)) for s in starts]
+    # the first window, then one per stride while the previous one ends before token end
+    starts = range(first, max(end - params.overlap, first + 1), params.size - params.overlap)
+    windows = [(s, min(s + params.size, end)) for s in starts]
     if len(windows) >= 2 and windows[-1][1] - windows[-1][0] < params.min_tail:
         windows[-2:] = [(windows[-2][0], windows[-1][1])]
-    return [(spans[s][0], spans[e - 1][1]) for s, e in windows]
+    return windows
+
+
+def chunk_spans(texts: Sequence[str],
+                params: ChunkParams | None = None) -> list[list[tuple[int, int]]]:
+    """Per text, the ``(start, end)`` code-point offsets of its windows of whitespace
+    tokens, from a window's first token to its last; windows advance by ``size -
+    overlap`` tokens, and a final window shorter than ``min_tail`` tokens joins the one
+    before. Whitespace is what ``str.isspace`` (and so ``str.split``) says it is."""
+    params = params if params is not None else ChunkParams()
+    per_text: list[list[tuple[int, int]]] = []
+    for at in range(0, len(texts), CHUNK_GROUP_SIZE):
+        group = texts[at:at + CHUNK_GROUP_SIZE]
+        # "\n" keeps the texts apart; UTF-32 gives one code per str index
+        codes = np.frombuffer("\n".join(group).encode("utf-32-le", "surrogatepass"), "<u4")
+        space = _IS_SPACE.take(codes, mode="clip")  # codes past the table read its last entry
+        # with whitespace on either side, the changes alternate: token start, token end
+        edges = np.flatnonzero(np.diff(space, prepend=True, append=True))
+        token_starts, token_ends = edges[0::2], edges[1::2]
+        lengths = np.fromiter(map(len, group), np.int64, len(group)) + 1  # with its "\n"
+        bases = np.cumsum(lengths) - lengths  # where each text starts in the join
+        firsts = np.searchsorted(token_starts, bases).tolist() + [len(token_starts)]
+        windows = [_windows(first, end, params) for first, end in zip(firsts, firsts[1:])]
+        counts = [len(w) for w in windows]
+        bounds = np.array([window for w in windows for window in w], np.int64).reshape(-1, 2)
+        shift = np.repeat(bases, counts)
+        spans = zip((token_starts[bounds[:, 0]] - shift).tolist(),
+                    (token_ends[bounds[:, 1] - 1] - shift).tolist())
+        per_text += [list(itertools.islice(spans, n)) for n in counts]
+    return per_text
 
 
 def chunk_text(text: str, params: ChunkParams | None = None) -> list[str]:
     """The texts of the :func:`chunk_spans` windows of ``text``."""
-    return [text[start:end] for start, end in chunk_spans(text, params)]
+    return [text[start:end] for start, end in chunk_spans([text], params)[0]]
 
 
 Chunk = namedtuple("Chunk", "chunk_id doc_id cui source title text vector")
@@ -208,7 +240,7 @@ def build_index(docs: Sequence[KbDocument], gateway, *,
     documents = {d.doc_id: d for d in sorted(docs, key=lambda d: d.doc_id)}
     if len(documents) != len(docs):
         raise ValueError("duplicate KB article ids")
-    per_article = [chunk_spans(doc.text, params) for doc in documents.values()]
+    per_article = chunk_spans([doc.text for doc in documents.values()], params)
     texts = [doc.text[start:end] for doc, spans in zip(documents.values(), per_article)
              for start, end in spans]
     if not texts:

@@ -11,8 +11,10 @@ deterministically for tests and dry runs.
 from __future__ import annotations
 
 import contextlib
+import functools
 import glob
 import hashlib
+import itertools
 import json
 import os
 import threading
@@ -258,6 +260,9 @@ _FNV_PRIME = 0x100000001B3
 _FNV_MASK = (1 << 64) - 1
 
 
+# Holds hashes, not buckets, so embedders of every dimension share it; bounded, as
+# a vocabulary can be large.
+@functools.lru_cache(maxsize=1 << 16)
 def _fnv1a64(token: str) -> int:
     value = _FNV_OFFSET
     for byte in token.encode("utf-8"):
@@ -287,21 +292,19 @@ class HashingEmbedder:
         return self.embed_batch([text])[0]
 
     def embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
-        # Each distinct token of the batch is hashed once. Counts are integers
-        # below 2**53, so the sums of squares are exact and the vectors equal
-        # a per-text count, norm and divide bit for bit.
+        # Each distinct token of the batch is looked up once in the hash cache. Counts
+        # are integers below 2**53, so the sums of squares are exact and the vectors
+        # equal a per-text count, norm and divide bit for bit.
         dim = self.dimension
-        buckets: dict[str, int] = {}
-        cells: list[int] = []  # row * dim + bucket, one per token
-        for row, text in enumerate(texts):
-            tokens = text.lower().split()
-            if not tokens:
-                cells.append(row * dim)  # one count in bucket 0 normalizes to e_0
-            for token in tokens:
-                bucket = buckets.get(token)
-                if bucket is None:
-                    bucket = buckets[token] = _fnv1a64(token) % dim
-                cells.append(row * dim + bucket)
+        # split() yields no "", so it can stand for an empty text: one count in
+        # bucket 0, which normalizes to e_0
+        tokens = [text.lower().split() or [""] for text in texts]
+        flat = list(itertools.chain.from_iterable(tokens))
+        buckets = {token: _fnv1a64(token) % dim for token in set(flat)}
+        buckets[""] = 0
+        cells = np.fromiter(map(buckets.__getitem__, flat), np.int64, len(flat))
+        if len(texts) > 1:  # cell row * dim + bucket; a lone row needs no offset
+            cells += np.repeat(np.arange(0, len(texts) * dim, dim), [len(t) for t in tokens])
         counts = np.bincount(cells, minlength=len(texts) * dim).astype(np.float64)
         counts = counts.reshape(len(texts), dim)
         norms = np.sqrt(np.einsum("ij,ij->i", counts, counts))

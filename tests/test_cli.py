@@ -336,6 +336,15 @@ def test_index_embed_dim_applies_to_the_offline_embedder(tmp_path):
     assert index.matrix.shape == (len(index), 32)
 
 
+def test_index_refuses_a_kb_field_that_is_not_a_string(tmp_path, capsys):
+    kb = tmp_path / "kb.jsonl"
+    kb.write_text('{"cui": "C0000001", "source": "kb", "title": 5, "text": "alpha beta"}\n')
+    out = tmp_path / "index.jsonl"
+    assert main(["index", "--kb", str(kb), "--out", str(out)]) == 2
+    assert "error: line 1: bad KB record: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_index_refuses_a_zero_embedding(tmp_path, capsys, http_stub):
     """``index`` fails, naming the chunk by its text, rather than every later
     unscoped query."""

@@ -2,6 +2,7 @@ import base64
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from adrcm.kb import (
     KbDocument,
     build_index,
     candidate_chunk_ids,
+    chunk_spans,
     chunk_text,
     cosine,
     load_index,
@@ -34,6 +36,10 @@ def test_kb_document_validation():
         KbDocument("X123", "src", "title", "text")
     with pytest.raises(ValueError, match="empty"):
         KbDocument("C0000001", "src", " ", "text")
+    for fields in ((1, "src", "t", "x"), ("C0000001", None, "t", "x"),
+                   ("C0000001", "src", 5, "x"), ("C0000001", "src", "t", ["x"])):
+        with pytest.raises(TypeError, match="is not a string"):
+            KbDocument(*fields)
     doc = KbDocument("C0000001", "src", "aspirin", "Aspirin is a drug.")
     assert doc.doc_id == "C0000001|src|aspirin"
 
@@ -110,6 +116,73 @@ def test_chunk_text_preserves_inner_whitespace():
     chunks = chunk_text(text, ChunkParams(size=3, overlap=1, min_tail=1))
     for chunk in chunks:
         assert chunk in text
+
+
+_TOKEN = re.compile(r"\S+")
+
+
+def _reference_chunk_spans(text, params):
+    # the per-token chunker that chunk_spans replaced
+    spans = [m.span() for m in _TOKEN.finditer(text)]
+    if not spans:
+        return []
+    n = len(spans)
+    starts = range(0, max(n - params.overlap, 1), params.size - params.overlap)
+    windows = [(s, min(s + params.size, n)) for s in starts]
+    if len(windows) >= 2 and windows[-1][1] - windows[-1][0] < params.min_tail:
+        windows[-2:] = [(windows[-2][0], windows[-1][1])]
+    return [(spans[s][0], spans[e - 1][1]) for s, e in windows]
+
+
+def test_whitespace_table_is_str_isspace():
+    assert len(kb._WHITESPACE) == 29
+    assert set(kb._WHITESPACE) == {c for c in range(0x110000) if chr(c).isspace()}
+    assert kb._IS_SPACE.nonzero()[0].tolist() == sorted(kb._WHITESPACE)
+
+
+_SPACES = [chr(c) for c in kb._WHITESPACE]
+# astral characters, lone surrogates and code points just past the whitespace table
+_NON_SPACES = ["a", "Z", "7", ".", "é", "漢", "\U0001F600", "\U00010000", "\U0010FFFF",
+               "\ud800", "\udfff", "\u3001", "\u2fff", "\u180e", "\u200b", "\ufeff"]
+
+
+def _random_article(rng):
+    shape = rng.random()
+    if shape < 0.1:
+        return ""
+    if shape < 0.2:
+        return "".join(rng.choices(_SPACES, k=rng.randint(1, 6)))
+    return "".join("".join(rng.choices(_NON_SPACES if rng.random() < 0.6 else _SPACES,
+                                       k=rng.randint(1, 4)))
+                   for _ in range(rng.randint(1, 120)))
+
+
+def test_chunk_spans_matches_the_per_token_chunker():
+    rng = random.Random(29)
+    group = kb.CHUNK_GROUP_SIZE
+    texts = [_random_article(rng) for _ in range(2 * group + 7)]
+    # texts with no token on both sides of each group edge
+    texts[group - 1], texts[group], texts[2 * group] = "", " \u3000\n", ""
+    for params in (ChunkParams(1, 0, 1), ChunkParams(4, 1, 1), ChunkParams(5, 2, 4),
+                   ChunkParams(8, 7, 3), ChunkParams(16, 4, 16), ChunkParams()):
+        got = chunk_spans(texts, params)
+        assert got == [_reference_chunk_spans(text, params) for text in texts], params
+    assert chunk_spans([]) == []
+    # a lone text, as chunk_text chunks it
+    for text in texts[:40]:
+        params = ChunkParams(3, 1, 2)
+        assert chunk_text(text, params) == [
+            text[start:end] for start, end in _reference_chunk_spans(text, params)]
+
+
+def test_chunk_spans_overlap_and_tail_merge_match_the_per_token_chunker():
+    rng = random.Random(31)
+    for _ in range(200):
+        size = rng.randint(1, 12)
+        params = ChunkParams(size, rng.randrange(size), rng.randint(1, size + 2))
+        texts = [_random_article(rng) for _ in range(rng.randint(1, 5))]
+        assert chunk_spans(texts, params) == [
+            _reference_chunk_spans(text, params) for text in texts], (params, texts)
 
 
 def test_cosine_hand_values():

@@ -1,11 +1,13 @@
 import json
 import math
 import os
+import random
 import socket
 import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from adrcm.llm import (
     TransportError,
     exchange_key,
     _ReplyCache,
+    _fnv1a64,
     mock_gateway,
     user_exchange,
 )
@@ -207,15 +210,43 @@ def _reference_embedding(text: str, dimension: int) -> np.ndarray:
 def test_hashing_embed_batch_matches_per_token_loop_bit_for_bit():
     texts = ["", "  \t\n ", "Alpha beta ALPHA", "alpha gamma", "Ünïcode tökens ß ﬁ 漢字",
              "repeated repeated words", "repeated repeated words", "x " * 300, "\u2028 sep"]
-    for dimension in (1, 7, 64):
-        emb = HashingEmbedder(dimension)
-        got = emb.embed_batch(texts)
-        assert len(got) == len(texts)
-        for text, vec in zip(texts, got):
-            want = _reference_embedding(text, dimension)
-            assert vec.dtype == np.float64 and vec.tobytes() == want.tobytes(), text
-            assert emb.embed_one(text).tobytes() == want.tobytes()
+    embedders = [HashingEmbedder(dimension) for dimension in (1, 7, 64)]
+    hits = _fnv1a64.cache_info().hits
+    # Interleaved dimensions share the hash cache, and the second round reads the
+    # first round's hashes; no embedder may see another's buckets.
+    for texts_now in (texts, texts[::-1] + ["alpha omega words"]):
+        for emb in (*embedders, embedders[1]):
+            got = emb.embed_batch(texts_now)
+            assert len(got) == len(texts_now)
+            for text, vec in zip(texts_now, got):
+                want = _reference_embedding(text, emb.dimension)
+                assert vec.dtype == np.float64 and vec.tobytes() == want.tobytes(), text
+                assert emb.embed_one(text).tobytes() == want.tobytes()
+    assert _fnv1a64.cache_info().hits > hits
     assert HashingEmbedder().embed_batch([]) == []
+
+
+def _random_texts(rng, count, vocabulary):
+    return [" ".join(rng.choices(vocabulary, k=rng.randint(0, 30))) for _ in range(count)]
+
+
+def test_hashing_embed_batch_from_four_threads_matches_one_thread():
+    rng = random.Random(7)
+    # tokens no other test hashes, so the threads race on cache misses
+    batches = [_random_texts(rng, 64, [f"t{rng.random()}" for _ in range(300)])
+               for _ in range(8)]
+    emb = HashingEmbedder(32)
+    start = threading.Barrier(4)
+
+    def run(_):
+        start.wait()
+        return [b"".join(v.tobytes() for v in emb.embed_batch(batch)) for batch in batches]
+
+    with ThreadPoolExecutor(4) as pool:
+        results = list(pool.map(run, range(4)))
+    serial = [b"".join(_reference_embedding(text, 32).tobytes() for text in batch)
+              for batch in batches]
+    assert results == [serial] * 4
 
 
 def test_embedder_identities():
