@@ -26,6 +26,7 @@ from .corpus import (
     schema_from_dict,
 )
 from .dataset import (
+    PRESETS,
     build_dataset,
     export_finetune,
     preset_for,
@@ -34,7 +35,7 @@ from .dataset import (
 )
 from .evaluate import compute_report, render_report, save_report
 from .files import atomic_write_text, read_text
-from .infer import InferenceConfig, load_predictions, predict_corpus, save_predictions
+from .infer import RAG_MODES, InferenceConfig, load_predictions, predict_corpus, save_predictions
 from .iors import IorsConfig, load_synthetic, run_corpus_synthesis, save_synthetic
 from .kb import ChunkParams, build_index, load_index, load_kb, save_index
 from .llm import (
@@ -292,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="fine-tune rows JSONL")
     p.add_argument("--sidecar", help="settings sidecar path (default: <out>.meta.json)")
     p.add_argument("--records-out", help="also write the raw augmented records")
-    p.add_argument("--preset", choices=sorted(("cdr", "gda", "biored")))
+    p.add_argument("--preset", choices=sorted(PRESETS))
     p.add_argument("--beta", type=int, help="synthesis rounds recorded in the sidecar")
     p.add_argument("--negative-ratio", type=float)
     p.add_argument("--seed", type=int)
@@ -313,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--index", help="index file (required unless --rag off)")
     p.add_argument("--out", required=True)
-    p.add_argument("--rag", dest="rag_mode", choices=("cui", "chunks", "off"))
+    p.add_argument("--rag", dest="rag_mode", choices=RAG_MODES)
     p.add_argument("--k", type=int, help="snippets per pair")
     p.add_argument("--instruction-template")
     p.set_defaults(func=cmd_infer)
@@ -329,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workdir", required=True)
     p.add_argument("--beta", type=int, default=3)
     p.add_argument("--k", type=int, default=5)
-    p.add_argument("--rag", choices=("cui", "chunks", "off"), default="cui")
+    p.add_argument("--rag", choices=RAG_MODES, default="cui")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_e2e_mock)
 

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
+import glob
 import json
 import os
 import re
+import threading
 from typing import Callable, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
@@ -18,13 +21,29 @@ def read_text(path: str) -> str:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temp file and rename, so readers never see a torn file."""
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    """Write via a per-thread temp file, ``{path}.{pid}.{thread id}.tmp``, and a
+    rename, so readers never see a torn file; a failed write removes its temp."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):  # renamed, or never created
+            os.remove(tmp)
+
+
+def remove_dead_temps(directory: str) -> None:
+    """Remove the :func:`atomic_write_text` temps in ``directory`` whose writer is gone."""
+    for path in glob.glob(os.path.join(glob.escape(directory), "*.[1-9]*.*.tmp")):
+        try:
+            os.kill(int(path.split(".")[-3]), 0)
+        except ProcessLookupError:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+        except (OSError, ValueError):
+            pass  # a live writer (PermissionError: another user's), or no pid
 
 
 def dump_jsonl(rows: Iterable[object]) -> str:

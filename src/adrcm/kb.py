@@ -60,6 +60,10 @@ class KbDocument:
                 raise TypeError(f"KB document field {name!r} is not a string: {value!r}")
             if not value.strip():
                 raise ValueError(f"KB document field {name!r} is empty")
+            try:  # a lone surrogate, which no index file can hold
+                value.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise ValueError(f"KB document field {name!r} is not UTF-8: {exc.reason}")
         if not CUI_PATTERN.fullmatch(self.cui):
             raise ValueError(f"bad CUI: {self.cui!r}")
 
@@ -70,15 +74,14 @@ class KbDocument:
 
 def load_kb(text: str) -> tuple[KbDocument, ...]:
     """Parse a KB snapshot JSONL string; duplicate articles are an error."""
-    docs: list[KbDocument] = []
-    seen: set[str] = set()
+    docs: dict[str, KbDocument] = {}
     for line_no, doc in parse_jsonl(text, "KB", lambda row: KbDocument(
             row["cui"], row["source"], row["title"], row["text"])):
-        if doc.doc_id in seen:
-            raise ValueError(f"line {line_no}: duplicate KB article {doc.doc_id!r}")
-        seen.add(doc.doc_id)
-        docs.append(doc)
-    return tuple(docs)
+        doc_id = doc.doc_id
+        if doc_id in docs:
+            raise ValueError(f"line {line_no}: duplicate KB article {doc_id!r}")
+        docs[doc_id] = doc
+    return tuple(docs.values())
 
 
 @dataclass(frozen=True)
@@ -237,7 +240,7 @@ def build_index(docs: Sequence[KbDocument], gateway, *,
     ``EMBED_BATCH_SIZE`` per call, so the result is reproducible for an embedder.
     """
     params = params if params is not None else ChunkParams()
-    documents = {d.doc_id: d for d in sorted(docs, key=lambda d: d.doc_id)}
+    documents = dict(sorted(((d.doc_id, d) for d in docs), key=lambda item: item[0]))
     if len(documents) != len(docs):
         raise ValueError("duplicate KB article ids")
     per_article = chunk_spans([doc.text for doc in documents.values()], params)
@@ -401,12 +404,13 @@ def load_index(text: str) -> CuiIndex:
             doc, doc_spans, raw = _read_article(row, dimension)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"line {line_no}: bad article record: {exc}") from None
-        if doc.doc_id in documents:
-            raise ValueError(f"line {line_no}: duplicate article {doc.doc_id!r}")
+        doc_id = doc.doc_id
+        if doc_id in documents:
+            raise ValueError(f"line {line_no}: duplicate article {doc_id!r}")
         if len(spans) + len(doc_spans) > count:
             raise ValueError(f"line {line_no}: more chunks than the header's {count}")
         vectors[8 * dimension * len(spans):8 * dimension * (len(spans) + len(doc_spans))] = raw
-        documents[doc.doc_id] = doc
+        documents[doc_id] = doc
         spans += doc_spans
         counts.append(len(doc_spans))
     if len(spans) != count:

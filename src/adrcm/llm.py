@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import glob
 import hashlib
 import itertools
 import json
@@ -26,9 +25,9 @@ from urllib.parse import urlsplit
 
 import numpy as np
 
+from .files import atomic_write_text, remove_dead_temps
+
 API_KEY_ENV = "ADRCM_API_KEY"
-FAULT_ENV = "ADRCM_FAULT_EXIT_AFTER_CALLS"
-FAULT_EXIT_CODE = 86
 HTTP_TIMEOUT_S = 60.0
 
 EMBED_DIM_FALLBACK = 64
@@ -217,6 +216,10 @@ class HttpChatBackend(_HttpClient):
         }, lambda reply: reply["choices"][0]["message"]["content"])
         if not isinstance(content, str):
             raise ProtocolError("chat response content is not text")
+        try:  # a lone surrogate: no cache entry, prompt hash or output file can hold it
+            content.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ProtocolError(f"chat response content is not UTF-8: {exc.reason}") from None
         return content
 
 
@@ -323,26 +326,13 @@ class RetryPolicy:
             raise ValueError("backoff_base must be >= 0")
 
 
-def _remove_dead_temps(cache_dir: str) -> None:
-    """Remove ``_ReplyCache.put`` temp files whose writer process is gone."""
-    for path in glob.glob(os.path.join(glob.escape(cache_dir), "*.json.[1-9]*.*.tmp")):
-        try:
-            os.kill(int(path.split(".")[-3]), 0)  # {key}.json.{pid}.{tid}.tmp
-        except ProcessLookupError:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(path)
-        except (OSError, ValueError):
-            pass  # a live writer (PermissionError: another user's), or no pid
-
-
 class _ReplyCache:
     """Chat replies keyed by request hash; one small JSON file per entry.
 
-    Writes go through a temp file and ``os.replace`` so a killed process
-    never leaves a truncated entry behind. The temp name is unique per
-    thread, so concurrent writers of one key never share a temp file; the
-    lock guards only the in-memory dict, never file I/O. Opening the cache
-    removes the temp files of writers whose process no longer exists.
+    Entries are written by :func:`~adrcm.files.atomic_write_text`, so a killed
+    process never leaves a truncated entry behind, and opening the cache
+    removes the temp files of writers whose process no longer exists. The
+    lock guards only the in-memory dict, never file I/O.
     """
 
     def __init__(self, cache_dir: str | None):
@@ -351,7 +341,7 @@ class _ReplyCache:
         self._lock = threading.Lock()
         if cache_dir is not None:
             os.makedirs(cache_dir, exist_ok=True)
-            _remove_dead_temps(cache_dir)
+            remove_dead_temps(cache_dir)
 
     def _path(self, key: str) -> str:
         assert self.cache_dir is not None
@@ -372,15 +362,7 @@ class _ReplyCache:
             with self._lock:
                 self._memory[key] = reply
             return
-        path = self._path(key)
-        tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
-        try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump({"reply": reply}, fh, ensure_ascii=False)
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.remove(tmp)
+        atomic_write_text(self._path(key), json.dumps({"reply": reply}, ensure_ascii=False))
 
 
 @dataclass
@@ -415,8 +397,6 @@ class LlmGateway:
         self._lock = threading.Lock()  # guards stats and _claims
         self._claims: dict[str, list] = {}
         self._sleep = sleep
-        fault = os.environ.get(FAULT_ENV)
-        self._fault_after = int(fault) if fault else None
 
     def chat(self, exchange: ChatExchange) -> str:
         key = exchange_key(exchange)
@@ -480,21 +460,14 @@ class LlmGateway:
                     self.stats.retries += 1
                 self._sleep(self.retry.backoff_base * 2 ** (attempt - 1))
             with self._slots:
-                self._count_live_call()
+                with self._lock:
+                    self.stats.chat_calls += 1
                 try:
                     return self.chat_backend.complete(exchange)
                 except TransportError as exc:
                     last_error = exc
         assert last_error is not None
         raise last_error
-
-    def _count_live_call(self) -> None:
-        # Fault hook for crash-recovery tests: hard-exit after N live calls.
-        with self._lock:
-            self.stats.chat_calls += 1
-            calls = self.stats.chat_calls
-        if self._fault_after is not None and calls > self._fault_after:
-            os._exit(FAULT_EXIT_CODE)
 
     def embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
         if not texts:

@@ -4,12 +4,15 @@ The stub answers every POST, ``/chat/completions`` and ``/embeddings``
 alike, with whatever its ``script`` returns for the request, and records
 each request. The script runs on the request's own handler thread, so a
 script that waits (on a barrier, say) holds its request in flight while
-others arrive.
+others arrive. A client that goes away mid-request (a killed process, say)
+ends its handler quietly: a body cut short is not recorded, and a reply
+that can no longer be sent is dropped.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -36,7 +39,11 @@ class _Handler(BaseHTTPRequestHandler):
     disable_nagle_algorithm = True  # else Nagle and delayed ACK add ~40 ms per call
 
     def do_POST(self) -> None:
-        body = self.rfile.read(int(self.headers["Content-Length"]))
+        length = int(self.headers["Content-Length"])
+        body = self.rfile.read(length)
+        if len(body) < length:  # the client closed the connection mid-body
+            self.close_connection = True
+            return
         request = Request(self.path, dict(self.headers), json.loads(body), self.client_address)
         self.server.requests.append(request)
         reply = self.server.script(request)
@@ -59,6 +66,10 @@ class StubServer(ThreadingHTTPServer):
         self.url = f"http://127.0.0.1:{self.server_port}"
         self.requests: list[Request] = []
         self.script: Callable[[Request], Reply] = lambda request: Reply(404, raw=b"unscripted")
+
+    def handle_error(self, request, client_address) -> None:
+        if not isinstance(sys.exc_info()[1], ConnectionError):  # reset, broken pipe
+            super().handle_error(request, client_address)
 
     @property
     def per_path(self) -> Counter:

@@ -6,10 +6,12 @@ in-test oracles (straight-line re-implementations, brute-force scans) or
 from hand-checked arithmetic, never from the code under test.
 """
 
+import hashlib
 import itertools
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 import time
@@ -41,6 +43,7 @@ from adrcm.llm import HashingEmbedder, LlmGateway, RetryPolicy, ScriptedBackend,
 from adrcm.model import Entity, Mention
 from adrcm.mock import TOY_CHUNK_PARAMS, load_toy_assets, run_e2e_mock
 from conftest import make_sample
+from http_stub import Reply
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -291,32 +294,75 @@ def test_criterion_5_preset_fidelity(cdr_schema):
 
 # --- 6. offline end-to-end runs are byte-identical and resumable -------------
 
-def test_criterion_6_determinism_and_resume(tmp_path):
+def _tree(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file()}
+
+
+def _stub_reply(request) -> Reply:
+    """A pure function of the request text: a confirmation accepts, or a pair gets
+    its label, for about two prompts in three."""
+    prompt = request.json["messages"][-1]["content"]
+    label = "CID" if hashlib.sha256(prompt.encode()).digest()[0] % 3 else "Not stated."
+    return Reply(body={"choices": [{"message": {"content": label}}]})
+
+
+def _adrcm(stub, argv: list[str], workdir: Path, *,
+           kill_at: int | None = None) -> tuple[int, int]:
+    """``(return code, stub requests)`` of ``adrcm argv``, writing ``workdir/out.jsonl``
+    through the reply cache ``workdir/cache``, run as a process against ``stub``.
+    On its request number ``kill_at``, the stub sends that process SIGKILL."""
+    stub.requests.clear()
+    ordinals = itertools.count(1)
+    processes = []
+
+    def script(request):
+        if next(ordinals) == kill_at:
+            processes[0].kill()
+        return _stub_reply(request)
+
+    stub.script = script
+    processes.append(subprocess.Popen(
+        [sys.executable, "-m", "adrcm.cli", *argv, "--out", str(workdir / "out.jsonl"),
+         "--chat-url", stub.url, "--cache-dir", str(workdir / "cache")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))))
+    _, err = processes[0].communicate(timeout=60)
+    assert processes[0].returncode in (0, -signal.SIGKILL), err
+    return processes[0].returncode, len(stub.requests)
+
+
+def test_criterion_6_determinism_and_resume(tmp_path, http_stub):
     with criterion("6 byte-identical e2e runs incl. kill-and-resume"):
         start = time.perf_counter()
-        first = run_e2e_mock(str(tmp_path / "run_a"))
-        second = run_e2e_mock(str(tmp_path / "run_b"))
-        for name in ("predictions.jsonl", "report.json", "synthetic.jsonl",
-                     "finetune.jsonl", "index.jsonl"):
-            a = Path(first[name]).read_bytes()
-            b = Path(second[name]).read_bytes()
-            assert a == b, name
+        run_a, run_b = tmp_path / "run_a", tmp_path / "run_b"
+        first = run_e2e_mock(str(run_a))
+        run_e2e_mock(str(run_b))
+        assert _tree(run_a) == _tree(run_b)
 
-        crash_dir = tmp_path / "run_c"
-        env = dict(os.environ,
-                   ADRCM_FAULT_EXIT_AFTER_CALLS="15",
-                   PYTHONPATH=str(Path(__file__).parents[1] / "src"))
-        cmd = [sys.executable, "-m", "adrcm.cli", "e2e-mock",
-               "--workdir", str(crash_dir)]
-        crashed = subprocess.run(cmd, env=env, capture_output=True, text=True)
-        assert crashed.returncode == 86, crashed.stderr
-        assert not (crash_dir / "predictions.jsonl").exists()
+        # Resume e2e-mock from half of its cache, its stage outputs gone.
+        for entry in sorted((run_a / "cache").glob("*.json"))[::2]:
+            entry.unlink()
+        for path in first.values():
+            os.remove(path)
+        run_e2e_mock(str(run_a))
+        assert _tree(run_a) == _tree(run_b)
 
-        env.pop("ADRCM_FAULT_EXIT_AFTER_CALLS")
-        resumed = subprocess.run(cmd, env=env, capture_output=True, text=True)
-        assert resumed.returncode == 0, resumed.stderr
-        for name in ("predictions.jsonl", "report.json", "synthetic.jsonl"):
-            assert (crash_dir / name).read_bytes() == Path(first[name]).read_bytes()
+        # Kill real synth and infer processes mid-run, then resume each.
+        corpus = ["--corpus", str(run_b / "corpus.jsonl")]
+        for stage, argv in (("synth", ["synth", *corpus]),
+                            ("infer", ["infer", *corpus, "--rag", "cui",
+                                       "--index", str(run_b / "index.jsonl")])):
+            whole, killed = tmp_path / f"{stage}_whole", tmp_path / f"{stage}_killed"
+            status, total = _adrcm(http_stub, argv, whole)
+            assert (status, total) == (0, len(list((whole / "cache").iterdir()))), stage
+            assert total >= 16, stage
+            assert _adrcm(http_stub, argv, killed, kill_at=16)[0] == -signal.SIGKILL, stage
+            assert [p.name for p in killed.iterdir()] == ["cache"], stage
+            cached = len(list((killed / "cache").glob("*.json")))
+            assert _adrcm(http_stub, argv, killed) == (0, total - cached), stage
+            assert (killed / "out.jsonl").read_bytes() == (whole / "out.jsonl").read_bytes()
+            assert all(p.suffix == ".json" for p in (killed / "cache").iterdir()), stage
         assert time.perf_counter() - start < 30.0
 
 

@@ -337,12 +337,48 @@ def test_index_embed_dim_applies_to_the_offline_embedder(tmp_path):
 
 
 def test_index_refuses_a_kb_field_that_is_not_a_string(tmp_path, capsys):
+    """A field that is no ``str``, or one holding a lone surrogate, which UTF-8
+    cannot encode, is refused with its line and name."""
     kb = tmp_path / "kb.jsonl"
-    kb.write_text('{"cui": "C0000001", "source": "kb", "title": 5, "text": "alpha beta"}\n')
     out = tmp_path / "index.jsonl"
-    assert main(["index", "--kb", str(kb), "--out", str(out)]) == 2
-    assert "error: line 1: bad KB record: " in capsys.readouterr().err
-    assert not out.exists()
+    for field, value in (("title", 5), ("text", "alpha \ud800 beta")):
+        record = {"cui": "C0000001", "source": "kb", "title": "t", "text": "alpha beta",
+                  field: value}
+        kb.write_text(json.dumps(record) + "\n")
+        assert main(["index", "--kb", str(kb), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 1: bad KB record: "), err
+        assert repr(field) in err
+        assert not out.exists()
+
+
+def test_a_chat_reply_that_is_not_utf8_is_a_protocol_error(tmp_path, e2e_dir, capsys,
+                                                          http_stub):
+    """A reply holding a lone surrogate costs ``synth`` its triplet and stops
+    ``infer``, before the reply reaches the cache or an output file."""
+    def replies(bad):
+        return lambda request: Reply(body={"choices": [{"message": {"content": (
+            "CID \ud800" if bad(request.json["messages"][-1]["content"]) else "CID")}}]})
+
+    corpus = str(e2e_dir / "corpus.jsonl")
+    chat = ["--chat-url", http_stub.url, "--cache-dir", str(tmp_path / "cache")]
+    report = tmp_path / "report.json"
+    http_stub.script = replies(lambda prompt: "Velotrine" in prompt)  # doc 90001 only
+    capsys.readouterr()
+    assert main(["synth", "--corpus", corpus, "--out", str(tmp_path / "s.jsonl"),
+                 "--report", str(report), *chat]) == 1
+    [error] = json.loads(report.read_text())["errors"]
+    assert error.startswith("90001/D90001/D80001: chat response content is not UTF-8")
+    assert capsys.readouterr().err == ""
+
+    http_stub.script = replies(lambda prompt: True)
+    cached = sorted(os.listdir(tmp_path / "cache"))
+    out = tmp_path / "p.jsonl"
+    assert main(["infer", "--corpus", corpus, "--index", str(e2e_dir / "index.jsonl"),
+                 "--out", str(out), *chat]) == 2
+    assert capsys.readouterr().err.startswith("error: chat response content is not UTF-8")
+    assert sorted(os.listdir(tmp_path / "cache")) == cached
+    assert sorted(os.listdir(tmp_path)) == ["cache", "e2e", "report.json", "s.jsonl"]
 
 
 def test_index_refuses_a_zero_embedding(tmp_path, capsys, http_stub):

@@ -22,6 +22,8 @@ def test_parse_config_rejects_bad_lines():
         parse_config_text("just words\n")
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config_text("beta = 1\nbeta = 2\n")
+    with pytest.raises(ConfigError, match="^line 2: empty key$"):
+        parse_config_text("beta = 1\n = 2\n")
 
 
 def test_load_config_applies_defaults_and_overrides():

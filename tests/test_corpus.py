@@ -134,11 +134,30 @@ def test_parse_pubtator_errors_carry_line_numbers(cdr_schema):
     with pytest.raises(ParseError, match="line 1"):
         parse_pubtator("junk without pipes\n", cdr_schema)
 
+    with pytest.raises(ParseError, match=r"^line 1: expected 'PMID\|t\|<title>' line$"):
+        parse_pubtator("|t|A title without a PMID.\n", cdr_schema)
+
+    other_pmid = SIMPLE + "102\t0\t7\tAspirin\tChemical\tD001\n"
+    with pytest.raises(ParseError, match="^line 8: annotation PMID '102' does not match"):
+        parse_pubtator(other_pmid, cdr_schema)
+
+    bad_number = SIMPLE.replace("101\t0\t7\tAspirin", "101\t0\tseven\tAspirin")
+    with pytest.raises(ParseError, match="^line 3: non-integer offsets"):
+        parse_pubtator(bad_number, cdr_schema)
+
+    past_end = SIMPLE.replace("101\t37\t44\tAspirin", "101\t37\t440\tAspirin")
+    with pytest.raises(ParseError, match=r"^line 6: mention span \(37, 440\) outside document"):
+        parse_pubtator(past_end, cdr_schema)
+
+    with pytest.raises(ValueError, match=r"duplicate doc_ids in corpus: \['101'\]"):
+        parse_pubtator(SIMPLE + "\n" + SIMPLE, cdr_schema)
+
 
 def test_parse_pubtator_tolerated_issues_become_violations(cdr_schema):
     content = (
         "102|t|Drugox causes fever.\n"
         "102\t0\t6\tDrugox\tChemical\tD001\n"
+        "102\t7\t13\tcauses\tDisease\tD001\n"
         "102\t14\t19\tfever\tDisease\tD002\n"
         "102\tCID\tD001\tD999\n"
         "102\tCID\tD001\tD001\n"
@@ -151,6 +170,9 @@ def test_parse_pubtator_tolerated_issues_become_violations(cdr_schema):
     notes = "\n".join(corpus.violations)
     assert "absent from mention lines" in notes
     assert "self-relation" in notes
+    assert ("doc 102: entity 'D001' annotated with multiple types ['chemical', 'disease']; "
+            "keeping 'chemical'") in notes
+    assert sample.entity("D001").etype == "chemical"
     # same pair, same resolved label: silently deduplicated
     assert "conflicting labels" not in notes
 

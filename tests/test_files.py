@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from adrcm.files import dump_jsonl, jsonl_lines
+from adrcm.files import atomic_write_text, dump_jsonl, jsonl_lines
 from adrcm.infer import PredictionRecord, load_predictions, save_predictions
 from adrcm.iors import SyntheticRecord, load_synthetic, save_synthetic
 from adrcm.kb import KbDocument, load_kb
@@ -52,3 +52,12 @@ def test_jsonl_lines_number_lines_like_split():
         text = "".join(rng.choices(alphabet, k=rng.randrange(0, 40)))
         want = [(n, line) for n, line in enumerate(text.split("\n"), start=1) if line.strip()]
         assert list(jsonl_lines(text)) == want
+
+
+def test_atomic_write_text_leaves_no_temp_file_when_the_write_fails(tmp_path):
+    path = tmp_path / "out.txt"
+    atomic_write_text(str(path), "old\n")
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write_text(str(path), "\ud800")  # a lone surrogate, which UTF-8 cannot encode
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+    assert path.read_text() == "old\n"

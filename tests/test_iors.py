@@ -42,6 +42,8 @@ def test_template_helpers():
     assert render("hi {name}", name="kim") == "hi kim"
     with pytest.raises(TemplateError, match="unknown placeholders"):
         render("hi {name}", other="x")
+    with pytest.raises(TemplateError, match="unparseable template"):
+        placeholders("hi {name")
     with pytest.raises(TemplateError, match="missing placeholders"):
         IorsConfig(summary_instruction="no slots here")
     assert "{labels}" in load_default("confirmation_instruction")

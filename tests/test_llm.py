@@ -2,12 +2,14 @@ import json
 import math
 import os
 import random
+import signal
 import socket
 import subprocess
 import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -467,14 +469,20 @@ def test_http_backend_gives_each_thread_its_own_session(http_stub):
 
 
 def test_reply_cache_removes_temp_files_of_dead_writers(tmp_path):
-    child = subprocess.Popen([sys.executable, "-c", "pass"])
-    child.wait()  # reaped, so its pid no longer names a process
     key = "a" * 64
     entry = tmp_path / f"{key}.json"
+    # a writer killed between writing its temp file and the rename
+    child = subprocess.Popen([sys.executable, "-c", (
+        "import os, signal, sys\n"
+        "from adrcm.files import atomic_write_text\n"
+        "os.replace = lambda *_: os.kill(os.getpid(), signal.SIGKILL)\n"
+        "atomic_write_text(sys.argv[1], '{')"), str(entry)],
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src")))
+    assert child.wait(timeout=60) == -signal.SIGKILL  # reaped: its pid names no process
+    [dead] = tmp_path.iterdir()
+    assert dead.name.startswith(f"{entry.name}.{child.pid}.")
     entry.write_text('{"reply": "kept"}')
-    dead = tmp_path / f"{key}.json.{child.pid}.1.tmp"
     live = tmp_path / f"{key}.json.{os.getpid()}.1.tmp"
-    dead.write_text("{")
     live.write_text("{")
     cache = _ReplyCache(str(tmp_path))
     assert sorted(p.name for p in tmp_path.iterdir()) == [entry.name, live.name]
