@@ -64,10 +64,10 @@ def jsonl_lines(text: str) -> Iterator[tuple[int, str]]:
             yield line_no, match.group()
 
 
-def parse_jsonl(text: str, what: str,
+def parse_jsonl(lines: Iterable[tuple[int, str]], what: str,
                 make: Callable[[dict], T]) -> Iterator[tuple[int, T]]:
-    """Yield ``(line number, make(row))`` for every line of :func:`jsonl_lines`."""
-    for line_no, line in jsonl_lines(text):
+    """Yield ``(line number, make(row))`` for each numbered line, as from :func:`jsonl_lines`."""
+    for line_no, line in lines:
         try:
             record = make(json.loads(line))
         except (ValueError, KeyError, TypeError) as exc:

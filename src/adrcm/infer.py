@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .corpus import Corpus, enumerate_candidate_pairs
-from .files import dump_jsonl, parse_jsonl
+from .files import dump_jsonl, jsonl_lines, parse_jsonl
 from .iors import normalize_relation_label
 from .kb import CuiIndex, RetrievedSnippet, retrieve
 from .llm import HashingEmbedder, LlmGateway, user_exchange
@@ -170,5 +170,5 @@ def save_predictions(predictions: Iterable[PredictionRecord]) -> str:
 
 def load_predictions(text: str) -> tuple[PredictionRecord, ...]:
     return tuple(record for _, record in parse_jsonl(
-        text, "prediction", lambda row: PredictionRecord(
+        jsonl_lines(text), "prediction", lambda row: PredictionRecord(
             **{**row, "snippets_used": tuple(row["snippets_used"])})))

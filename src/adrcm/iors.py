@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .corpus import Corpus
-from .files import dump_jsonl, parse_jsonl
+from .files import dump_jsonl, jsonl_lines, parse_jsonl
 from .llm import LlmGateway, ProtocolError, TransportError, user_exchange
 from .model import Document, Entity, RelationSchema, TrainingSample, Triplet
 from .templating import load_default, render, require_placeholders
@@ -250,4 +250,4 @@ def save_synthetic(records: Iterable[SyntheticRecord]) -> str:
 
 def load_synthetic(text: str) -> tuple[SyntheticRecord, ...]:
     return tuple(record for _, record in parse_jsonl(
-        text, "synthetic", lambda row: SyntheticRecord(**row)))
+        jsonl_lines(text), "synthetic", lambda row: SyntheticRecord(**row)))

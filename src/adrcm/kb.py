@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .files import parse_jsonl
+from .files import jsonl_lines, parse_jsonl
 from .model import CUI_PATTERN, Entity
 
 # The 29 code points for which ``str.isspace()`` holds: the whitespace of ``str.split()``
@@ -42,7 +42,7 @@ MIN_TAIL_TOKENS = 16
 EMBED_BATCH_SIZE = 256
 CHUNK_GROUP_SIZE = 256  # articles encoded at once: amortizes numpy calls, bounds the UTF-32 copy
 SHORTLIST_MARGIN = 1e-9
-INDEX_FORMAT = 5
+INDEX_FORMAT = 6
 
 
 @dataclass(frozen=True)
@@ -60,10 +60,11 @@ class KbDocument:
                 raise TypeError(f"KB document field {name!r} is not a string: {value!r}")
             if not value.strip():
                 raise ValueError(f"KB document field {name!r} is empty")
-            try:  # a lone surrogate, which no index file can hold
-                value.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                raise ValueError(f"KB document field {name!r} is not UTF-8: {exc.reason}")
+            if not value.isascii():  # a lone surrogate, which no index file can hold
+                try:
+                    value.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    raise ValueError(f"KB document field {name!r} is not UTF-8: {exc.reason}")
         if not CUI_PATTERN.fullmatch(self.cui):
             raise ValueError(f"bad CUI: {self.cui!r}")
 
@@ -75,7 +76,7 @@ class KbDocument:
 def load_kb(text: str) -> tuple[KbDocument, ...]:
     """Parse a KB snapshot JSONL string; duplicate articles are an error."""
     docs: dict[str, KbDocument] = {}
-    for line_no, doc in parse_jsonl(text, "KB", lambda row: KbDocument(
+    for line_no, doc in parse_jsonl(jsonl_lines(text), "KB", lambda row: KbDocument(
             row["cui"], row["source"], row["title"], row["text"])):
         doc_id = doc.doc_id
         if doc_id in docs:
@@ -140,11 +141,6 @@ def chunk_spans(texts: Sequence[str],
     return per_text
 
 
-def chunk_text(text: str, params: ChunkParams | None = None) -> list[str]:
-    """The texts of the :func:`chunk_spans` windows of ``text``."""
-    return [text[start:end] for start, end in chunk_spans([text], params)[0]]
-
-
 Chunk = namedtuple("Chunk", "chunk_id doc_id cui source title text vector")
 
 
@@ -194,10 +190,10 @@ class CuiIndex:
 
 
 def _assemble(embedder: dict, params: ChunkParams, documents: dict[str, KbDocument],
-              matrix: np.ndarray, spans: list, counts: list[int]) -> CuiIndex:
+              matrix: np.ndarray, spans: np.ndarray | list, counts: list[int]) -> CuiIndex:
     """The index whose article j (of ``documents``) owns the next ``counts[j]`` rows of
     ``matrix`` and ``spans``; a zero or non-finite vector is a ``ValueError``."""
-    spans = np.array(spans, dtype=np.int64).reshape(-1, 2)
+    spans = np.asarray(spans, np.int64).reshape(-1, 2)
     offsets = (0, *itertools.accumulate(counts))
     digest = hashlib.sha256(json.dumps([matrix.shape, len(offsets), vars(params), embedder],
                                        sort_keys=True).encode())
@@ -209,7 +205,7 @@ def _assemble(embedder: dict, params: ChunkParams, documents: dict[str, KbDocume
                           for doc in documents.values()).encode("utf-8"))
     by_cui: dict[str, list[str]] = {}
     by_title: dict[str, list[str]] = {}
-    for doc_id, doc in sorted(documents.items()):
+    for doc_id, doc in documents.items():  # in doc-id order
         by_cui.setdefault(doc.cui, []).append(doc_id)
         by_title.setdefault(doc.title.casefold(), []).append(doc_id)
     doc_ids = tuple(documents)
@@ -291,7 +287,7 @@ def candidate_chunk_ids(index: CuiIndex, head: Entity, tail: Entity, *,
     doc_ids = {doc_id for e in (head, tail) for doc_id in (
         index.by_cui.get(e.cui, ()) if e.cui is not None
         else index.by_title.get(e.canonical_name.casefold(), ()))}
-    # ``doc_ids`` is sorted: build_index sorts the articles and the fingerprint pins their order
+    # ``doc_ids`` is sorted: build_index sorts the articles and load_index checks their order
     articles = sorted(bisect.bisect_left(index.doc_ids, doc_id) for doc_id in doc_ids)
     return [row for j in articles for row in range(index.offsets[j], index.offsets[j + 1])]
 
@@ -327,27 +323,32 @@ def retrieve(index: CuiIndex, query_vec: np.ndarray, head: Entity, tail: Entity,
 
 
 def save_index(index: CuiIndex) -> str:
-    """Serialize an index to a single JSONL string: a header, then one record per
-    article, holding its chunks as ``spans`` of character offsets into its text
-    and their ``vectors`` as one base64 block of little-endian float64 bytes."""
+    """Serialize an index to a JSONL string: a header, one record of its fields per article
+    in doc-id order, then per ``CHUNK_GROUP_SIZE`` articles a ``columns`` record of their
+    chunk ``counts``, ``spans`` and ``vectors``, each a base64 block of ``<i8``/``<f8``."""
+    def b64(column: np.ndarray, dtype: str) -> str:
+        return base64.b64encode(np.ascontiguousarray(column, dtype)).decode("ascii")
+
+    counts = np.diff(index.offsets)
     lines = [json.dumps({
         "kind": "header", "format": INDEX_FORMAT, "dimension": index.dimension,
-        "embedder": index.embedder, "chunks": len(index),
-        "params": vars(index.params),
-        "fingerprint": index.fingerprint,
-    }, sort_keys=True)]
-    for doc, start, end in zip(index.documents.values(), index.offsets, index.offsets[1:]):
-        block = np.ascontiguousarray(index.matrix[start:end], "<f8")
-        lines.append(json.dumps({**vars(doc), "spans": index.spans[start:end].tolist(),
-                                 "vectors": base64.b64encode(block).decode("ascii")},
-                                sort_keys=True, ensure_ascii=False))
+        "embedder": index.embedder, "articles": len(counts), "chunks": len(index),
+        "params": vars(index.params), "fingerprint": index.fingerprint}, sort_keys=True)]
+    lines += [json.dumps(vars(doc), sort_keys=True, ensure_ascii=False)
+              for doc in index.documents.values()]
+    for at in range(0, len(counts), CHUNK_GROUP_SIZE):
+        rows = slice(index.offsets[at], index.offsets[min(at + CHUNK_GROUP_SIZE, len(counts))])
+        lines.append(json.dumps({
+            "kind": "columns", "counts": b64(counts[at:at + CHUNK_GROUP_SIZE], "<i8"),
+            "spans": b64(index.spans[rows], "<i8"), "vectors": b64(index.matrix[rows], "<f8"),
+        }, sort_keys=True))
     return "\n".join(lines) + "\n"
 
 
 def _read_header(header: object, line_no: int,
-                 text_length: int) -> tuple[dict, ChunkParams, int, int, str]:
-    """``(embedder, params, chunk count, dimension, fingerprint)`` of an index header.
-    The count sizes the vector matrix, so ``text_length`` characters must hold it."""
+                 text_length: int) -> tuple[dict, ChunkParams, int, int, int, str]:
+    """``(embedder, params, article count, chunk count, dimension, fingerprint)`` of a
+    header; the chunk count sizes the matrix, so ``text_length`` characters must hold it."""
     if not isinstance(header, dict) or header.get("kind") != "header":
         raise ValueError("index file must start with a header record")
     if header.get("format") != INDEX_FORMAT:
@@ -363,60 +364,74 @@ def _read_header(header: object, line_no: int,
             raise ValueError("embedder must be an object and fingerprint a string")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"line {line_no}: bad index header: {exc}") from None
-    count = header.get("chunks")
-    if type(count) is not int or not 0 <= count <= text_length // (8 * dimension):
-        raise ValueError("index header has no valid chunk count; rebuild it with `adrcm index`")
-    return embedder, params, count, dimension, fingerprint
+    articles, count = header.get("articles"), header.get("chunks")
+    if not (type(articles) is int and articles >= 0 and type(count) is int
+            and 0 <= count <= text_length // (8 * dimension)):
+        raise ValueError("index header has no valid article and chunk counts; "
+                         "rebuild it with `adrcm index`")
+    return embedder, params, articles, count, dimension, fingerprint
 
 
-def _read_article(row: dict, dimension: int) -> tuple[KbDocument, list, bytes]:
-    """``(article, spans, vector bytes)`` of an article record. A malformed record
-    raises ``ValueError``, ``KeyError``, ``TypeError`` or ``AttributeError``."""
-    spans, vectors = row.pop("spans"), row.pop("vectors")
-    doc = KbDocument(**row)
-    if type(spans) is not list or not all(
-            type(span) is list and len(span) == 2 and all(type(x) is int for x in span)
-            and 0 <= span[0] < span[1] <= len(doc.text) for span in spans):
-        raise ValueError(f"spans {spans!r} are not [start, end] pairs "
-                         f"with 0 <= start < end <= {len(doc.text)}")
-    try:
-        raw = base64.b64decode(vectors, validate=True)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"vectors are not base64: {exc}") from None
-    if len(raw) != 8 * dimension * len(spans):
-        raise ValueError(f"expected {len(spans)} {dimension}-dim vectors, got {len(raw)} bytes")
-    return doc, spans, raw
+def _read_columns(record: dict, docs: Sequence[KbDocument], matrix: np.ndarray,
+                  spans: np.ndarray) -> list[int]:
+    """Copy ``docs``' chunks from ``record`` into ``matrix`` and ``spans``; return their counts."""
+    def unpack(name: str, dtype: str, *shape: int) -> np.ndarray:  # base64 of 8-byte numbers
+        try:
+            raw = base64.b64decode(record[name], validate=True)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{name} are not base64: {exc}") from None
+        if len(raw) != 8 * math.prod(shape):
+            raise ValueError(f"expected {' x '.join(map(str, shape))} {name}, "
+                             f"got {len(raw)} bytes")
+        return np.frombuffer(raw, dtype).reshape(shape)
+
+    if record.keys() != {"kind", "counts", "spans", "vectors"} or record["kind"] != "columns":
+        raise ValueError(f"fields {sorted(record)} are not those of a columns record")
+    counts = unpack("counts", "<i8", len(docs)).tolist()
+    n = sum(counts)
+    if min(counts) < 0 or n > len(matrix):
+        raise ValueError("chunk counts are negative or more than the header's chunks")
+    group = unpack("spans", "<i8", n, 2)
+    ends = np.repeat([len(doc.text) for doc in docs], counts)
+    bad = np.flatnonzero((group[:, 0] < 0) | (group[:, 0] >= group[:, 1]) | (group[:, 1] > ends))
+    if len(bad):
+        doc = docs[bisect.bisect(list(itertools.accumulate(counts)), bad[0])]
+        raise ValueError(f"span {group[bad[0]].tolist()} of article {doc.doc_id!r} is not "
+                         f"[start, end] with 0 <= start < end <= {len(doc.text)}")
+    spans[:n], matrix[:n] = group, unpack("vectors", "<f8", n, matrix.shape[1])
+    return counts
 
 
 def load_index(text: str) -> CuiIndex:
     """Parse a ``save_index`` string; any inconsistency is a ``ValueError``."""
-    records = parse_jsonl(text, "index", lambda row: row)
-    line_no, header = next(records, (0, None))
+    lines = jsonl_lines(text)
+    line_no, header = next(parse_jsonl(lines, "index", lambda row: row), (0, None))
     if header is None:
         raise ValueError("empty index file")
-    embedder, params, count, dimension, fingerprint = _read_header(header, line_no, len(text))
+    embedder, params, articles, count, dimension, fingerprint = _read_header(
+        header, line_no, len(text))
     documents: dict[str, KbDocument] = {}
-    spans: list[list[int]] = []
-    counts: list[int] = []
-    vectors = bytearray(8 * dimension * count)
-    for line_no, row in records:
-        try:
-            doc, doc_spans, raw = _read_article(row, dimension)
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"line {line_no}: bad article record: {exc}") from None
+    for line_no, doc in parse_jsonl(itertools.islice(lines, articles), "article",
+                                    lambda row: KbDocument(**row)):
         doc_id = doc.doc_id
-        if doc_id in documents:
-            raise ValueError(f"line {line_no}: duplicate article {doc_id!r}")
-        if len(spans) + len(doc_spans) > count:
-            raise ValueError(f"line {line_no}: more chunks than the header's {count}")
-        vectors[8 * dimension * len(spans):8 * dimension * (len(spans) + len(doc_spans))] = raw
-        documents[doc_id] = doc
-        spans += doc_spans
-        counts.append(len(doc_spans))
-    if len(spans) != count:
-        raise ValueError(f"index has {len(spans)} chunks, its header says {count}")
-    index = _assemble(embedder, params, documents,
-                      np.frombuffer(vectors, "<f8").reshape(count, dimension), spans, counts)
+        if documents and doc_id <= last:
+            raise ValueError(f"line {line_no}: article {doc_id!r} repeats or is out of order")
+        documents[doc_id], last = doc, doc_id
+    docs = list(documents.values())
+    matrix, spans = np.empty((count, dimension)), np.empty((count, 2), np.int64)
+    counts: list[int] = []
+    for at, (line_no, line) in zip(range(0, articles, CHUNK_GROUP_SIZE), lines):
+        try:
+            counts += _read_columns(json.loads(line), docs[at:at + CHUNK_GROUP_SIZE],
+                                    matrix[sum(counts):], spans[sum(counts):])
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ValueError(f"line {line_no}: bad columns record: {exc}") from None
+    for line_no, _ in lines:
+        raise ValueError(f"line {line_no}: record after the last columns record")
+    if (len(counts), sum(counts)) != (articles, count):
+        raise ValueError(f"index has {len(counts)} articles with chunks and {sum(counts)} "
+                         f"chunks, its header says {articles} and {count}")
+    index = _assemble(embedder, params, documents, matrix, spans, counts)
     if index.fingerprint != fingerprint:
         raise ValueError("index fingerprint does not match its contents")
     return index

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from adrcm.kb import (
     build_index,
     candidate_chunk_ids,
     chunk_spans,
-    chunk_text,
     cosine,
     load_index,
     load_kb,
@@ -23,6 +23,7 @@ from adrcm.kb import (
     save_index,
 )
 from adrcm.llm import HashingEmbedder
+from adrcm.mock import TOY_CHUNK_PARAMS
 from adrcm.model import Entity, Mention
 
 
@@ -57,6 +58,11 @@ def _tokens(n, prefix="t"):
     return " ".join(f"{prefix}{i}" for i in range(n))
 
 
+def _chunk_text(text, params=None):
+    """The texts of the :func:`chunk_spans` windows of a lone ``text``."""
+    return [text[start:end] for start, end in chunk_spans([text], params)[0]]
+
+
 def test_chunk_params_validation():
     with pytest.raises(ValueError):
         ChunkParams(size=0)
@@ -70,7 +76,7 @@ def test_chunk_params_validation():
 
 def test_chunk_text_window_layout():
     text = _tokens(512)
-    chunks = chunk_text(text, ChunkParams(size=256, overlap=32))
+    chunks = _chunk_text(text, ChunkParams(size=256, overlap=32))
     assert len(chunks) == 3
     sizes = [len(c.split()) for c in chunks]
     assert sizes == [256, 256, 64]
@@ -81,17 +87,17 @@ def test_chunk_text_window_layout():
 
 
 def test_chunk_text_small_inputs():
-    assert chunk_text("") == []
-    assert chunk_text("   ") == []
-    assert chunk_text("one two", ChunkParams(size=256, overlap=32)) == ["one two"]
+    assert _chunk_text("") == []
+    assert _chunk_text("   ") == []
+    assert _chunk_text("one two", ChunkParams(size=256, overlap=32)) == ["one two"]
 
 
 def test_chunk_text_merges_short_tail():
     text = _tokens(105)
-    merged = chunk_text(text, ChunkParams(size=100, overlap=0, min_tail=16))
+    merged = _chunk_text(text, ChunkParams(size=100, overlap=0, min_tail=16))
     assert len(merged) == 1
     assert merged[0].split()[-1] == "t104"
-    kept = chunk_text(text, ChunkParams(size=100, overlap=0, min_tail=5))
+    kept = _chunk_text(text, ChunkParams(size=100, overlap=0, min_tail=5))
     assert len(kept) == 2
     assert len(kept[1].split()) == 5
 
@@ -103,7 +109,7 @@ def test_chunk_text_token_coverage_property():
         size = rng.randrange(8, 64)
         overlap = rng.randrange(0, size)
         text = _tokens(n)
-        chunks = chunk_text(text, ChunkParams(size=size, overlap=overlap, min_tail=4))
+        chunks = _chunk_text(text, ChunkParams(size=size, overlap=overlap, min_tail=4))
         seen = set()
         for chunk in chunks:
             assert chunk in text
@@ -113,7 +119,7 @@ def test_chunk_text_token_coverage_property():
 
 def test_chunk_text_preserves_inner_whitespace():
     text = "alpha   beta\tgamma  delta"
-    chunks = chunk_text(text, ChunkParams(size=3, overlap=1, min_tail=1))
+    chunks = _chunk_text(text, ChunkParams(size=3, overlap=1, min_tail=1))
     for chunk in chunks:
         assert chunk in text
 
@@ -168,10 +174,10 @@ def test_chunk_spans_matches_the_per_token_chunker():
         got = chunk_spans(texts, params)
         assert got == [_reference_chunk_spans(text, params) for text in texts], params
     assert chunk_spans([]) == []
-    # a lone text, as chunk_text chunks it
+    # a lone text
     for text in texts[:40]:
         params = ChunkParams(3, 1, 2)
-        assert chunk_text(text, params) == [
+        assert _chunk_text(text, params) == [
             text[start:end] for start, end in _reference_chunk_spans(text, params)]
 
 
@@ -210,7 +216,7 @@ def test_build_index_structure(toy_index, toy_kb_docs):
         assert rows
         assert [toy_index.chunk(row)[:2] for row in rows] == [
             (f"{doc_id}#{i:04d}", doc_id) for i in range(len(rows))]
-        assert [toy_index.chunk(row)[5] for row in rows] == chunk_text(
+        assert [toy_index.chunk(row)[5] for row in rows] == _chunk_text(
             toy_index.documents[doc_id].text, toy_index.params)
     assert np.array_equal(toy_index.norms, np.linalg.norm(toy_index.matrix, axis=1))
     assert np.allclose(toy_index.norms, 1.0, rtol=0, atol=1e-9)
@@ -308,12 +314,14 @@ def test_load_index_rejects_tampering(toy_index):
     text = save_index(toy_index)
 
     def shorten_span(records):
-        records[1]["spans"][0][1] -= 1
+        spans = _column(records[-1], "spans").copy()
+        spans[0, 1] -= 1
+        _set_column(records[-1], spans=spans)
 
     def flip_vector_byte(records):
-        raw = bytearray(base64.b64decode(records[1]["vectors"]))
+        raw = bytearray(base64.b64decode(records[-1]["vectors"]))
         raw[0] ^= 1
-        records[1]["vectors"] = base64.b64encode(bytes(raw)).decode("ascii")
+        records[-1]["vectors"] = base64.b64encode(bytes(raw)).decode("ascii")
 
     for edit in (shorten_span, flip_vector_byte,
                  lambda rs: rs[0]["embedder"].update(model="other")):
@@ -326,20 +334,24 @@ def test_load_index_rejects_tampering(toy_index):
 
 
 def test_index_file_layout(toy_index):
-    header, *articles = [json.loads(line) for line in save_index(toy_index).splitlines()]
-    assert header["format"] == 5
+    header, *records = [json.loads(line) for line in save_index(toy_index).splitlines()]
+    assert header["format"] == 6
     assert header["embedder"] == {"kind": "hashing", "model": "fnv1a64", "dimension": 64}
     assert header["chunks"] == len(toy_index)
+    assert header["articles"] == len(toy_index.documents) < kb.CHUNK_GROUP_SIZE
+    *articles, columns = records
     assert [f"{r['cui']}|{r['source']}|{r['title']}" for r in articles] == sorted(
         toy_index.documents)
+    assert all(set(record) == {"cui", "source", "title", "text"} for record in articles)
+    assert set(columns) == {"kind", "counts", "spans", "vectors"}
+    assert columns["kind"] == "columns"
+    assert _column(columns, "counts").tolist() == np.diff(toy_index.offsets).tolist()
+    assert _column(columns, "spans").tolist() == toy_index.spans.tolist()
+    assert base64.b64decode(columns["vectors"]) == toy_index.matrix.astype("<f8").tobytes()
     for j, record in enumerate(articles):
-        assert set(record) == {"cui", "source", "title", "text", "spans", "vectors"}
-        rows = slice(toy_index.offsets[j], toy_index.offsets[j + 1])
-        assert record["spans"] == toy_index.spans[rows].tolist()
-        assert [record["text"][start:end] for start, end in record["spans"]] == chunk_text(
+        spans = toy_index.spans[toy_index.offsets[j]:toy_index.offsets[j + 1]].tolist()
+        assert [record["text"][start:end] for start, end in spans] == _chunk_text(
             record["text"], toy_index.params)
-        assert base64.b64decode(record["vectors"]) == toy_index.matrix[rows].astype(
-            "<f8").tobytes()
 
 
 def _format_2_records(index):
@@ -359,14 +371,15 @@ def _format_2_records(index):
 
 def test_load_index_refuses_format_2(toy_index):
     """A file in the per-chunk layout written before format 3 must be rebuilt, and so
-    must a format 3 file, whose fingerprint does not cover the article records, and a
-    format 4 file, whose fingerprint hashes every chunk rather than the columns."""
+    must a format 3 file, whose fingerprint does not cover the article records, a
+    format 4 file, whose fingerprint hashes every chunk rather than the columns, and a
+    format 5 file, whose article records hold their own chunks."""
     old = dump_jsonl(_format_2_records(toy_index))
-    with pytest.raises(ValueError, match="index format 2 is not 5; rebuild it with `adrcm index`"):
+    with pytest.raises(ValueError, match="index format 2 is not 6; rebuild it with `adrcm index`"):
         load_index(old)
-    for format_ in (3, 4):
+    for format_ in (3, 4, 5):
         older = _retamper(save_index(toy_index), lambda rs: rs[0].update(format=format_))
-        with pytest.raises(ValueError, match=f"index format {format_} is not 5; "
+        with pytest.raises(ValueError, match=f"index format {format_} is not 6; "
                                              "rebuild it with `adrcm index`"):
             load_index(older)
 
@@ -518,13 +531,41 @@ def test_benchmark_facing_contract(monkeypatch):
 
 
 def _retamper(text, edit):
-    records = [json.loads(line) for line in text.splitlines()]
+    records = [json.loads(line) for line in text.split("\n")[:-1]]
     edit(records)
     return "".join(json.dumps(r, sort_keys=True, ensure_ascii=False) + "\n" for r in records)
 
 
+_DTYPES = {"counts": "<i8", "spans": "<i8", "vectors": "<f8"}
+
+
+def _column(record, name):
+    """A block of a columns record as an array; spans as ``[start, end]`` rows."""
+    column = np.frombuffer(base64.b64decode(record[name]), _DTYPES[name])
+    return column.reshape(-1, 2) if name == "spans" else column
+
+
+def _set_column(record, **columns):
+    for name, column in columns.items():
+        block = column if isinstance(column, bytes) else np.asarray(column, _DTYPES[name])
+        record[name] = base64.b64encode(block).decode("ascii")
+
+
 def _swap_articles(records):
     records[1], records[2] = records[2], records[1]
+
+
+def _duplicate_last_article(records):
+    records.insert(-1, dict(records[-2]))
+    records[0]["articles"] += 1
+
+
+def _add_article(records):
+    """An article with no chunks, after the others in doc-id order."""
+    records.insert(-1, {"cui": "C9999999", "source": "kb", "title": "ghost",
+                        "text": "never indexed"})
+    records[0]["articles"] += 1
+    _set_column(records[-1], counts=np.r_[_column(records[-1], "counts"), 0])
 
 
 def _drop_vector_bytes(records):
@@ -540,60 +581,111 @@ def _set_first_vector(value):
     return edit
 
 
-def _set_span(span):
+def _set_span(span, dtype="<i8"):
+    """Set the last span, written as ``dtype`` numbers."""
     def edit(records):
-        records[-1]["spans"][-1] = span
+        raw = base64.b64decode(records[-1]["spans"])
+        _set_column(records[-1], spans=raw[:-16] + np.asarray(span, dtype).tobytes())
     return edit
 
 
-# ``{last}`` stands for the file line of the last record.
+def _resize_spans(extra):
+    """Add ``extra`` bytes to the spans block, or drop ``-extra``."""
+    def edit(records):
+        raw = base64.b64decode(records[-1]["spans"])
+        _set_column(records[-1], spans=raw + bytes(extra) if extra > 0 else raw[:extra])
+    return edit
+
+
+def _set_counts(change):
+    def edit(records):
+        _set_column(records[-1], counts=change(_column(records[-1], "counts").copy()))
+    return edit
+
+
+def _make_second_chunk_count_negative(counts):
+    counts[:2] += [counts[1] + 1, -counts[1] - 1]
+    return counts
+
+
+def _move_first_chunk_count(counts):
+    counts[:2] += [-1, 1]
+    return counts
+
+
+# ``{last}`` stands for the file line of the last record, ``{last_article}`` for that of
+# the last article record.
 @pytest.mark.parametrize("edit, message", [
-    (lambda rs: rs[0].update(chunks=rs[0]["chunks"] - 1), "^line {last}: more chunks"),
+    (lambda rs: rs[0].update(chunks=rs[0]["chunks"] - 1),
+     "^line {last}: bad columns record: chunk counts are negative or more than the header's"),
     (lambda rs: rs[0].update(chunks=rs[0]["chunks"] + 1), "header says"),
     (lambda rs: rs[0].pop("chunks"), "adrcm index"),
     (lambda rs: rs[0].update(chunks=10 ** 12), "adrcm index"),
+    (lambda rs: rs[0].pop("articles"), "adrcm index"),
+    (lambda rs: rs[0].update(articles=-1), "adrcm index"),
+    (lambda rs: rs[0].update(articles=rs[0]["articles"] - 1),
+     "^line {last_article}: bad columns record: fields .* are not those of a columns record"),
+    (lambda rs: rs[0].update(articles=rs[0]["articles"] + 1),
+     "^line {last}: bad article record"),
     (lambda rs: rs[0].pop("embedder"), "^line 1: bad index header: 'embedder'"),
     (lambda rs: rs[0].update(dimension="64"), "^line 1: bad index header: dimension"),
     (lambda rs: rs[0].update(params=[48]), "^line 1: bad index header"),
-    (_swap_articles, "fingerprint"),
-    (lambda rs: rs.append(dict(rs[-1])), "^line {last}: duplicate article"),
-    (_drop_vector_bytes, r"^line {last}: bad article record: expected \d+ 64-dim vectors"),
+    (_swap_articles, "^line 3: article .* repeats or is out of order"),
+    (_duplicate_last_article, "^line {last_article}: article .* repeats or is out of order"),
+    (_drop_vector_bytes, r"^line {last}: bad columns record: expected \d+ x 64 vectors, got"),
     (_set_first_vector(0.0), "^chunk '.*#0000' has a zero or non-finite vector$"),
     (_set_first_vector(np.nan), "^chunk '.*#0000' has a zero or non-finite vector$"),
-    (lambda rs: rs[-1].update(vectors="not base64!"),
-     "^line {last}: bad article record: vectors are not base64"),
-    (lambda rs: rs[-1].pop("spans"), "^line {last}: bad article record: 'spans'"),
-    (lambda rs: rs[-1].update(chunk_id="x"), "^line {last}: bad article record: .*'chunk_id'"),
-    (lambda rs: rs[-1].update(vectors=7), "^line {last}: bad article record: vectors"),
-    (_set_span([0.0, 3]), "^line {last}: bad article record: span"),
-    (_set_span(["0", 3]), "^line {last}: bad article record: span"),
-    (_set_span([0, True]), "^line {last}: bad article record: span"),
-    (_set_span([0, 3, 5]), "^line {last}: bad article record: span"),
-    (_set_span({"start": 0}), "^line {last}: bad article record: span"),
-    (lambda rs: rs[-1].update(spans={"start": 0}), "^line {last}: bad article record: spans"),
-    (_set_span([-1, 3]), "^line {last}: bad article record: span"),
-    (_set_span([3, 3]), "^line {last}: bad article record: span"),
-    (lambda rs: _set_span([0, len(rs[-1]["text"]) + 1])(rs),
-     "^line {last}: bad article record: span"),
+    (lambda rs: rs[-1].update(vectors="!" + rs[-1]["vectors"][1:]),
+     "^line {last}: bad columns record: vectors are not base64"),
+    (lambda rs: rs[-1].pop("spans"),
+     r"^line {last}: bad columns record: fields \['counts', 'kind', 'vectors'\] are not"),
+    (lambda rs: rs[-1].update(chunk_id="x"), "^line {last}: bad columns record: .*'chunk_id'"),
+    (lambda rs: rs[-1].update(vectors=[rs[-1]["vectors"]]),
+     "^line {last}: bad columns record: vectors are not base64"),
+    (_set_span([0.0, 3.0], "<f8"), r"^line {last}: bad columns record: span \[0, \d+\] of"),
+    (lambda rs: rs[-1].update(spans=[[0, 3]]),
+     "^line {last}: bad columns record: spans are not base64"),
+    (_resize_spans(-8), r"^line {last}: bad columns record: expected \d+ x 2 spans"),
+    (_resize_spans(8), r"^line {last}: bad columns record: expected \d+ x 2 spans"),
+    (lambda rs: rs[-1].update(spans=rs[-1]["spans"][:-4] + "@@@@"),
+     "^line {last}: bad columns record: spans are not base64"),
+    (lambda rs: rs[-1].update(spans={"start": 0}),
+     "^line {last}: bad columns record: spans are not base64"),
+    (_set_span([-1, 3]), r"^line {last}: bad columns record: span \[-1, 3\] of article '"),
+    (_set_span([3, 3]), r"^line {last}: bad columns record: span \[3, 3\]"),
+    (lambda rs: _set_span([0, len(rs[-2]["text"]) + 1])(rs),
+     r"^line {last}: bad columns record: span \[0, \d+\]"),
     (lambda rs: rs[1].update(url="https://example.org"), "^line 2: bad article"),
     (lambda rs: rs[1].pop("source"), "^line 2: bad article"),
     (lambda rs: rs[1].update(kind="doc"), "^line 2: bad article"),
-    (lambda rs: rs.append({"cui": "C0000009", "source": "kb", "title": "ghost",
-                           "text": "never indexed", "spans": [], "vectors": ""}),
-     "fingerprint"),
+    (_add_article, "fingerprint"),
     (lambda rs: rs[1].update(text=rs[1]["text"] + "   "), "fingerprint"),
-], ids=["count-small", "count-large", "count-missing", "count-huge",
+    # without its vectors the file is too short for its chunk count; see the round trip
+    # test for a missing record that leaves it long enough
+    (lambda rs: rs.pop(), "^index header has no valid article and chunk counts"),
+    (lambda rs: rs.append(dict(rs[-1])), "^line {last}: record after the last columns record"),
+    (_set_counts(lambda counts: counts[:-1]),
+     r"^line {last}: bad columns record: expected \d+ counts, got"),
+    (_set_counts(_make_second_chunk_count_negative),
+     "^line {last}: bad columns record: chunk counts are negative"),
+    (_set_counts(_move_first_chunk_count), "fingerprint"),
+], ids=["count-small", "count-large", "count-missing", "count-huge", "articles-missing",
+        "articles-negative", "articles-small", "articles-large",
         "header-missing-field", "header-dimension-type", "header-params-type", "order",
-        "duplicate", "vector-length", "vector-zero", "vector-nan", "vector-not-base64", "chunk-missing-field",
-        "chunk-extra-field", "chunk-field-type", "span-float", "span-str", "span-bool",
-        "span-three", "span-object", "spans-object", "span-negative", "span-empty",
-        "span-past-end", "article-extra-field", "article-missing-field", "article-kind",
-        "article-added", "article-text-edited"])
+        "duplicate", "vector-length", "vector-zero", "vector-nan", "vector-not-base64",
+        "chunk-missing-field", "chunk-extra-field", "chunk-field-type", "span-float",
+        "span-str", "span-bool", "span-three", "span-object", "spans-object",
+        "span-negative", "span-empty", "span-past-end", "article-extra-field",
+        "article-missing-field", "article-kind", "article-added", "article-text-edited",
+        "columns-missing", "columns-extra", "counts-short", "counts-negative",
+        "counts-moved"])
 def test_load_index_rejects_inconsistent_records(toy_index, edit, message):
     text = save_index(toy_index)
     assert save_index(load_index(text)) == text
     tampered = _retamper(text, edit)
-    with pytest.raises(ValueError, match=message.format(last=tampered.count("\n"))):
+    last_article = 1 + sum("kind" not in json.loads(line) for line in tampered.splitlines())
+    with pytest.raises(ValueError, match=message.format(last=tampered.count("\n"),
+                                                        last_article=last_article)):
         load_index(tampered)
 
 
@@ -654,13 +746,45 @@ def test_index_round_trip_keeps_unicode_line_separators():
 def test_load_index_reports_file_line_numbers(toy_index):
     lines = save_index(toy_index).splitlines()
     truncated = lines[:5] + [lines[5][:-3]] + lines[6:]
-    with pytest.raises(ValueError, match="^line 6: bad index record: Unterminated string"):
+    with pytest.raises(ValueError, match="^line 6: bad article record: Unterminated string"):
         load_index("\n".join(truncated) + "\n")
     bad = json.loads(lines[3])
     bad["title"] = " "
     spaced = lines[:1] + ["", "  "] + lines[1:3] + [json.dumps(bad)] + lines[4:]
     with pytest.raises(ValueError, match="^line 6: bad article record: .*'title' is empty"):
         load_index("\n".join(spaced) + "\n")
+    # One record spread over two lines and two records on one line: joined by commas,
+    # the lines would parse as all the records; one by one, the first line fails.
+    split = lines[4].index('"text"')
+    spread = (lines[:4] + [lines[4][:split].rstrip(", "), lines[4][split:], lines[5],
+                           lines[6] + ", " + lines[7]] + lines[8:])
+    assert json.loads("[" + ",".join(spread[1:-1]) + "]") == [
+        json.loads(line) for line in lines[1:-1]]
+    with pytest.raises(ValueError, match="^line 5: bad article record: Expecting"):
+        load_index("\n".join(spread) + "\n")
+    columns = lines[:-1] + ["", lines[-1][:-3]]
+    with pytest.raises(ValueError, match=f"^line {len(lines) + 1}: bad columns record: "
+                                         "Unterminated string"):
+        load_index("\n".join(columns) + "\n")
+
+
+def test_load_index_peak_memory_stays_within_twice_the_matrix(toy_kb_docs):
+    """The vectors are read a group of articles at a time: at its peak, loading holds
+    at most twice the matrix's bytes beyond what the loaded index keeps. A loader that
+    reads all vectors from one record holds their JSON line, its decoded string and
+    their bytes at once."""
+    docs = [KbDocument(f"C{6000000 + 100 * copy + j}", doc.source, f"{doc.title} {copy}",
+                       doc.text)
+            for copy in range(50) for j, doc in enumerate(toy_kb_docs)]
+    text = save_index(build_index(docs, HashingEmbedder(), params=TOY_CHUNK_PARAMS))
+    tracemalloc.start()
+    try:
+        index = load_index(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(index.documents) >= 1000
+    assert peak - kept <= 2 * index.matrix.nbytes, (peak - kept, index.matrix.nbytes)
 
 
 _WORDS = ["alpha", "beta", "gamma", "kinase", "fever", "dose", "line\u2028sep", "next\x85line"]
@@ -684,7 +808,11 @@ def _random_kb(rng):
     return docs
 
 
-def test_format_5_round_trip_on_random_kbs():
+def _columns_records(text):
+    return [r for r in map(json.loads, text.split("\n")[:-1]) if r.get("kind") == "columns"]
+
+
+def test_format_6_round_trip_on_random_kbs():
     rng = random.Random(23)
     head, tail = _entity("E1", cui="C0000001"), _entity("E2", cui="C0000002")
     for _ in range(40):
@@ -699,11 +827,44 @@ def test_format_5_round_trip_on_random_kbs():
             built.chunk(row) for row in range(len(built))]
         assert loaded.matrix.tobytes() == built.matrix.tobytes()
         assert np.array_equal(loaded.spans, built.spans)
-        for record in map(json.loads, text.split("\n")[1:-1]):
-            starts = [start for start, _ in record["spans"]]
+        (columns,) = _columns_records(text)
+        spans = _column(columns, "spans")
+        for start, end in zip(built.offsets, built.offsets[1:]):
+            starts = spans[start:end, 0].tolist()
             assert starts == sorted(starts)
         query = HashingEmbedder().embed_one(" ".join(rng.choices(_WORDS, k=3)))
         k = rng.randint(1, len(built) + 2)
         got = [(s.chunk_id, s.score.hex())
                for s in retrieve(loaded, query, head, tail, k=k, cui_scoped=False)]
         assert got == [(c, s.hex()) for c, s in _brute_scan(built, query, k)]
+
+    # two groups of articles, the second of one article
+    docs = [KbDocument(f"C{5000000 + i}", rng.choice(["kb", "kb2"]), f"t{i}",
+                       " ".join(rng.choices(_WORDS, k=rng.randint(1, 40))))
+            for i in range(kb.CHUNK_GROUP_SIZE + 1)]
+    built = build_index(docs, _ScaledEmbedder(), params=ChunkParams(4, 1, 2))
+    text = save_index(built)
+    loaded = load_index(text)
+    assert save_index(loaded) == text
+    assert loaded.fingerprint == built.fingerprint
+    assert loaded.matrix.tobytes() == built.matrix.tobytes()
+    assert np.array_equal(loaded.spans, built.spans)
+    lines = text.split("\n")[:-1]
+    assert len(lines) == 1 + len(docs) + 2
+    groups = _columns_records(text)
+    assert [len(_column(r, "counts")) for r in groups] == [kb.CHUNK_GROUP_SIZE, 1]
+    assert np.concatenate([_column(r, "counts") for r in groups]).tolist() == np.diff(
+        built.offsets).tolist()
+    # a bad span names the line of its own group's record
+    for line_no in (len(lines) - 1, len(lines)):
+        def reverse_first_span(records):
+            spans = _column(records[line_no - 1], "spans").copy()
+            spans[0] = spans[0, ::-1]
+            _set_column(records[line_no - 1], spans=spans)
+
+        with pytest.raises(ValueError, match=rf"^line {line_no}: bad columns record: span "
+                                             rf"\[\d+, 0\] of article 'C\d+\|kb2?\|t"):
+            load_index(_retamper(text, reverse_first_span))
+    with pytest.raises(ValueError, match=f"^index has {kb.CHUNK_GROUP_SIZE} articles with "
+                                         rf"chunks and \d+ chunks, its header says {len(docs)}"):
+        load_index("\n".join(lines[:-1]) + "\n")
