@@ -140,8 +140,7 @@ def cmd_synth(args) -> int:
         atomic_write_text(args.report, json.dumps({
             "accepted": report.accepted_count,
             "discarded": report.discarded_count,
-            "discarded_pairs": [{k: v for k, v in vars(d).items() if k != "failures"}
-                                for d in report.discarded],
+            "discarded_pairs": [vars(d) for d in report.discarded],
             "errors": list(report.errors),
             "summary_calls": report.summary_calls,
             "confirmation_calls": report.confirmation_calls,
@@ -238,8 +237,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_e2e_mock(args) -> int:
-    paths = mock.run_e2e_mock(args.workdir, beta=args.beta, k=args.k,
-                              rag_mode=args.rag, seed=args.seed)
+    paths = mock.run_e2e_mock(args.workdir, rag_mode=args.rag)
     print(mock.describe_run(paths))
     return 0
 
@@ -328,10 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("e2e-mock",
                        help="run the full pipeline offline on the toy corpus")
     p.add_argument("--workdir", required=True)
-    p.add_argument("--beta", type=int, default=3)
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--rag", choices=RAG_MODES, default="cui")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--rag", choices=RAG_MODES, default=DEFAULTS["rag_mode"])
     p.set_defaults(func=cmd_e2e_mock)
 
     return parser

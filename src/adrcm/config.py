@@ -4,15 +4,16 @@ The format is one ``key = value`` pair per line. Values are parsed as JSON
 scalars when they look like one (numbers, true/false, quoted strings) and
 kept as bare strings otherwise. Lines starting with ``#`` are comments.
 Unknown keys are rejected so typos fail fast instead of silently using a
-default.
+default. :data:`DEFAULTS` is also the one place where library code reads
+these settings' defaults; this module imports nothing from the package.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Mapping
+from typing import Any, Mapping
 
-DEFAULTS: Mapping[str, object] = {
+DEFAULTS: Mapping[str, Any] = {
     "schema": "cdr",
     "dataset_tag": "",
     "beta": 3,

@@ -15,10 +15,11 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+from .config import DEFAULTS
 from .corpus import Corpus, gold_pair_labels
 from .files import dump_jsonl
 from .infer import build_instruction, build_task_input
-from .iors import DEFAULT_BETA, SyntheticRecord
+from .iors import SyntheticRecord
 from .model import TrainingSample
 
 PROVENANCE_ORIGINAL = "original"
@@ -129,8 +130,9 @@ class FinetuneExport:
 
 
 def export_finetune(corpus: Corpus, records: Sequence[AugmentedRecord],
-                    preset: FinetunePreset, *, iors_beta: int = DEFAULT_BETA,
-                    negative_ratio: float = 1.0, seed: int = 0,
+                    preset: FinetunePreset, *, iors_beta: int = DEFAULTS["beta"],
+                    negative_ratio: float = DEFAULTS["negative_ratio"],
+                    seed: int = DEFAULTS["seed"],
                     instruction_template: str | None = None) -> FinetuneExport:
     """Render instruction rows for adapter training plus a settings sidecar.
 

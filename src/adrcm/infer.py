@@ -13,11 +13,12 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .config import DEFAULTS
 from .corpus import Corpus, enumerate_candidate_pairs
 from .files import dump_jsonl, jsonl_lines, parse_jsonl
 from .iors import normalize_relation_label
 from .kb import CuiIndex, RetrievedSnippet, retrieve
-from .llm import HashingEmbedder, LlmGateway, user_exchange
+from .llm import LlmGateway, user_exchange
 from .model import Entity, RelationSchema, TrainingSample
 from .templating import load_default, render, require_placeholders
 
@@ -34,11 +35,11 @@ class InferenceConfig:
     """
 
     instruction: str | None = None
-    k: int = 5
-    rag_mode: str = "cui"
+    k: int = DEFAULTS["k"]
+    rag_mode: str = DEFAULTS["rag_mode"]
     temperature: float = 0.0
     max_tokens: int = 64
-    model_id: str = "default"
+    model_id: str = DEFAULTS["chat_model"]
 
     def __post_init__(self) -> None:
         if self.rag_mode not in RAG_MODES:
@@ -118,12 +119,12 @@ class PredictionRecord:
     unparseable: bool
 
 
-def retrieve_for_pair(gateway: LlmGateway | HashingEmbedder, index: CuiIndex | None,
+def retrieve_for_pair(gateway: LlmGateway, index: CuiIndex | None,
                       schema: RelationSchema, head: Entity, tail: Entity,
                       config: InferenceConfig) -> list[RetrievedSnippet]:
     if config.rag_mode == "off" or index is None:
         return []
-    query_vec = gateway.embed_one(pair_query_text(schema, head, tail))
+    query_vec = gateway.embed_batch([pair_query_text(schema, head, tail)])[0]
     return retrieve(index, query_vec, head, tail, k=config.k,
                     cui_scoped=config.rag_mode == "cui")
 

@@ -13,14 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .config import DEFAULTS
 from .corpus import Corpus
 from .files import dump_jsonl, jsonl_lines, parse_jsonl
 from .llm import LlmGateway, ProtocolError, TransportError, user_exchange
 from .model import Document, Entity, RelationSchema, TrainingSample, Triplet
 from .templating import load_default, render, require_placeholders
 
-DEFAULT_BETA = 3
-DEFAULT_MAX_SUMMARY_CHARS = 4000
 SUMMARY_TEMPERATURE = 0.7
 CONFIRMATION_TEMPERATURE = 0.0
 
@@ -39,13 +38,13 @@ class IorsConfig:
     gold answer.
     """
 
-    beta: int = DEFAULT_BETA
+    beta: int = DEFAULTS["beta"]
     summary_instruction: str | None = None
     confirmation_instruction: str | None = None
-    max_summary_chars: int = DEFAULT_MAX_SUMMARY_CHARS
+    max_summary_chars: int = DEFAULTS["max_summary_chars"]
     summary_temperature: float = SUMMARY_TEMPERATURE
     confirmation_temperature: float = CONFIRMATION_TEMPERATURE
-    model_id: str = "default"
+    model_id: str = DEFAULTS["chat_model"]
 
     def __post_init__(self) -> None:
         if self.beta < 1:
@@ -166,7 +165,6 @@ class DiscardedSynthesis:
     head_id: str
     tail_id: str
     relation: str
-    failures: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -238,8 +236,7 @@ def run_corpus_synthesis(gateway: LlmGateway, corpus: Corpus,
                 triplet.relation, result.summary))
         else:
             discarded.append(DiscardedSynthesis(
-                doc_id, triplet.head_id, triplet.tail_id,
-                triplet.relation, result.failures))
+                doc_id, triplet.head_id, triplet.tail_id, triplet.relation))
     return SynthesisReport(tuple(records), tuple(discarded), tuple(errors),
                            summary_calls, confirmation_calls)
 

@@ -25,6 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import DEFAULTS
 from .files import jsonl_lines, parse_jsonl
 from .model import CUI_PATTERN, Entity
 
@@ -36,9 +37,6 @@ _WHITESPACE = (0x09, 0x0A, 0x0B, 0x0C, 0x0D, 0x1C, 0x1D, 0x1E, 0x1F, 0x20, 0x85,
 _IS_SPACE = np.zeros(max(_WHITESPACE) + 2, dtype=bool)
 _IS_SPACE[list(_WHITESPACE)] = True
 
-DEFAULT_CHUNK_SIZE = 256
-DEFAULT_CHUNK_OVERLAP = 32
-MIN_TAIL_TOKENS = 16
 EMBED_BATCH_SIZE = 256
 CHUNK_GROUP_SIZE = 256  # articles encoded at once: amortizes numpy calls, bounds the UTF-32 copy
 SHORTLIST_MARGIN = 1e-9
@@ -87,9 +85,9 @@ def load_kb(text: str) -> tuple[KbDocument, ...]:
 
 @dataclass(frozen=True)
 class ChunkParams:
-    size: int = DEFAULT_CHUNK_SIZE
-    overlap: int = DEFAULT_CHUNK_OVERLAP
-    min_tail: int = MIN_TAIL_TOKENS
+    size: int = DEFAULTS["chunk_size"]
+    overlap: int = DEFAULTS["chunk_overlap"]
+    min_tail: int = DEFAULTS["chunk_min_tail"]
 
     def __post_init__(self) -> None:
         if self.size < 1:
@@ -293,7 +291,7 @@ def candidate_chunk_ids(index: CuiIndex, head: Entity, tail: Entity, *,
 
 
 def retrieve(index: CuiIndex, query_vec: np.ndarray, head: Entity, tail: Entity,
-             *, k: int = 5, cui_scoped: bool = True) -> list[RetrievedSnippet]:
+             *, k: int = DEFAULTS["k"], cui_scoped: bool = True) -> list[RetrievedSnippet]:
     """Rank eligible chunks by cosine similarity to the query vector, ties by chunk id.
 
     An empty scope yields an empty list, not the whole index. One einsum pass, kept

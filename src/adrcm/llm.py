@@ -25,12 +25,11 @@ from urllib.parse import urlsplit
 
 import numpy as np
 
+from .config import DEFAULTS
 from .files import atomic_write_text, remove_dead_temps
 
 API_KEY_ENV = "ADRCM_API_KEY"
 HTTP_TIMEOUT_S = 60.0
-
-EMBED_DIM_FALLBACK = 64
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -63,7 +62,7 @@ class ChatExchange:
     """One self-contained chat request: messages plus sampling settings."""
 
     messages: tuple[ChatMessage, ...]
-    model_id: str = "default"
+    model_id: str = DEFAULTS["chat_model"]
     temperature: float = 0.0
     max_tokens: int = 1024
 
@@ -76,14 +75,9 @@ class ChatExchange:
             raise ValueError("max_tokens must be positive")
 
 
-def user_exchange(content: str, *, system: str | None = None, temperature: float = 0.0,
-                  model_id: str = "default", max_tokens: int = 1024) -> ChatExchange:
-    messages: list[ChatMessage] = []
-    if system is not None:
-        messages.append(ChatMessage("system", system))
-    messages.append(ChatMessage("user", content))
-    return ChatExchange(tuple(messages), model_id=model_id,
-                        temperature=temperature, max_tokens=max_tokens)
+def user_exchange(content: str, **settings: Any) -> ChatExchange:
+    """An exchange of one user message; ``settings`` are its other :class:`ChatExchange` fields."""
+    return ChatExchange((ChatMessage("user", content),), **settings)
 
 
 def exchange_key(exchange: ChatExchange) -> str:
@@ -130,13 +124,19 @@ class ScriptedBackend:
 
     @classmethod
     def from_file(cls, path: str) -> "ScriptedBackend":
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        if isinstance(data, dict) and "by_hash" in data:
-            return cls(data["by_hash"])
-        if isinstance(data, dict) and "replies" in data:
-            return cls(data["replies"])
-        raise ValueError(f"{path}: expected a 'replies' list or 'by_hash' map")
+        try:
+            with open(path, encoding="utf-8") as fh:
+                data = json.load(fh)
+        except ValueError:  # not UTF-8 or not JSON
+            data = None
+        by_hash = data.get("by_hash") if isinstance(data, dict) else None
+        replies = data.get("replies") if isinstance(data, dict) and by_hash is None else None
+        if isinstance(by_hash, dict) and all(isinstance(r, str) for r in by_hash.values()):
+            return cls(by_hash)
+        if isinstance(replies, list) and all(isinstance(r, str) for r in replies):
+            return cls(replies)
+        raise ValueError(f"{path}: expected a 'replies' list of strings or a 'by_hash' "
+                         "object of string replies")
 
     def complete(self, exchange: ChatExchange) -> str:
         with self._lock:
@@ -228,8 +228,8 @@ class HttpEmbeddingBackend(_HttpClient):
 
     kind = "embedding"
 
-    def __init__(self, base_url: str, *, model_id: str = "default",
-                 dimension: int = 768):
+    def __init__(self, base_url: str, *, model_id: str = DEFAULTS["embed_model"],
+                 dimension: int = DEFAULTS["embed_dimension"]):
         super().__init__(base_url)
         self.model_id = model_id
         self.dimension = dimension
@@ -282,7 +282,7 @@ class HashingEmbedder:
     no tokens gets the first unit vector.
     """
 
-    def __init__(self, dimension: int = EMBED_DIM_FALLBACK):
+    def __init__(self, dimension: int = DEFAULTS["embed_dimension"]):
         if dimension <= 0:
             raise ValueError("dimension must be positive")
         self.dimension = dimension
@@ -316,8 +316,8 @@ class HashingEmbedder:
 
 @dataclass
 class RetryPolicy:
-    max_attempts: int = 4
-    backoff_base: float = 0.5
+    max_attempts: int = DEFAULTS["retry_attempts"]
+    backoff_base: float = DEFAULTS["retry_backoff"]
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -351,11 +351,17 @@ class _ReplyCache:
         if self.cache_dir is None:
             with self._lock:
                 return self._memory.get(key)
+        path = self._path(key)
         try:
-            with open(self._path(key), encoding="utf-8") as fh:
-                return json.load(fh)["reply"]
+            with open(path, encoding="utf-8") as fh:
+                entry = json.load(fh)
         except FileNotFoundError:
             return None
+        except ValueError:  # not UTF-8 or not JSON
+            entry = None
+        if not (isinstance(entry, dict) and isinstance(entry.get("reply"), str)):
+            raise ValueError(f"reply cache entry {path} is not a JSON object with a string reply")
+        return entry["reply"]
 
     def put(self, key: str, reply: str) -> None:
         if self.cache_dir is None:
@@ -384,7 +390,7 @@ class LlmGateway:
 
     def __init__(self, chat_backend: ChatBackend, embedder: Embedder | None = None, *,
                  cache_dir: str | None = None, retry: RetryPolicy | None = None,
-                 max_in_flight: int = 4, sleep=time.sleep):
+                 max_in_flight: int = DEFAULTS["max_in_flight"], sleep=time.sleep):
         if max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
         self.chat_backend = chat_backend
@@ -476,9 +482,6 @@ class LlmGateway:
         with self._lock:
             self.stats.embed_texts += len(texts)
         return vectors
-
-    def embed_one(self, text: str) -> np.ndarray:
-        return self.embed_batch([text])[0]
 
 
 def mock_gateway(script: Sequence[str] | Mapping[str, str], *,

@@ -15,6 +15,7 @@ import json
 import os
 from importlib import resources
 
+from .config import DEFAULTS
 from .corpus import Corpus, enumerate_candidate_pairs, load_corpus, parse_cui_map
 from .files import atomic_write_text, read_text
 from .infer import InferenceConfig, predict_pair
@@ -67,7 +68,7 @@ class _Recorder:
     its canned replies and records it by request hash. A request recorded
     earlier keeps its first reply, which is what the runtime will answer."""
 
-    embed_one = HashingEmbedder().embed_one
+    embed_batch = HashingEmbedder().embed_batch
 
     def __init__(self, script: dict[str, str], replies: list[str]):
         self._script = script
@@ -125,8 +126,7 @@ def build_mock_script(corpus: Corpus, index: CuiIndex | None,
     return script
 
 
-def run_e2e_mock(workdir: str, *, beta: int = 3, k: int = 5,
-                 rag_mode: str = "cui", seed: int = 0) -> dict[str, str]:
+def run_e2e_mock(workdir: str, *, rag_mode: str = DEFAULTS["rag_mode"]) -> dict[str, str]:
     """Run the CLI subcommands from ingest to eval over the toy data.
 
     Returns a name -> path map of the artifacts written under ``workdir``.
@@ -164,20 +164,18 @@ def run_e2e_mock(workdir: str, *, beta: int = 3, k: int = 5,
 
     index = load_index(read_text(index_path)) if rag_mode != "off" else None
     script = build_mock_script(load_corpus(read_text(corpus_path)), index,
-                               IorsConfig(beta=beta),
-                               InferenceConfig(k=k, rag_mode=rag_mode))
+                               IorsConfig(), InferenceConfig(rag_mode=rag_mode))
     atomic_write_text(script_path,
                       json.dumps({"by_hash": script}, sort_keys=True, indent=2) + "\n")
 
     run("synth", "--corpus", corpus_path, "--out", paths["synthetic.jsonl"],
-        "--report", paths["synth_report.json"], "--beta", str(beta), *chat)
+        "--report", paths["synth_report.json"], *chat)
     run("build-adrcm", "--corpus", corpus_path,
         "--synthetic", paths["synthetic.jsonl"], "--out", paths["finetune.jsonl"],
         "--records-out", paths["dataset.jsonl"],
-        "--sidecar", paths["finetune_meta.json"],
-        "--beta", str(beta), "--seed", str(seed))
+        "--sidecar", paths["finetune_meta.json"])
     run("infer", "--corpus", corpus_path, "--index", index_path,
-        "--out", paths["predictions.jsonl"], "--rag", rag_mode, "--k", str(k), *chat)
+        "--out", paths["predictions.jsonl"], "--rag", rag_mode, *chat)
     run("eval", "--corpus", corpus_path, "--predictions", paths["predictions.jsonl"],
         "--out", paths["report.json"])
     return paths

@@ -43,6 +43,14 @@ def test_e2e_mock_writes_all_artifacts(tmp_path, capsys):
     assert report["counts"]["pairs"] == 16
 
 
+def test_e2e_mock_takes_no_stage_settings(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["e2e-mock", "--workdir", str(tmp_path / "e2e"), "--beta", "1"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --beta 1" in capsys.readouterr().err
+    assert not (tmp_path / "e2e").exists()
+
+
 def test_module_entry_point_runs_without_warnings(tmp_path):
     """``python -m adrcm.cli`` must not find adrcm.cli already imported."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
@@ -137,6 +145,20 @@ def test_infer_requires_index_unless_rag_off(tmp_path, e2e_dir, capsys):
                "--script", str(e2e_dir / "mock_script.json")])
     assert rc == 2
     assert "--index is required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", ['{"reply": 5}', "not json"])
+def test_infer_refuses_a_malformed_cache_entry(tmp_path, e2e_dir, capsys, entry):
+    cache = e2e_dir / "cache"
+    for path in cache.iterdir():
+        path.write_text(entry)
+    rc = main(["infer", "--corpus", str(e2e_dir / "corpus.jsonl"),
+               "--index", str(e2e_dir / "index.jsonl"), "--out", str(tmp_path / "p.jsonl"),
+               "--script", str(e2e_dir / "mock_script.json"), "--cache-dir", str(cache)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: reply cache entry {cache}{os.sep}")
+    assert not (tmp_path / "p.jsonl").exists()
 
 
 def test_missing_file_reports_error(tmp_path, capsys):

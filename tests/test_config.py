@@ -1,6 +1,20 @@
+import inspect
+
 import pytest
 
 from adrcm.config import DEFAULTS, ConfigError, load_config, parse_config_text
+from adrcm.dataset import export_finetune
+from adrcm.infer import InferenceConfig
+from adrcm.iors import IorsConfig
+from adrcm.kb import ChunkParams, retrieve
+from adrcm.llm import (
+    HashingEmbedder,
+    HttpEmbeddingBackend,
+    LlmGateway,
+    RetryPolicy,
+    ScriptedBackend,
+    user_exchange,
+)
 
 
 def test_parse_config_text_basics():
@@ -49,3 +63,24 @@ def test_load_config_type_checks():
     with pytest.raises(ConfigError):
         load_config("beta = true\n")
 
+
+def test_library_defaults_are_the_config_defaults():
+    iors, infer, chunks, retry = IorsConfig(), InferenceConfig(), ChunkParams(), RetryPolicy()
+    http = HttpEmbeddingBackend("http://localhost:1")
+    export = {name: p.default for name, p in inspect.signature(export_finetune).parameters.items()}
+    got = [
+        ("beta", iors.beta), ("beta", export["iors_beta"]),
+        ("max_summary_chars", iors.max_summary_chars),
+        ("chat_model", iors.model_id), ("chat_model", infer.model_id),
+        ("chat_model", user_exchange("q").model_id),
+        ("k", infer.k), ("k", inspect.signature(retrieve).parameters["k"].default),
+        ("rag_mode", infer.rag_mode),
+        ("chunk_size", chunks.size), ("chunk_overlap", chunks.overlap),
+        ("chunk_min_tail", chunks.min_tail),
+        ("retry_attempts", retry.max_attempts), ("retry_backoff", retry.backoff_base),
+        ("max_in_flight", LlmGateway(ScriptedBackend([])).max_in_flight),
+        ("embed_dimension", HashingEmbedder().dimension),
+        ("embed_dimension", http.dimension), ("embed_model", http.model_id),
+        ("negative_ratio", export["negative_ratio"]), ("seed", export["seed"]),
+    ]
+    assert got == [(key, DEFAULTS[key]) for key, _ in got]

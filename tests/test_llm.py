@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+import re
 import signal
 import socket
 import subprocess
@@ -56,7 +57,8 @@ def test_exchange_key_sensitivity():
     assert exchange_key(base) == exchange_key(user_exchange("hello"))
     assert exchange_key(base) != exchange_key(user_exchange("hello!"))
     assert exchange_key(base) != exchange_key(user_exchange("hello", temperature=0.7))
-    assert exchange_key(base) != exchange_key(user_exchange("hello", system="be brief"))
+    assert exchange_key(base) != exchange_key(
+        ChatExchange((ChatMessage("system", "be brief"), *base.messages)))
     assert exchange_key(base) != exchange_key(
         user_exchange("hello", model_id="other"))
     assert len(exchange_key(base)) == 64
@@ -96,6 +98,17 @@ def test_scripted_backend_from_file(tmp_path):
     bad.write_text(json.dumps({"oops": 1}))
     with pytest.raises(ValueError, match="replies"):
         ScriptedBackend.from_file(str(bad))
+
+
+@pytest.mark.parametrize("text", [json.dumps(data) for data in (
+    {"replies": "CID"}, {"replies": ["a", 1]}, {"replies": None}, {"by_hash": ["a"]},
+    {"by_hash": {"k": 5}}, {"by_hash": "x", "replies": ["a"]}, ["a"], "CID")] + ["not json"])
+def test_scripted_backend_from_file_refuses_replies_that_are_not_strings(tmp_path, text):
+    # A string of replies would otherwise play back one character per call.
+    path = tmp_path / "script.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: expected")):
+        ScriptedBackend.from_file(str(path))
 
 
 def _chat_payload(content):
@@ -332,6 +345,18 @@ def test_gateway_cache_persists_on_disk(tmp_path):
     assert json.loads(entries[0].read_text())["reply"] == "reply-a"
 
 
+@pytest.mark.parametrize("entry", [b'{"reply": 5}', b'["r"]', b"{}", b"not json", b"\xff"])
+def test_gateway_refuses_a_malformed_cache_entry(tmp_path, entry):
+    gateway = mock_gateway(["live"], cache_dir=str(tmp_path))
+    path = tmp_path / f"{exchange_key(user_exchange('q'))}.json"
+    path.write_bytes(entry)
+    with pytest.raises(ValueError, match=re.escape(f"reply cache entry {path} is not")):
+        gateway.chat(user_exchange("q"))
+    assert gateway.stats.chat_calls == 0
+    path.unlink()  # a missing entry is a miss
+    assert gateway.chat(user_exchange("q")) == "live"
+
+
 def test_gateway_embed_passes_vectors_through_and_counts_texts():
     # Cosine retrieval is scale-invariant, so the gateway leaves vectors as
     # the embedder made them.
@@ -342,7 +367,7 @@ def test_gateway_embed_passes_vectors_through_and_counts_texts():
             return [np.array([3.0, 4.0, 0.0]) for _ in texts]
 
     gateway = LlmGateway(ScriptedBackend([]), RawEmbedder())
-    assert gateway.embed_one("x").tolist() == [3.0, 4.0, 0.0]
+    assert [v.tolist() for v in gateway.embed_batch(["x"])] == [[3.0, 4.0, 0.0]]
     assert gateway.embed_batch([]) == []
     assert gateway.stats.embed_texts == 1
 
