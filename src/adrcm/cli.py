@@ -5,8 +5,9 @@ normalized corpus format, ``synth`` summaries for gold triplets,
 ``build-adrcm`` the augmented training set and its fine-tune export,
 ``index`` a KB snapshot, ``infer`` labels for candidate pairs, ``eval``
 predictions against gold, and ``e2e-mock`` for the full offline loop on
-the packaged toy data. Every command prints the artifacts it wrote and
-exits non-zero on bad input.
+the packaged toy data. Each subcommand hands its settings to one
+``*_stage`` function, which writes the stage's artifacts and returns what
+it built; the subcommand prints what it wrote and exits non-zero on bad input.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import sys
 from . import mock
 from .config import DEFAULTS, load_config
 from .corpus import (
+    Corpus,
     builtin_schema,
     load_corpus,
     parse_cui_map,
@@ -27,18 +29,22 @@ from .corpus import (
 )
 from .dataset import (
     PRESETS,
+    AugmentedRecord,
+    FinetuneExport,
     build_dataset,
     export_finetune,
     preset_for,
     save_dataset,
     save_finetune_rows,
 )
-from .evaluate import compute_report, render_report, save_report
+from .evaluate import EvalReport, compute_report, render_report, save_report
 from .files import atomic_write_text, read_text
-from .infer import RAG_MODES, InferenceConfig, load_predictions, predict_corpus, save_predictions
-from .iors import IorsConfig, load_synthetic, run_corpus_synthesis, save_synthetic
-from .kb import ChunkParams, build_index, load_index, load_kb, save_index
+from .infer import (RAG_MODES, InferenceConfig, PredictionRecord, load_predictions,
+                    predict_corpus, save_predictions)
+from .iors import IorsConfig, SynthesisReport, load_synthetic, run_corpus_synthesis, save_synthetic
+from .kb import ChunkParams, CuiIndex, build_index, load_index, load_kb, save_index
 from .llm import (
+    Embedder,
     HashingEmbedder,
     HttpChatBackend,
     HttpEmbeddingBackend,
@@ -49,12 +55,77 @@ from .llm import (
     ScriptedBackend,
     TransportError,
 )
+from .model import RelationSchema
 
 USAGE_ERROR = 2
 
 
-class UsageError(ValueError):
-    pass
+def ingest_stage(pubtator: str, out: str, schema: RelationSchema,
+                 cui_map: str | None = None, dataset_tag: str | None = None) -> Corpus:
+    cuis = parse_cui_map(read_text(cui_map)) if cui_map else None
+    corpus = parse_pubtator(read_text(pubtator), schema, cui_map=cuis, dataset_tag=dataset_tag)
+    atomic_write_text(out, save_corpus(corpus))
+    return corpus
+
+
+def synth_stage(corpus: str, out: str, report: str | None, gateway: LlmGateway,
+                config: IorsConfig) -> SynthesisReport:
+    result = run_corpus_synthesis(gateway, load_corpus(read_text(corpus)), config)
+    atomic_write_text(out, save_synthetic(result.records))
+    if report:
+        atomic_write_text(report, json.dumps({
+            "accepted": result.accepted_count, "discarded": result.discarded_count,
+            "discarded_pairs": [vars(d) for d in result.discarded], "errors": list(result.errors),
+            "summary_calls": result.summary_calls, "confirmation_calls": result.confirmation_calls,
+        }, sort_keys=True, indent=2) + "\n")
+    return result
+
+
+def build_adrcm_stage(corpus: str, synthetic: str | None, out: str, sidecar: str,
+                      records_out: str | None = None, preset: str | None = None,
+                      **export_settings) -> tuple[tuple[AugmentedRecord, ...], FinetuneExport]:
+    """Builds everything before it writes any file; ``export_settings`` go to export_finetune."""
+    loaded = load_corpus(read_text(corpus))
+    records = build_dataset(loaded, load_synthetic(read_text(synthetic)) if synthetic else ())
+    export = export_finetune(loaded, records, preset_for(preset or loaded.schema.name),
+                             **export_settings)
+    if records_out:
+        atomic_write_text(records_out, save_dataset(records))
+    atomic_write_text(out, save_finetune_rows(export.rows))
+    atomic_write_text(sidecar, json.dumps(export.sidecar, sort_keys=True, indent=2) + "\n")
+    return records, export
+
+
+def index_stage(kb: str, out: str, embedder: Embedder, params: ChunkParams) -> CuiIndex:
+    index = build_index(load_kb(read_text(kb)), embedder, params=params)
+    atomic_write_text(out, save_index(index))
+    return index
+
+
+def infer_stage(corpus: str, index: str | None, out: str, gateway: LlmGateway,
+                config: InferenceConfig) -> list[PredictionRecord]:
+    loaded = load_corpus(read_text(corpus))
+    kb_index = None
+    if config.rag_mode != "off":
+        if not index:
+            raise ValueError(f"--index is required when rag mode is {config.rag_mode!r}")
+        kb_index = load_index(read_text(index))
+        built_by, identity = (json.dumps(e, sort_keys=True)
+                              for e in (kb_index.embedder, gateway.embedder.identity))
+        if built_by != identity:
+            raise ValueError(f"{index} was built by embedder {built_by}, but infer "
+                             f"embeds queries with {identity}; rebuild it with `adrcm index`")
+    predictions = predict_corpus(gateway, kb_index, loaded, config)
+    atomic_write_text(out, save_predictions(predictions))
+    return predictions
+
+
+def evaluate_stage(corpus: str, predictions: str, out: str | None = None) -> EvalReport:
+    report = compute_report(load_corpus(read_text(corpus)),
+                            load_predictions(read_text(predictions)))
+    if out:
+        atomic_write_text(out, save_report(report))
+    return report
 
 
 def _settings(args) -> dict:
@@ -86,7 +157,7 @@ def _chat_gateway(args, cfg: dict) -> LlmGateway:
     elif cfg["chat_url"]:
         backend = HttpChatBackend(cfg["chat_url"])
     else:
-        raise UsageError("no chat backend configured; pass --script or --chat-url")
+        raise ValueError("no chat backend configured; pass --script or --chat-url")
     return LlmGateway(
         backend, _embedder(cfg), cache_dir=cfg["cache_dir"] or None,
         retry=RetryPolicy(max_attempts=cfg["retry_attempts"],
@@ -107,15 +178,11 @@ def _read_template(path: str | None) -> str | None:
 
 def cmd_ingest(args) -> int:
     cfg = _settings(args)
-    schema = _resolve_schema(cfg["schema"])
-    cui_map = parse_cui_map(read_text(args.cui_map)) if args.cui_map else None
-    corpus = parse_pubtator(read_text(args.input), schema,
-                            cui_map=cui_map, dataset_tag=cfg["dataset_tag"] or None)
-    atomic_write_text(args.out, save_corpus(corpus))
-    n_entities = sum(len(s.entities) for s in corpus.samples)
-    n_triplets = sum(len(s.triplets) for s in corpus.samples)
+    corpus = ingest_stage(args.input, args.out, _resolve_schema(cfg["schema"]),
+                          args.cui_map, cfg["dataset_tag"] or None)
     print(f"wrote {args.out}: {len(corpus.samples)} documents, "
-          f"{n_entities} entities, {n_triplets} triplets")
+          f"{sum(len(s.entities) for s in corpus.samples)} entities, "
+          f"{sum(len(s.triplets) for s in corpus.samples)} triplets")
     for note in corpus.violations[:10]:
         print(f"note: {note}", file=sys.stderr)
     if len(corpus.violations) > 10:
@@ -125,26 +192,12 @@ def cmd_ingest(args) -> int:
 
 def cmd_synth(args) -> int:
     cfg = _settings(args)
-    corpus = load_corpus(read_text(args.corpus))
     gateway = _chat_gateway(args, cfg)
-    iors_config = IorsConfig(
-        beta=cfg["beta"],
+    report = synth_stage(args.corpus, args.out, args.report, gateway, IorsConfig(
+        beta=cfg["beta"], max_summary_chars=cfg["max_summary_chars"], model_id=cfg["chat_model"],
         summary_instruction=_read_template(args.summary_template),
-        confirmation_instruction=_read_template(args.confirmation_template),
-        max_summary_chars=cfg["max_summary_chars"],
-        model_id=cfg["chat_model"],
-    )
-    report = run_corpus_synthesis(gateway, corpus, iors_config)
-    atomic_write_text(args.out, save_synthetic(report.records))
+        confirmation_instruction=_read_template(args.confirmation_template)))
     if args.report:
-        atomic_write_text(args.report, json.dumps({
-            "accepted": report.accepted_count,
-            "discarded": report.discarded_count,
-            "discarded_pairs": [vars(d) for d in report.discarded],
-            "errors": list(report.errors),
-            "summary_calls": report.summary_calls,
-            "confirmation_calls": report.confirmation_calls,
-        }, sort_keys=True, indent=2) + "\n")
         print(f"wrote {args.report}")
     print(f"wrote {args.out}: {report.accepted_count} accepted, "
           f"{report.discarded_count} discarded, {len(report.errors)} errors "
@@ -156,40 +209,26 @@ def cmd_synth(args) -> int:
 
 def cmd_build_adrcm(args) -> int:
     cfg = _settings(args)
-    corpus = load_corpus(read_text(args.corpus))
-    synthetic = load_synthetic(read_text(args.synthetic)) if args.synthetic else ()
-    records = build_dataset(corpus, synthetic)
-    if args.records_out:
-        atomic_write_text(args.records_out, save_dataset(records))
-        print(f"wrote {args.records_out}: {len(records)} records")
-    preset = preset_for(cfg["preset"] or corpus.schema.name)
-    export = export_finetune(
-        corpus, records, preset,
-        iors_beta=cfg["beta"],
-        negative_ratio=cfg["negative_ratio"],
-        seed=cfg["seed"],
-        instruction_template=_read_template(args.instruction_template),
-    )
     sidecar_path = args.sidecar if args.sidecar else args.out + ".meta.json"
-    atomic_write_text(args.out, save_finetune_rows(export.rows))
-    atomic_write_text(sidecar_path,
-                      json.dumps(export.sidecar, sort_keys=True, indent=2) + "\n")
-    counts = export.sidecar["row_counts"]
+    records, export = build_adrcm_stage(
+        args.corpus, args.synthetic, args.out, sidecar_path, args.records_out, cfg["preset"],
+        iors_beta=cfg["beta"], negative_ratio=cfg["negative_ratio"], seed=cfg["seed"],
+        instruction_template=_read_template(args.instruction_template))
+    if args.records_out:
+        print(f"wrote {args.records_out}: {len(records)} records")
+    sidecar, counts = export.sidecar, export.sidecar["row_counts"]
     print(f"wrote {args.out}: {counts['total']} rows "
           f"({counts['original']} original, {counts['synthetic']} synthetic, "
           f"{counts['negative']} negative)")
-    print(f"wrote {sidecar_path}: preset {preset.name}, "
-          f"rank {preset.lora_rank}, alpha {preset.lora_alpha}")
+    print(f"wrote {sidecar_path}: preset {sidecar['preset']}, "
+          f"rank {sidecar['lora_rank']}, alpha {sidecar['lora_alpha']}")
     return 0
 
 
 def cmd_index(args) -> int:
     cfg = _settings(args)
-    docs = load_kb(read_text(args.kb))
-    params = ChunkParams(size=cfg["chunk_size"], overlap=cfg["chunk_overlap"],
-                         min_tail=cfg["chunk_min_tail"])
-    index = build_index(docs, _embedder(cfg), params=params)
-    atomic_write_text(args.out, save_index(index))
+    index = index_stage(args.kb, args.out, _embedder(cfg), ChunkParams(
+        size=cfg["chunk_size"], overlap=cfg["chunk_overlap"], min_tail=cfg["chunk_min_tail"]))
     print(f"wrote {args.out}: {len(index.documents)} articles, "
           f"{len(index)} chunks, dim {index.dimension}")
     print(f"fingerprint: {index.fingerprint}")
@@ -198,27 +237,10 @@ def cmd_index(args) -> int:
 
 def cmd_infer(args) -> int:
     cfg = _settings(args)
-    corpus = load_corpus(read_text(args.corpus))
     gateway = _chat_gateway(args, cfg)
-    rag_mode = cfg["rag_mode"]
-    index = None
-    if rag_mode != "off":
-        if not args.index:
-            raise UsageError(f"--index is required when rag mode is {rag_mode!r}")
-        index = load_index(read_text(args.index))
-        built_by, identity = (json.dumps(e, sort_keys=True)
-                              for e in (index.embedder, gateway.embedder.identity))
-        if built_by != identity:
-            raise UsageError(f"{args.index} was built by embedder {built_by}, but infer "
-                             f"embeds queries with {identity}; rebuild it with `adrcm index`")
-    infer_config = InferenceConfig(
-        instruction=_read_template(args.instruction_template),
-        k=cfg["k"],
-        rag_mode=rag_mode,
-        model_id=cfg["chat_model"],
-    )
-    predictions = predict_corpus(gateway, index, corpus, infer_config)
-    atomic_write_text(args.out, save_predictions(predictions))
+    predictions = infer_stage(args.corpus, args.index, args.out, gateway, InferenceConfig(
+        instruction=_read_template(args.instruction_template), k=cfg["k"],
+        rag_mode=cfg["rag_mode"], model_id=cfg["chat_model"]))
     flagged = sum(1 for p in predictions if p.unparseable)
     print(f"wrote {args.out}: {len(predictions)} predictions, {flagged} unparseable")
     _print_chat_stats(gateway)
@@ -226,19 +248,14 @@ def cmd_infer(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    corpus = load_corpus(read_text(args.corpus))
-    predictions = load_predictions(read_text(args.predictions))
-    report = compute_report(corpus, predictions)
-    print(render_report(report))
+    print(render_report(evaluate_stage(args.corpus, args.predictions, args.out)))
     if args.out:
-        atomic_write_text(args.out, save_report(report))
         print(f"wrote {args.out}")
     return 0
 
 
 def cmd_e2e_mock(args) -> int:
-    paths = mock.run_e2e_mock(args.workdir, rag_mode=args.rag)
-    print(mock.describe_run(paths))
+    print(mock.describe_run(mock.run_e2e_mock(args.workdir, rag_mode=args.rag)))
     return 0
 
 

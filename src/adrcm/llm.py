@@ -354,14 +354,14 @@ class _ReplyCache:
         path = self._path(key)
         try:
             with open(path, encoding="utf-8") as fh:
-                entry = json.load(fh)
+                reply = json.load(fh)["reply"]  # TypeError or KeyError unless an object with it
+            reply.encode("utf-8")  # AttributeError unless a str; a lone surrogate: ValueError
         except FileNotFoundError:
             return None
-        except ValueError:  # not UTF-8 or not JSON
-            entry = None
-        if not (isinstance(entry, dict) and isinstance(entry.get("reply"), str)):
-            raise ValueError(f"reply cache entry {path} is not a JSON object with a string reply")
-        return entry["reply"]
+        except (ValueError, LookupError, TypeError, AttributeError):
+            raise ValueError(f"reply cache entry {path} is not a JSON object with a "
+                             "UTF-8 string reply") from None
+        return reply
 
     def put(self, key: str, reply: str) -> None:
         if self.cache_dir is None:

@@ -1,6 +1,6 @@
 """Fully offline end-to-end pipeline over the packaged toy corpus.
 
-The mock run drives the ``adrcm`` subcommands in pipeline order with a
+The mock run calls the pipeline's stage functions in order with a
 scripted chat backend and the hashing embedder. Replies are a pure
 function of request content: the script is recorded up front by running
 the synthesis and inference code against a stand-in gateway, keyed by
@@ -16,12 +16,12 @@ import os
 from importlib import resources
 
 from .config import DEFAULTS
-from .corpus import Corpus, enumerate_candidate_pairs, load_corpus, parse_cui_map
+from .corpus import Corpus, builtin_schema, enumerate_candidate_pairs, parse_cui_map
 from .files import atomic_write_text, read_text
 from .infer import InferenceConfig, predict_pair
 from .iors import IorsConfig, generate_synthetic, positive_triplets
-from .kb import ChunkParams, CuiIndex, load_index
-from .llm import ChatExchange, HashingEmbedder, ScriptedBackend, exchange_key
+from .kb import ChunkParams, CuiIndex
+from .llm import ChatExchange, HashingEmbedder, LlmGateway, ScriptedBackend, exchange_key
 
 TOY_CHUNK_PARAMS = ChunkParams(size=48, overlap=8, min_tail=8)
 
@@ -127,57 +127,38 @@ def build_mock_script(corpus: Corpus, index: CuiIndex | None,
 
 
 def run_e2e_mock(workdir: str, *, rag_mode: str = DEFAULTS["rag_mode"]) -> dict[str, str]:
-    """Run the CLI subcommands from ingest to eval over the toy data.
+    """Run the pipeline stages from ingest to eval over the toy data.
 
     Returns a name -> path map of the artifacts written under ``workdir``.
     Only chat replies go through the on-disk cache, which is what makes
     interrupted runs resumable.
     """
-    # Imported here: adrcm.cli imports this module, so a module-level
-    # import of adrcm.cli would be circular.
-    from .cli import build_parser
+    # Imported here: adrcm.cli imports this module, so a module-level import would be circular.
+    from . import cli
 
     paths = {name: os.path.join(workdir, name) for name in (
-        "corpus.jsonl", "mock_script.json", "synthetic.jsonl",
-        "synth_report.json", "dataset.jsonl", "finetune.jsonl",
-        "finetune_meta.json", "index.jsonl", "predictions.jsonl",
-        "report.json",
-    )}
+        "corpus.jsonl", "mock_script.json", "synthetic.jsonl", "synth_report.json",
+        "dataset.jsonl", "finetune.jsonl", "finetune_meta.json", "index.jsonl",
+        "predictions.jsonl", "report.json")}
     toy = resources.files("adrcm.data.toy")
-    corpus_path, index_path, script_path = (
-        paths["corpus.jsonl"], paths["index.jsonl"], paths["mock_script.json"])
-    chat = ["--script", script_path, "--cache-dir", os.path.join(workdir, "cache")]
-
-    def run(*argv: str) -> None:
-        args = build_parser().parse_args(argv)
-        status = args.func(args)
-        if status != 0:
-            raise RuntimeError(f"e2e-mock: {argv[0]} exited with status {status}")
-
-    run("ingest", "--input", str(toy.joinpath("toy_corpus.pubtator")),
-        "--cui-map", str(toy.joinpath("toy_cui_map.tsv")), "--tag", "CDR",
-        "--out", corpus_path)
-    run("index", "--kb", str(toy.joinpath("toy_kb.jsonl")), "--out", index_path,
-        "--chunk-size", str(TOY_CHUNK_PARAMS.size),
-        "--chunk-overlap", str(TOY_CHUNK_PARAMS.overlap),
-        "--chunk-min-tail", str(TOY_CHUNK_PARAMS.min_tail))
-
-    index = load_index(read_text(index_path)) if rag_mode != "off" else None
-    script = build_mock_script(load_corpus(read_text(corpus_path)), index,
-                               IorsConfig(), InferenceConfig(rag_mode=rag_mode))
-    atomic_write_text(script_path,
+    corpus_path, index_path = paths["corpus.jsonl"], paths["index.jsonl"]
+    corpus = cli.ingest_stage(str(toy.joinpath("toy_corpus.pubtator")), corpus_path,
+                              builtin_schema("cdr"), str(toy.joinpath("toy_cui_map.tsv")), "CDR")
+    index = cli.index_stage(str(toy.joinpath("toy_kb.jsonl")), index_path,
+                            HashingEmbedder(), TOY_CHUNK_PARAMS)
+    iors_config, infer_config = IorsConfig(), InferenceConfig(rag_mode=rag_mode)
+    script = build_mock_script(corpus, index, iors_config, infer_config)
+    atomic_write_text(paths["mock_script.json"],
                       json.dumps({"by_hash": script}, sort_keys=True, indent=2) + "\n")
 
-    run("synth", "--corpus", corpus_path, "--out", paths["synthetic.jsonl"],
-        "--report", paths["synth_report.json"], *chat)
-    run("build-adrcm", "--corpus", corpus_path,
-        "--synthetic", paths["synthetic.jsonl"], "--out", paths["finetune.jsonl"],
-        "--records-out", paths["dataset.jsonl"],
-        "--sidecar", paths["finetune_meta.json"])
-    run("infer", "--corpus", corpus_path, "--index", index_path,
-        "--out", paths["predictions.jsonl"], "--rag", rag_mode, *chat)
-    run("eval", "--corpus", corpus_path, "--predictions", paths["predictions.jsonl"],
-        "--out", paths["report.json"])
+    gateway = LlmGateway(ScriptedBackend(script), HashingEmbedder(),
+                         cache_dir=os.path.join(workdir, "cache"))
+    cli.synth_stage(corpus_path, paths["synthetic.jsonl"], paths["synth_report.json"],
+                    gateway, iors_config)
+    cli.build_adrcm_stage(corpus_path, paths["synthetic.jsonl"], paths["finetune.jsonl"],
+                          paths["finetune_meta.json"], paths["dataset.jsonl"])
+    cli.infer_stage(corpus_path, index_path, paths["predictions.jsonl"], gateway, infer_config)
+    cli.evaluate_stage(corpus_path, paths["predictions.jsonl"], paths["report.json"])
     return paths
 
 

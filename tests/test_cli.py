@@ -8,11 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from adrcm.cli import _settings, build_parser, main
+from adrcm.cli import _settings, build_parser, infer_stage, main
 from adrcm.config import DEFAULTS
 from adrcm.corpus import load_corpus
+from adrcm.infer import InferenceConfig
 from adrcm.kb import build_index, load_index, load_kb
-from adrcm.llm import HashingEmbedder
+from adrcm.llm import HashingEmbedder, LlmGateway, ScriptedBackend
 from http_stub import Reply
 
 
@@ -147,7 +148,7 @@ def test_infer_requires_index_unless_rag_off(tmp_path, e2e_dir, capsys):
     assert "--index is required" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("entry", ['{"reply": 5}', "not json"])
+@pytest.mark.parametrize("entry", ['{"reply": 5}', "not json", '{"reply": "CID \\ud800"}'])
 def test_infer_refuses_a_malformed_cache_entry(tmp_path, e2e_dir, capsys, entry):
     cache = e2e_dir / "cache"
     for path in cache.iterdir():
@@ -159,6 +160,53 @@ def test_infer_refuses_a_malformed_cache_entry(tmp_path, e2e_dir, capsys, entry)
     err = capsys.readouterr().err
     assert err.startswith(f"error: reply cache entry {cache}{os.sep}")
     assert not (tmp_path / "p.jsonl").exists()
+
+
+def test_synth_refuses_a_cached_reply_with_a_lone_surrogate(tmp_path, e2e_dir, capsys):
+    """Refused by its cache entry's path, before the reply reaches an output file."""
+    cache = e2e_dir / "cache"
+    for path in cache.iterdir():
+        path.write_text('{"reply": "CID \\ud800"}')
+    capsys.readouterr()
+    rc = main(["synth", "--corpus", str(e2e_dir / "corpus.jsonl"), "--out", str(tmp_path / "s"),
+               "--report", str(tmp_path / "r.json"), "--script", str(e2e_dir / "mock_script.json"),
+               "--cache-dir", str(cache)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: reply cache entry {cache}{os.sep}")
+    assert "UTF-8 string reply" in captured.err
+    assert captured.out == ""
+    assert os.listdir(tmp_path) == ["e2e"]
+
+
+def test_infer_stage_refuses_a_missing_or_foreign_index(tmp_path, e2e_dir):
+    """The index checks hold for every caller of the stage, not only ``adrcm infer``."""
+    corpus, index, out = (str(e2e_dir / name) for name in ("corpus.jsonl", "index.jsonl", "p"))
+    gateway = LlmGateway(ScriptedBackend(["CID"] * 16), HashingEmbedder())
+    with pytest.raises(ValueError, match="--index is required when rag mode is 'chunks'"):
+        infer_stage(corpus, None, out, gateway, InferenceConfig(rag_mode="chunks"))
+    foreign = LlmGateway(gateway.chat_backend, HashingEmbedder(32))
+    with pytest.raises(ValueError, match='index.jsonl was built by embedder .*"dimension": 32'):
+        infer_stage(corpus, index, out, foreign, InferenceConfig())
+    assert gateway.chat_backend.calls == 0
+    assert not os.path.exists(out)
+    # With retrieval off, no index is needed.
+    assert len(infer_stage(corpus, None, out, gateway, InferenceConfig(rag_mode="off"))) == 16
+
+
+def test_build_adrcm_writes_nothing_when_its_export_fails(tmp_path, e2e_dir, capsys):
+    template = tmp_path / "instruction.txt"
+    template.write_text("Name the relation.\n")  # no {labels} placeholder
+    capsys.readouterr()
+    rc = main(["build-adrcm", "--corpus", str(e2e_dir / "corpus.jsonl"),
+               "--synthetic", str(e2e_dir / "synthetic.jsonl"), "--out", str(tmp_path / "ft"),
+               "--records-out", str(tmp_path / "records.jsonl"),
+               "--instruction-template", str(template)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: template missing placeholders")
+    assert captured.out == ""
+    assert sorted(os.listdir(tmp_path)) == ["e2e", "instruction.txt"]
 
 
 def test_missing_file_reports_error(tmp_path, capsys):

@@ -345,7 +345,8 @@ def test_gateway_cache_persists_on_disk(tmp_path):
     assert json.loads(entries[0].read_text())["reply"] == "reply-a"
 
 
-@pytest.mark.parametrize("entry", [b'{"reply": 5}', b'["r"]', b"{}", b"not json", b"\xff"])
+@pytest.mark.parametrize("entry", [b'{"reply": 5}', b'["r"]', b"{}", b"not json", b"\xff",
+                                   b'{"reply": "CID \\ud800"}'])
 def test_gateway_refuses_a_malformed_cache_entry(tmp_path, entry):
     gateway = mock_gateway(["live"], cache_dir=str(tmp_path))
     path = tmp_path / f"{exchange_key(user_exchange('q'))}.json"
@@ -355,6 +356,14 @@ def test_gateway_refuses_a_malformed_cache_entry(tmp_path, entry):
     assert gateway.stats.chat_calls == 0
     path.unlink()  # a missing entry is a miss
     assert gateway.chat(user_exchange("q")) == "live"
+
+
+def test_gateway_reads_escaped_cache_replies_that_utf8_can_encode(tmp_path):
+    """Only a lone surrogate is refused; an escaped surrogate pair is one character."""
+    gateway = mock_gateway([], cache_dir=str(tmp_path))
+    path = tmp_path / f"{exchange_key(user_exchange('q'))}.json"
+    path.write_text('{"reply": "CID \\u00e9 \\ud83d\\ude00"}')
+    assert gateway.chat(user_exchange("q")) == "CID \u00e9 \U0001f600"
 
 
 def test_gateway_embed_passes_vectors_through_and_counts_texts():
