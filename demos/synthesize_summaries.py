@@ -8,7 +8,7 @@ by the confirmation step, the second is accepted.
 
 from adrcm.corpus import builtin_schema, parse_pubtator
 from adrcm.iors import IorsConfig, generate_synthetic
-from adrcm.llm import mock_gateway
+from adrcm.llm import LlmGateway, ScriptedBackend
 
 PUBTATOR = """\
 5550|t|Fenorazole-induced bradycardia in elderly patients.
@@ -37,7 +37,7 @@ def main() -> None:
     sample = corpus.samples[0]
     triplet = sample.triplets[0]
 
-    gateway = mock_gateway(REPLIES)
+    gateway = LlmGateway(ScriptedBackend(REPLIES))
     result = generate_synthetic(
         gateway, sample.document,
         sample.entity(triplet.head_id), sample.entity(triplet.tail_id),

@@ -42,13 +42,10 @@ from .model import (
 
 
 class ParseError(ValueError):
-    """Raised for malformed corpus files; carries a 1-based line number."""
+    """Raised for malformed corpus files; the message leads with a 1-based line number."""
 
     def __init__(self, message: str, line_no: int | None = None):
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
-        self.line_no = line_no
+        super().__init__(message if line_no is None else f"line {line_no}: {message}")
 
 
 @dataclass(frozen=True)

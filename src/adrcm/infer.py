@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 from .config import DEFAULTS
 from .corpus import Corpus, enumerate_candidate_pairs
@@ -37,9 +37,10 @@ class InferenceConfig:
     instruction: str | None = None
     k: int = DEFAULTS["k"]
     rag_mode: str = DEFAULTS["rag_mode"]
-    temperature: float = 0.0
-    max_tokens: int = 64
     model_id: str = DEFAULTS["chat_model"]
+    # Fixed, not settings: each request asks for one short label, deterministically.
+    temperature: ClassVar[float] = 0.0
+    max_tokens: ClassVar[int] = 64
 
     def __post_init__(self) -> None:
         if self.rag_mode not in RAG_MODES:

@@ -11,7 +11,7 @@ confirm are discarded rather than kept as noisy data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 from .config import DEFAULTS
 from .corpus import Corpus
@@ -19,9 +19,6 @@ from .files import dump_jsonl, jsonl_lines, parse_jsonl
 from .llm import LlmGateway, ProtocolError, TransportError, user_exchange
 from .model import Document, Entity, RelationSchema, TrainingSample, Triplet
 from .templating import load_default, render, require_placeholders
-
-SUMMARY_TEMPERATURE = 0.7
-CONFIRMATION_TEMPERATURE = 0.0
 
 _TERMINAL_PUNCT = ".!?,;:\"'`"
 
@@ -42,9 +39,10 @@ class IorsConfig:
     summary_instruction: str | None = None
     confirmation_instruction: str | None = None
     max_summary_chars: int = DEFAULTS["max_summary_chars"]
-    summary_temperature: float = SUMMARY_TEMPERATURE
-    confirmation_temperature: float = CONFIRMATION_TEMPERATURE
     model_id: str = DEFAULTS["chat_model"]
+    # Fixed, not settings: summaries are sampled, confirmations read deterministically.
+    summary_temperature: ClassVar[float] = 0.7
+    confirmation_temperature: ClassVar[float] = 0.0
 
     def __post_init__(self) -> None:
         if self.beta < 1:

@@ -27,6 +27,7 @@ import numpy as np
 
 from .config import DEFAULTS
 from .files import jsonl_lines, parse_jsonl
+from .llm import Embedder
 from .model import CUI_PATTERN, Entity
 
 # The 29 code points for which ``str.isspace()`` holds: the whitespace of ``str.split()``
@@ -225,13 +226,13 @@ def _assemble(embedder: dict, params: ChunkParams, documents: dict[str, KbDocume
     return index
 
 
-def build_index(docs: Sequence[KbDocument], gateway, *,
+def build_index(docs: Sequence[KbDocument], embedder: Embedder, *,
                 params: ChunkParams | None = None) -> CuiIndex:
     """Chunk and embed KB articles into a fresh index.
 
-    ``gateway`` only needs an ``embed_batch`` method and an ``identity``, which the
-    index records. ``embed_batch`` receives chunk texts in article order, at most
-    ``EMBED_BATCH_SIZE`` per call, so the result is reproducible for an embedder.
+    The index records ``embedder.identity``. ``embedder.embed_batch`` receives chunk
+    texts in article order, at most ``EMBED_BATCH_SIZE`` per call, so the result is
+    reproducible for an embedder.
     """
     params = params if params is not None else ChunkParams()
     documents = dict(sorted(((d.doc_id, d) for d in docs), key=lambda item: item[0]))
@@ -244,12 +245,12 @@ def build_index(docs: Sequence[KbDocument], gateway, *,
         raise ValueError("KB snapshot produced no chunks")
     matrix = None
     for start in range(0, len(texts), EMBED_BATCH_SIZE):
-        vectors = gateway.embed_batch(texts[start:start + EMBED_BATCH_SIZE])
+        vectors = embedder.embed_batch(texts[start:start + EMBED_BATCH_SIZE])
         if matrix is None:
             matrix = np.empty((len(texts), len(vectors[0])))
         # raises ValueError unless the batch has one vector of the right length per text
         np.stack(vectors, out=matrix[start:start + EMBED_BATCH_SIZE])
-    return _assemble(gateway.identity, params, documents, matrix,
+    return _assemble(embedder.identity, params, documents, matrix,
                      [span for spans in per_article for span in spans],
                      [len(spans) for spans in per_article])
 

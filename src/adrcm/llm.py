@@ -30,6 +30,7 @@ from .files import atomic_write_text, remove_dead_temps
 
 API_KEY_ENV = "ADRCM_API_KEY"
 HTTP_TIMEOUT_S = 60.0
+REPLY_CACHE_FORMAT = 1  # part of an HTTP backend's reply-cache keys
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -111,7 +112,6 @@ class ScriptedBackend:
 
     def __init__(self, script: Sequence[str] | Mapping[str, str]):
         self._lock = threading.Lock()
-        self.calls = 0
         if isinstance(script, Mapping):
             self._by_key: dict[str, str] | None = dict(script)
             self._queue: list[str] | None = None
@@ -140,7 +140,6 @@ class ScriptedBackend:
 
     def complete(self, exchange: ChatExchange) -> str:
         with self._lock:
-            self.calls += 1
             if self._by_key is not None:
                 key = exchange_key(exchange)
                 try:
@@ -376,7 +375,6 @@ class GatewayStats:
     chat_calls: int = 0
     cache_hits: int = 0
     retries: int = 0
-    embed_texts: int = 0
 
 
 class LlmGateway:
@@ -403,9 +401,14 @@ class LlmGateway:
         self._lock = threading.Lock()  # guards stats and _claims
         self._claims: dict[str, list] = {}
         self._sleep = sleep
+        # A cache shared between endpoints must not replay one endpoint's reply for another.
+        self._endpoint = getattr(chat_backend, "base_url", None)
 
     def chat(self, exchange: ChatExchange) -> str:
         key = exchange_key(exchange)
+        if self._endpoint is not None:
+            key = hashlib.sha256(
+                f"{REPLY_CACHE_FORMAT}\n{self._endpoint}\n{key}".encode("utf-8")).hexdigest()
         with self._claim(key):
             cached = self._cache.get(key)
             if cached is not None:
@@ -478,19 +481,4 @@ class LlmGateway:
     def embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
         if not texts:
             return []
-        vectors = self.embedder.embed_batch(texts)
-        with self._lock:
-            self.stats.embed_texts += len(texts)
-        return vectors
-
-
-def mock_gateway(script: Sequence[str] | Mapping[str, str], *,
-                 cache_dir: str | None = None) -> LlmGateway:
-    """Offline gateway over a scripted chat backend and the hashing embedder."""
-    return LlmGateway(
-        ScriptedBackend(script),
-        HashingEmbedder(),
-        cache_dir=cache_dir,
-        retry=RetryPolicy(max_attempts=1, backoff_base=0.0),
-        max_in_flight=1,
-    )
+        return self.embedder.embed_batch(texts)

@@ -3,7 +3,9 @@ loopback HTTP stub."""
 
 from __future__ import annotations
 
+import contextlib
 import threading
+from typing import Iterator
 
 import pytest
 
@@ -111,8 +113,8 @@ def toy_index(toy_kb_docs):
     return build_index(toy_kb_docs, HashingEmbedder(), params=TOY_CHUNK_PARAMS)
 
 
-@pytest.fixture()
-def http_stub():
+@contextlib.contextmanager
+def serving_stub() -> Iterator[StubServer]:
     server = StubServer()
     thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01})
     thread.start()
@@ -122,3 +124,9 @@ def http_stub():
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
+
+
+@pytest.fixture()
+def http_stub():
+    with serving_stub() as server:
+        yield server

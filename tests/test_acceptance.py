@@ -39,7 +39,7 @@ from adrcm.infer import (
 )
 from adrcm.iors import IorsConfig, generate_synthetic
 from adrcm.kb import ChunkParams, KbDocument, build_index, cosine, load_kb, retrieve
-from adrcm.llm import HashingEmbedder, LlmGateway, RetryPolicy, ScriptedBackend, mock_gateway
+from adrcm.llm import HashingEmbedder, LlmGateway, RetryPolicy, ScriptedBackend
 from adrcm.model import Entity, Mention
 from adrcm.mock import TOY_CHUNK_PARAMS, load_toy_assets, run_e2e_mock
 from conftest import make_sample
@@ -94,7 +94,7 @@ def test_criterion_1_synthesis_loop_matches_oracle(cdr_schema):
                 replies.append(f"Round {theta} summary of the case.")
                 replies.append("CID" if pattern[theta]
                                else rng.choice(("None", "no clear link")))
-            gateway = mock_gateway(replies)
+            gateway = LlmGateway(ScriptedBackend(replies))
             result = generate_synthetic(
                 gateway, sample.document, sample.entity("H"), sample.entity("T"),
                 "CID", cdr_schema, IorsConfig(beta=beta))

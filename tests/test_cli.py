@@ -11,9 +11,11 @@ import pytest
 from adrcm.cli import _settings, build_parser, infer_stage, main
 from adrcm.config import DEFAULTS
 from adrcm.corpus import load_corpus
-from adrcm.infer import InferenceConfig
+from adrcm.files import read_text
+from adrcm.infer import InferenceConfig, load_predictions
 from adrcm.kb import build_index, load_index, load_kb
 from adrcm.llm import HashingEmbedder, LlmGateway, ScriptedBackend
+from conftest import serving_stub
 from http_stub import Reply
 
 
@@ -188,7 +190,7 @@ def test_infer_stage_refuses_a_missing_or_foreign_index(tmp_path, e2e_dir):
     foreign = LlmGateway(gateway.chat_backend, HashingEmbedder(32))
     with pytest.raises(ValueError, match='index.jsonl was built by embedder .*"dimension": 32'):
         infer_stage(corpus, index, out, foreign, InferenceConfig())
-    assert gateway.chat_backend.calls == 0
+    assert gateway.stats.chat_calls == foreign.stats.chat_calls == 0
     assert not os.path.exists(out)
     # With retrieval off, no index is needed.
     assert len(infer_stage(corpus, None, out, gateway, InferenceConfig(rag_mode="off"))) == 16
@@ -449,6 +451,21 @@ def test_a_chat_reply_that_is_not_utf8_is_a_protocol_error(tmp_path, e2e_dir, ca
     assert capsys.readouterr().err.startswith("error: chat response content is not UTF-8")
     assert sorted(os.listdir(tmp_path / "cache")) == cached
     assert sorted(os.listdir(tmp_path)) == ["cache", "e2e", "report.json", "s.jsonl"]
+
+
+def test_the_reply_cache_does_not_replay_another_endpoint(tmp_path, e2e_dir, http_stub):
+    """Two endpoints serving the same model id share a cache directory; each is
+    answered live once, and each replays only its own replies."""
+    argv = ["infer", "--corpus", str(e2e_dir / "corpus.jsonl"), "--rag", "off",
+            "--out", str(tmp_path / "p.jsonl"), "--cache-dir", str(tmp_path / "cache")]
+    with serving_stub() as other:
+        for stub, label in ((http_stub, "CID"), (other, "None"), (http_stub, "CID")):
+            stub.script = lambda request, label=label: Reply(body={
+                "choices": [{"message": {"content": label}}]})
+            assert main([*argv, "--chat-url", stub.url]) == 0
+            assert {p.label for p in load_predictions(read_text(tmp_path / "p.jsonl"))} == {label}
+    assert (len(http_stub.requests), len(other.requests)) == (16, 16)
+    assert len(os.listdir(tmp_path / "cache")) == 32
 
 
 def test_index_refuses_a_zero_embedding(tmp_path, capsys, http_stub):

@@ -160,10 +160,18 @@ def test_predict_corpus_rag_off_calls_no_embeddings(rag_setup, cdr_schema):
             assert "Relevant snippets" not in exchange.messages[-1].content
             return "None"
 
-    gateway = LlmGateway(AlwaysNone(), HashingEmbedder(), retry=RetryPolicy(1, 0.0))
+    class CountingEmbedder(HashingEmbedder):
+        texts = 0
+
+        def embed_batch(self, texts):
+            self.texts += len(texts)
+            return super().embed_batch(texts)
+
+    embedder = CountingEmbedder()
+    gateway = LlmGateway(AlwaysNone(), embedder, retry=RetryPolicy(1, 0.0))
     predictions = predict_corpus(gateway, index, corpus,
                                  InferenceConfig(rag_mode="off"))
-    assert gateway.stats.embed_texts == 0
+    assert embedder.texts == 0
     assert all(p.snippets_used == () for p in predictions)
     expected_pairs = [
         (s.document.doc_id, h, t)

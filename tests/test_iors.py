@@ -20,8 +20,8 @@ from adrcm.llm import (
     ProtocolError,
     RetryPolicy,
     ScriptExhaustedError,
+    ScriptedBackend,
     TransportError,
-    mock_gateway,
 )
 from adrcm.model import Triplet
 from adrcm.templating import TemplateError, load_default, placeholders, render
@@ -93,7 +93,7 @@ def test_normalize_relation_label(cdr_schema):
 
 
 def _run(sample, schema, replies, beta=3, **kw):
-    gateway = mock_gateway(replies)
+    gateway = LlmGateway(ScriptedBackend(replies))
     head, tail = sample.entity("D1"), sample.entity("D2")
     result = generate_synthetic(gateway, sample.document, head, tail, "CID",
                                 schema, IorsConfig(beta=beta, **kw))
@@ -144,7 +144,7 @@ def test_generate_skips_confirmation_for_oversized_summary(pair_sample, cdr_sche
 
 
 def test_generate_rejects_unknown_relation(pair_sample, cdr_schema):
-    gateway = mock_gateway([])
+    gateway = LlmGateway(ScriptedBackend([]))
     head, tail = pair_sample.entities
     with pytest.raises(ValueError, match="unknown relation"):
         generate_synthetic(gateway, pair_sample.document, head, tail,

@@ -31,7 +31,6 @@ from adrcm.llm import (
     exchange_key,
     _ReplyCache,
     _fnv1a64,
-    mock_gateway,
     user_exchange,
 )
 from conftest import OverlapBackend
@@ -69,7 +68,6 @@ def test_scripted_backend_list_mode():
     assert not backend.parallel_safe
     assert backend.complete(user_exchange("a")) == "one"
     assert backend.complete(user_exchange("b")) == "two"
-    assert backend.calls == 2
     with pytest.raises(ScriptExhaustedError, match="after 2 replies"):
         backend.complete(user_exchange("c"))
 
@@ -321,22 +319,20 @@ def test_gateway_gives_up_after_max_attempts():
 
 
 def test_gateway_cache_in_memory():
-    backend = ScriptedBackend(["only"])
-    gateway = mock_gateway(["only"])
+    gateway = LlmGateway(ScriptedBackend(["only"]))
     first = gateway.chat(user_exchange("q"))
     second = gateway.chat(user_exchange("q"))
     assert first == second == "only"
     assert gateway.stats.chat_calls == 1
     assert gateway.stats.cache_hits == 1
-    del backend
 
 
 def test_gateway_cache_persists_on_disk(tmp_path):
     cache = str(tmp_path / "cache")
-    g1 = mock_gateway(["reply-a"], cache_dir=cache)
+    g1 = LlmGateway(ScriptedBackend(["reply-a"]), cache_dir=cache)
     assert g1.chat(user_exchange("q")) == "reply-a"
     # a fresh gateway with an empty script must hit the disk cache
-    g2 = mock_gateway([], cache_dir=cache)
+    g2 = LlmGateway(ScriptedBackend([]), cache_dir=cache)
     assert g2.chat(user_exchange("q")) == "reply-a"
     assert g2.stats.chat_calls == 0
     assert g2.stats.cache_hits == 1
@@ -348,7 +344,7 @@ def test_gateway_cache_persists_on_disk(tmp_path):
 @pytest.mark.parametrize("entry", [b'{"reply": 5}', b'["r"]', b"{}", b"not json", b"\xff",
                                    b'{"reply": "CID \\ud800"}'])
 def test_gateway_refuses_a_malformed_cache_entry(tmp_path, entry):
-    gateway = mock_gateway(["live"], cache_dir=str(tmp_path))
+    gateway = LlmGateway(ScriptedBackend(["live"]), cache_dir=str(tmp_path))
     path = tmp_path / f"{exchange_key(user_exchange('q'))}.json"
     path.write_bytes(entry)
     with pytest.raises(ValueError, match=re.escape(f"reply cache entry {path} is not")):
@@ -360,13 +356,13 @@ def test_gateway_refuses_a_malformed_cache_entry(tmp_path, entry):
 
 def test_gateway_reads_escaped_cache_replies_that_utf8_can_encode(tmp_path):
     """Only a lone surrogate is refused; an escaped surrogate pair is one character."""
-    gateway = mock_gateway([], cache_dir=str(tmp_path))
+    gateway = LlmGateway(ScriptedBackend([]), cache_dir=str(tmp_path))
     path = tmp_path / f"{exchange_key(user_exchange('q'))}.json"
     path.write_text('{"reply": "CID \\u00e9 \\ud83d\\ude00"}')
     assert gateway.chat(user_exchange("q")) == "CID \u00e9 \U0001f600"
 
 
-def test_gateway_embed_passes_vectors_through_and_counts_texts():
+def test_gateway_embed_passes_vectors_through():
     # Cosine retrieval is scale-invariant, so the gateway leaves vectors as
     # the embedder made them.
     class RawEmbedder:
@@ -378,7 +374,6 @@ def test_gateway_embed_passes_vectors_through_and_counts_texts():
     gateway = LlmGateway(ScriptedBackend([]), RawEmbedder())
     assert [v.tolist() for v in gateway.embed_batch(["x"])] == [[3.0, 4.0, 0.0]]
     assert gateway.embed_batch([]) == []
-    assert gateway.stats.embed_texts == 1
 
 
 def test_gateway_rejects_bad_settings():
