@@ -11,9 +11,10 @@ sidecar describing the adapter hyperparameters for the fine-tune job.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import ClassVar, Iterable, Mapping, Sequence
 
 from .config import DEFAULTS
 from .corpus import Corpus, gold_pair_labels
@@ -24,10 +25,6 @@ from .model import TrainingSample
 
 PROVENANCE_ORIGINAL = "original"
 PROVENANCE_SYNTHETIC = "synthetic"
-
-BASE_MODEL_ID = "LLaMA2-7B-Chat"
-DEFAULT_LEARNING_RATE = 2e-4
-DEFAULT_LORA_DROPOUT = 0.1
 
 
 @dataclass(frozen=True)
@@ -80,9 +77,10 @@ def build_dataset(corpus: Corpus,
         doc_id = sample.document.doc_id
         extras = sorted(by_doc.get(doc_id, ()),
                         key=lambda r: (r.head_id, r.tail_id, r.relation))
+        entity_ids = {e.entity_id for e in sample.entities}
         for record in extras:
             for entity_id in (record.head_id, record.tail_id):
-                if not sample.has_entity(entity_id):
+                if entity_id not in entity_ids:
                     raise ValueError(
                         f"synthetic record for {doc_id!r} references unknown "
                         f"entity {entity_id!r}")
@@ -104,9 +102,10 @@ class FinetunePreset:
     name: str
     lora_rank: int
     lora_alpha: int
-    learning_rate: float = DEFAULT_LEARNING_RATE
-    lora_dropout: float = DEFAULT_LORA_DROPOUT
-    base_model_id: str = BASE_MODEL_ID
+    # Fixed, not settings: every benchmark configuration shares them.
+    learning_rate: ClassVar[float] = 2e-4
+    lora_dropout: ClassVar[float] = 0.1
+    base_model_id: ClassVar[str] = "LLaMA2-7B-Chat"
 
 
 PRESETS: Mapping[str, FinetunePreset] = {
@@ -141,8 +140,8 @@ def export_finetune(corpus: Corpus, records: Sequence[AugmentedRecord],
     ``negative_ratio`` times the positive count (capped by pool size), with
     a seeded generator so exports reproduce exactly.
     """
-    if negative_ratio < 0:
-        raise ValueError("negative_ratio must be >= 0")
+    if not 0 <= negative_ratio < math.inf:
+        raise ValueError(f"negative_ratio must be a finite number >= 0, got {negative_ratio}")
     samples = {s.document.doc_id: s for s in corpus.samples}
     instruction = build_instruction(corpus.schema, instruction_template)
 
@@ -178,6 +177,9 @@ def export_finetune(corpus: Corpus, records: Sequence[AugmentedRecord],
     rows = tuple(r for _, r in keyed_rows)
     sidecar = {
         **vars(preset),
+        "learning_rate": preset.learning_rate,
+        "lora_dropout": preset.lora_dropout,
+        "base_model_id": preset.base_model_id,
         "iors_beta": iors_beta,
         "negative_ratio": negative_ratio,
         "seed": seed,

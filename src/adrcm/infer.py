@@ -20,7 +20,7 @@ from .iors import normalize_relation_label
 from .kb import CuiIndex, RetrievedSnippet, retrieve
 from .llm import LlmGateway, user_exchange
 from .model import Entity, RelationSchema, TrainingSample
-from .templating import load_default, render, require_placeholders
+from .templating import resolve
 
 RAG_MODES = ("cui", "chunks", "off")
 
@@ -47,16 +47,13 @@ class InferenceConfig:
             raise ValueError(f"rag_mode must be one of {RAG_MODES}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.instruction is None:
-            object.__setattr__(self, "instruction",
-                               load_default("inference_instruction"))
-        require_placeholders(self.instruction, ("labels",))
+        object.__setattr__(self, "instruction",
+                           resolve("inference_instruction", self.instruction))
 
 
 def build_instruction(schema: RelationSchema, template: str | None = None) -> str:
-    template = template if template is not None else load_default("inference_instruction")
-    require_placeholders(template, ("labels",))
-    return render(template, labels=", ".join(schema.labels)).strip()
+    return resolve("inference_instruction", template).format(
+        labels=", ".join(schema.labels)).strip()
 
 
 def build_task_input(text: str, head_name: str, tail_name: str,

@@ -18,7 +18,7 @@ from .corpus import Corpus
 from .files import dump_jsonl, jsonl_lines, parse_jsonl
 from .llm import LlmGateway, ProtocolError, TransportError, user_exchange
 from .model import Document, Entity, RelationSchema, TrainingSample, Triplet
-from .templating import load_default, render, require_placeholders
+from .templating import resolve
 
 _TERMINAL_PUNCT = ".!?,;:\"'`"
 
@@ -29,10 +29,10 @@ class IorsConfig:
 
     ``beta`` bounds the number of summary rounds per triplet. The two
     instruction templates may be replaced wholesale; the summary template
-    must keep the head/tail/relation slots and the confirmation template
-    the head/tail/labels slots. The confirmation template deliberately has
-    no relation slot by default, so the checking step stays blind to the
-    gold answer.
+    must have exactly the head/tail/relation slots and the confirmation
+    template exactly the head/tail/labels slots. The confirmation template
+    deliberately has no relation slot, so the checking step stays blind to
+    the gold answer.
     """
 
     beta: int = DEFAULTS["beta"]
@@ -49,22 +49,16 @@ class IorsConfig:
             raise ValueError("beta must be >= 1")
         if self.max_summary_chars < 1:
             raise ValueError("max_summary_chars must be >= 1")
-        if self.summary_instruction is None:
-            object.__setattr__(self, "summary_instruction",
-                               load_default("summary_instruction"))
-        if self.confirmation_instruction is None:
-            object.__setattr__(self, "confirmation_instruction",
-                               load_default("confirmation_instruction"))
-        require_placeholders(self.summary_instruction, ("head", "tail", "relation"))
-        require_placeholders(self.confirmation_instruction, ("head", "tail", "labels"))
+        for name in ("summary_instruction", "confirmation_instruction"):
+            object.__setattr__(self, name, resolve(name, getattr(self, name)))
 
 
 def build_summary_prompt(document: Document, head: Entity, tail: Entity,
                          relation: str, config: IorsConfig,
                          previous_summaries: Sequence[str] = ()) -> str:
     parts = [
-        render(config.summary_instruction,
-               head=head.canonical_name, tail=tail.canonical_name, relation=relation).strip(),
+        config.summary_instruction.format(
+            head=head.canonical_name, tail=tail.canonical_name, relation=relation).strip(),
         "Document:\n" + document.text,
     ]
     if previous_summaries:
@@ -77,9 +71,9 @@ def build_summary_prompt(document: Document, head: Entity, tail: Entity,
 
 def build_confirmation_prompt(summary: str, head: Entity, tail: Entity,
                               schema: RelationSchema, config: IorsConfig) -> str:
-    instruction = render(config.confirmation_instruction,
-                         head=head.canonical_name, tail=tail.canonical_name,
-                         labels=", ".join(schema.labels)).strip()
+    instruction = config.confirmation_instruction.format(
+        head=head.canonical_name, tail=tail.canonical_name,
+        labels=", ".join(schema.labels)).strip()
     return instruction + "\n\nSummary:\n" + summary
 
 

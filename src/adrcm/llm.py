@@ -15,6 +15,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import os
 import threading
 import time
@@ -321,8 +322,8 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.backoff_base < 0:
-            raise ValueError("backoff_base must be >= 0")
+        if not 0 <= self.backoff_base < math.inf:
+            raise ValueError(f"backoff_base must be a finite number >= 0, got {self.backoff_base}")
 
 
 class _ReplyCache:

@@ -133,9 +133,6 @@ class TrainingSample:
                 return e
         raise KeyError(entity_id)
 
-    def has_entity(self, entity_id: str) -> bool:
-        return any(e.entity_id == entity_id for e in self.entities)
-
 
 def validate_sample(sample: TrainingSample, schema: RelationSchema) -> list[str]:
     """Check every invariant of a sample against a schema.
@@ -160,11 +157,11 @@ def validate_sample(sample: TrainingSample, schema: RelationSchema) -> list[str]
             )
         prev_end = end
 
-    seen_ids = set()
+    etypes: dict[str, str] = {}  # the first entity of an id wins, as in entity()
     for entity in sample.entities:
-        if entity.entity_id in seen_ids:
+        if entity.entity_id in etypes:
             violations.append(f"duplicate entity id {entity.entity_id!r}")
-        seen_ids.add(entity.entity_id)
+        etypes.setdefault(entity.entity_id, entity.etype)
         for m in entity.mentions:
             if not (0 <= m.sentence_index < len(doc.sentences)):
                 violations.append(
@@ -182,7 +179,7 @@ def validate_sample(sample: TrainingSample, schema: RelationSchema) -> list[str]
 
     seen_pairs = set()
     for t in sample.triplets:
-        missing = [i for i in (t.head_id, t.tail_id) if not sample.has_entity(i)]
+        missing = [i for i in (t.head_id, t.tail_id) if i not in etypes]
         if missing:
             for entity_id in missing:
                 violations.append(
@@ -198,7 +195,7 @@ def validate_sample(sample: TrainingSample, schema: RelationSchema) -> list[str]
         if pair in seen_pairs:
             violations.append(f"duplicate triplet for pair {pair}")
         seen_pairs.add(pair)
-        type_pair = (sample.entity(t.head_id).etype, sample.entity(t.tail_id).etype)
+        type_pair = (etypes[t.head_id], etypes[t.tail_id])
         if type_pair not in schema.allowed_type_pairs:
             violations.append(
                 f"triplet ({t.head_id}, {t.tail_id}): type pair {type_pair} "

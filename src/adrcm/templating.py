@@ -1,46 +1,53 @@
-"""Instruction templates: loading the shipped defaults and safe rendering.
+"""Instruction templates: the packaged defaults and their one slot check.
 
 Templates are plain text files with ``{placeholder}`` slots so operators can
-edit them without touching code. Rendering validates required placeholders
-up front and fails loudly on unknown ones.
+edit them without touching code. :data:`SLOTS` lists the slots of each
+template, and :func:`resolve` checks a template against them when the
+config that carries it is built, so rendering is a plain ``str.format``.
 """
 
 from __future__ import annotations
 
 import string
 from importlib import resources
+from typing import Mapping
 
 
 class TemplateError(ValueError):
     pass
 
 
+SLOTS: Mapping[str, frozenset[str]] = {
+    "summary_instruction": frozenset({"head", "tail", "relation"}),
+    "confirmation_instruction": frozenset({"head", "tail", "labels"}),
+    "inference_instruction": frozenset({"labels"}),
+}
+
+
 def placeholders(template: str) -> set[str]:
+    """Every field name, including those nested in a format spec (``{a:{b}}``)."""
     try:
         return {
             name
-            for _, name, _, _ in string.Formatter().parse(template)
-            if name is not None
+            for _, field, spec, _ in string.Formatter().parse(template)
+            if field is not None
+            for name in (field, *placeholders(spec))
         }
     except ValueError as exc:
         raise TemplateError(f"unparseable template: {exc}")
 
 
-def require_placeholders(template: str, required: tuple[str, ...]) -> None:
-    missing = set(required) - placeholders(template)
+def resolve(name: str, template: str | None = None) -> str:
+    """``template``, or the packaged template ``name`` if it is None, once
+    its placeholders are checked to be exactly ``SLOTS[name]``."""
+    if template is None:
+        ref = resources.files("adrcm.data.templates").joinpath(f"{name}.txt")
+        template = ref.read_text(encoding="utf-8")
+    present = placeholders(template)
+    missing = SLOTS[name] - present
     if missing:
         raise TemplateError(f"template missing placeholders: {sorted(missing)}")
-
-
-def render(template: str, **values: str) -> str:
-    present = placeholders(template)
-    unknown = present - set(values)
+    unknown = present - SLOTS[name]
     if unknown:
         raise TemplateError(f"template has unknown placeholders: {sorted(unknown)}")
-    return template.format(**values)
-
-
-def load_default(name: str) -> str:
-    """Read one of the packaged default templates by stem name."""
-    ref = resources.files("adrcm.data.templates").joinpath(f"{name}.txt")
-    return ref.read_text(encoding="utf-8")
+    return template

@@ -8,7 +8,6 @@ from hand-checked arithmetic, never from the code under test.
 
 import hashlib
 import itertools
-import json
 import os
 import random
 import signal
@@ -19,11 +18,8 @@ from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
-import pytest
-
 from adrcm.corpus import (
     Corpus,
-    builtin_schema,
     enumerate_candidate_pairs,
     gold_pair_labels,
     parse_pubtator,
@@ -41,7 +37,7 @@ from adrcm.iors import IorsConfig, generate_synthetic
 from adrcm.kb import ChunkParams, KbDocument, build_index, cosine, load_kb, retrieve
 from adrcm.llm import HashingEmbedder, LlmGateway, RetryPolicy, ScriptedBackend
 from adrcm.model import Entity, Mention
-from adrcm.mock import TOY_CHUNK_PARAMS, load_toy_assets, run_e2e_mock
+from adrcm.mock import load_toy_assets, run_e2e_mock
 from conftest import make_sample
 from http_stub import Reply
 

@@ -211,6 +211,16 @@ def test_build_adrcm_writes_nothing_when_its_export_fails(tmp_path, e2e_dir, cap
     assert sorted(os.listdir(tmp_path)) == ["e2e", "instruction.txt"]
 
 
+def test_build_adrcm_refuses_an_infinite_negative_ratio(tmp_path, e2e_dir, capsys):
+    capsys.readouterr()
+    rc = main(["build-adrcm", "--corpus", str(e2e_dir / "corpus.jsonl"),
+               "--out", str(tmp_path / "ft"), "--negative-ratio", "inf"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        "error: negative_ratio must be a finite number >= 0")
+    assert os.listdir(tmp_path) == ["e2e"]
+
+
 def test_missing_file_reports_error(tmp_path, capsys):
     rc = main(["ingest", "--input", str(tmp_path / "absent.pubtator"),
                "--schema", "cdr", "--out", str(tmp_path / "c.jsonl")])

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -133,9 +134,9 @@ def test_export_finetune_negative_ratio_zero(two_doc_corpus):
     export = export_finetune(two_doc_corpus, records, preset_for("cdr"),
                              negative_ratio=0.0)
     assert all(row["output"] != "None" for row in export.rows)
-    with pytest.raises(ValueError):
-        export_finetune(two_doc_corpus, records, preset_for("cdr"),
-                        negative_ratio=-1.0)
+    for bad in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="negative_ratio must be a finite number >= 0"):
+            export_finetune(two_doc_corpus, records, preset_for("cdr"), negative_ratio=bad)
 
 
 def test_finetune_rows_sorted_and_json_lines(two_doc_corpus):

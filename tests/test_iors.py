@@ -23,8 +23,8 @@ from adrcm.llm import (
     ScriptedBackend,
     TransportError,
 )
-from adrcm.model import Triplet
-from adrcm.templating import TemplateError, load_default, placeholders, render
+from adrcm.infer import InferenceConfig
+from adrcm.templating import TemplateError, placeholders, resolve
 from conftest import OverlapBackend, make_sample
 
 
@@ -38,15 +38,26 @@ def pair_sample():
 
 
 def test_template_helpers():
-    assert placeholders("a {x} b {y} {x}") == {"x", "y"}
-    assert render("hi {name}", name="kim") == "hi kim"
+    assert placeholders("a {x} b {y:{z}} {x}") == {"x", "y", "z"}
+    assert resolve("inference_instruction", "hi {labels}") == "hi {labels}"
     with pytest.raises(TemplateError, match="unknown placeholders"):
-        render("hi {name}", other="x")
+        resolve("inference_instruction", "hi {labels} {other}")
     with pytest.raises(TemplateError, match="unparseable template"):
         placeholders("hi {name")
     with pytest.raises(TemplateError, match="missing placeholders"):
         IorsConfig(summary_instruction="no slots here")
-    assert "{labels}" in load_default("confirmation_instruction")
+    assert "{labels}" in resolve("confirmation_instruction")
+
+
+@pytest.mark.parametrize("make_config", [
+    lambda extra: IorsConfig(summary_instruction="{head} {tail} {relation}" + extra),
+    lambda extra: IorsConfig(confirmation_instruction="{head} {tail} {labels}" + extra),
+    lambda extra: InferenceConfig(instruction="{labels}" + extra),
+], ids=["summary", "confirmation", "inference"])
+def test_config_refuses_an_unknown_placeholder_when_built(make_config):
+    make_config("")
+    with pytest.raises(TemplateError, match=r"unknown placeholders: \['x'\]"):
+        make_config(" {x}")
 
 
 def test_iors_config_validation():

@@ -381,8 +381,9 @@ def test_gateway_rejects_bad_settings():
         LlmGateway(ScriptedBackend([]), max_in_flight=0)
     with pytest.raises(ValueError):
         RetryPolicy(max_attempts=0)
-    with pytest.raises(ValueError):
-        RetryPolicy(backoff_base=-1.0)
+    for bad in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="backoff_base must be a finite number >= 0"):
+            RetryPolicy(backoff_base=bad)
 
 
 def _echo_map(gateway, prompts):

@@ -74,8 +74,6 @@ def test_sample_entity_lookup():
         "d1", ["Aspirin heals."],
         [("E1", "chemical", [(0, "Aspirin")])])
     assert sample.entity("E1").canonical_name == "Aspirin"
-    assert sample.has_entity("E1")
-    assert not sample.has_entity("E2")
     with pytest.raises(KeyError):
         sample.entity("E2")
 
