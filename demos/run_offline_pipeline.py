@@ -9,7 +9,7 @@ the README for the equivalent command sequence.
 import argparse
 import json
 
-from adrcm.mock import describe_run, run_e2e_mock
+from adrcm.cli import describe_run, run_e2e_mock
 
 
 def main() -> None:

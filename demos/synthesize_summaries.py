@@ -44,7 +44,7 @@ def main() -> None:
         triplet.relation, schema, IorsConfig(beta=3))
 
     print(f"accepted: {result.accepted} after {result.iterations_used} round(s)")
-    print(f"calls: {result.summary_calls} summary / "
+    print(f"calls: {result.iterations_used} summary / "
           f"{result.confirmation_calls} confirmation")
     for i, failed in enumerate(result.failures, start=1):
         print(f"rejected draft {i}: {failed}")

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from importlib import resources
 
-from . import mock
 from .config import DEFAULTS, load_config
 from .corpus import (
     Corpus,
@@ -55,6 +56,7 @@ from .llm import (
     ScriptedBackend,
     TransportError,
 )
+from .mock import TOY_CHUNK_PARAMS, build_mock_script
 from .model import RelationSchema
 
 USAGE_ERROR = 2
@@ -128,6 +130,51 @@ def evaluate_stage(corpus: str, predictions: str, out: str | None = None) -> Eva
     return report
 
 
+def run_e2e_mock(workdir: str, *, rag_mode: str = DEFAULTS["rag_mode"]) -> dict[str, str]:
+    """Run the stages from ingest to eval over the toy data with one hashing embedder.
+
+    Returns a name -> path map of the artifacts written under ``workdir``.
+    Only chat replies go through the on-disk cache, which is what makes
+    interrupted runs resumable.
+    """
+    paths = {name: os.path.join(workdir, name) for name in (
+        "corpus.jsonl", "mock_script.json", "synthetic.jsonl", "synth_report.json",
+        "dataset.jsonl", "finetune.jsonl", "finetune_meta.json", "index.jsonl",
+        "predictions.jsonl", "report.json")}
+    toy = resources.files("adrcm.data.toy")
+    corpus_path, index_path = paths["corpus.jsonl"], paths["index.jsonl"]
+    embedder = HashingEmbedder()
+    corpus = ingest_stage(str(toy.joinpath("toy_corpus.pubtator")), corpus_path,
+                          builtin_schema("cdr"), str(toy.joinpath("toy_cui_map.tsv")), "CDR")
+    index = index_stage(str(toy.joinpath("toy_kb.jsonl")), index_path, embedder,
+                        TOY_CHUNK_PARAMS)
+    iors_config, infer_config = IorsConfig(), InferenceConfig(rag_mode=rag_mode)
+    script = build_mock_script(corpus, index, iors_config, infer_config, embedder)
+    atomic_write_text(paths["mock_script.json"],
+                      json.dumps({"by_hash": script}, sort_keys=True, indent=2) + "\n")
+
+    gateway = LlmGateway(ScriptedBackend(script), embedder,
+                         cache_dir=os.path.join(workdir, "cache"))
+    synth_stage(corpus_path, paths["synthetic.jsonl"], paths["synth_report.json"],
+                gateway, iors_config)
+    build_adrcm_stage(corpus_path, paths["synthetic.jsonl"], paths["finetune.jsonl"],
+                      paths["finetune_meta.json"], paths["dataset.jsonl"])
+    infer_stage(corpus_path, index_path, paths["predictions.jsonl"], gateway, infer_config)
+    evaluate_stage(corpus_path, paths["predictions.jsonl"], paths["report.json"])
+    return paths
+
+
+def describe_run(paths: dict[str, str]) -> str:
+    report = json.loads(read_text(paths["report.json"]))
+    lines = ["artifacts:"]
+    lines.extend(f"  {name}: {path}" for name, path in sorted(paths.items()))
+    micro = report["micro"]
+    lines.append(
+        f"micro P/R/F1: {micro['precision']:.4f}/{micro['recall']:.4f}/{micro['f1']:.4f}"
+    )
+    return "\n".join(lines)
+
+
 def _settings(args) -> dict:
     """Every config key's value: the flag if given, else ``--config``, else
     the default. Flags that set a config key use that key as their dest."""
@@ -194,7 +241,7 @@ def cmd_synth(args) -> int:
     cfg = _settings(args)
     gateway = _chat_gateway(args, cfg)
     report = synth_stage(args.corpus, args.out, args.report, gateway, IorsConfig(
-        beta=cfg["beta"], max_summary_chars=cfg["max_summary_chars"], model_id=cfg["chat_model"],
+        beta=cfg["beta"], model_id=cfg["chat_model"],
         summary_instruction=_read_template(args.summary_template),
         confirmation_instruction=_read_template(args.confirmation_template)))
     if args.report:
@@ -255,7 +302,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_e2e_mock(args) -> int:
-    print(mock.describe_run(mock.run_e2e_mock(args.workdir, rag_mode=args.rag)))
+    print(describe_run(run_e2e_mock(args.workdir, rag_mode=args.rag)))
     return 0
 
 
@@ -296,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--report", help="write a synthesis report JSON here")
     p.add_argument("--beta", type=int, help="max summary rounds per triplet")
-    p.add_argument("--max-summary-chars", type=int)
     p.add_argument("--summary-template", help="summary instruction file")
     p.add_argument("--confirmation-template", help="confirmation instruction file")
     p.set_defaults(func=cmd_synth)

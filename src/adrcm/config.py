@@ -17,7 +17,6 @@ DEFAULTS: Mapping[str, Any] = {
     "schema": "cdr",
     "dataset_tag": "",
     "beta": 3,
-    "max_summary_chars": 4000,
     "chunk_size": 256,
     "chunk_overlap": 32,
     "chunk_min_tail": 16,

@@ -38,17 +38,16 @@ class IorsConfig:
     beta: int = DEFAULTS["beta"]
     summary_instruction: str | None = None
     confirmation_instruction: str | None = None
-    max_summary_chars: int = DEFAULTS["max_summary_chars"]
     model_id: str = DEFAULTS["chat_model"]
-    # Fixed, not settings: summaries are sampled, confirmations read deterministically.
+    # Fixed, not settings: summaries are sampled, confirmations read
+    # deterministically, and a longer summary fails its round.
     summary_temperature: ClassVar[float] = 0.7
     confirmation_temperature: ClassVar[float] = 0.0
+    max_summary_chars: ClassVar[int] = 4000
 
     def __post_init__(self) -> None:
         if self.beta < 1:
             raise ValueError("beta must be >= 1")
-        if self.max_summary_chars < 1:
-            raise ValueError("max_summary_chars must be >= 1")
         for name in ("summary_instruction", "confirmation_instruction"):
             object.__setattr__(self, name, resolve(name, getattr(self, name)))
 
@@ -96,9 +95,8 @@ class SynthesisResult:
 
     accepted: bool
     summary: str | None
-    iterations_used: int
+    iterations_used: int  # rounds run, one summary call each
     failures: tuple[str, ...]
-    summary_calls: int
     confirmation_calls: int
 
 
@@ -116,14 +114,12 @@ def generate_synthetic(gateway: LlmGateway, document: Document, head: Entity,
     if relation not in schema.labels:
         raise ValueError(f"unknown relation label: {relation!r}")
     failures: list[str] = []
-    summary_calls = 0
     confirmation_calls = 0
     for iteration in range(config.beta):
         prompt = build_summary_prompt(document, head, tail, relation, config, failures)
         summary = gateway.chat(user_exchange(
             prompt, temperature=config.summary_temperature,
             model_id=config.model_id)).strip()
-        summary_calls += 1
         if not summary or len(summary) > config.max_summary_chars:
             failures.append(summary)
             continue
@@ -134,10 +130,9 @@ def generate_synthetic(gateway: LlmGateway, document: Document, head: Entity,
         confirmation_calls += 1
         if normalize_relation_label(reply, schema) == relation:
             return SynthesisResult(True, summary, iteration + 1, tuple(failures),
-                                   summary_calls, confirmation_calls)
+                                   confirmation_calls)
         failures.append(summary)
-    return SynthesisResult(False, None, config.beta, tuple(failures),
-                           summary_calls, confirmation_calls)
+    return SynthesisResult(False, None, config.beta, tuple(failures), confirmation_calls)
 
 
 @dataclass(frozen=True)
@@ -219,7 +214,7 @@ def run_corpus_synthesis(gateway: LlmGateway, corpus: Corpus,
         if isinstance(result, Exception):
             errors.append(f"{doc_id}/{triplet.head_id}/{triplet.tail_id}: {result}")
             continue
-        summary_calls += result.summary_calls
+        summary_calls += result.iterations_used
         confirmation_calls += result.confirmation_calls
         if result.accepted:
             assert result.summary is not None

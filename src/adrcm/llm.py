@@ -321,9 +321,9 @@ class RetryPolicy:
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
+            raise ValueError("retry_attempts must be >= 1")
         if not 0 <= self.backoff_base < math.inf:
-            raise ValueError(f"backoff_base must be a finite number >= 0, got {self.backoff_base}")
+            raise ValueError(f"retry_backoff must be a finite number >= 0, got {self.backoff_base}")
 
 
 class _ReplyCache:

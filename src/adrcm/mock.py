@@ -1,41 +1,26 @@
-"""Fully offline end-to-end pipeline over the packaged toy corpus.
+"""The chat script of the offline ``e2e-mock`` run over the packaged toy corpus.
 
-The mock run calls the pipeline's stage functions in order with a
-scripted chat backend and the hashing embedder. Replies are a pure
-function of request content: the script is recorded up front by running
-the synthesis and inference code against a stand-in gateway, keyed by
-request hash. Reruns therefore produce byte-identical artifacts, and an
-interrupted run resumes through the gateway's reply cache.
+Replies are a pure function of request content: the script is recorded up
+front by running the synthesis and inference code against a stand-in
+gateway, keyed by request hash. ``adrcm.cli.run_e2e_mock`` replays it
+through the pipeline's stage functions, so reruns produce byte-identical
+artifacts and an interrupted run resumes through the gateway's reply cache.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import os
-from importlib import resources
 
-from .config import DEFAULTS
-from .corpus import Corpus, builtin_schema, enumerate_candidate_pairs, parse_cui_map
-from .files import atomic_write_text, read_text
+from .corpus import Corpus, enumerate_candidate_pairs
 from .infer import InferenceConfig, predict_pair
 from .iors import IorsConfig, generate_synthetic, positive_triplets
 from .kb import ChunkParams, CuiIndex
-from .llm import ChatExchange, HashingEmbedder, LlmGateway, ScriptedBackend, exchange_key
+from .llm import ChatExchange, Embedder, ScriptedBackend, exchange_key
 
 TOY_CHUNK_PARAMS = ChunkParams(size=48, overlap=8, min_tail=8)
 
 _CONFIRM_REJECT = "These could be unrelated."
 _UNPARSEABLE_REPLY = "The text does not make this clear."
-
-
-def load_toy_assets() -> tuple[str, dict[str, str], str]:
-    """The packaged toy inputs: PubTator text, CUI map, KB snapshot text."""
-    root = resources.files("adrcm.data.toy")
-    pubtator = root.joinpath("toy_corpus.pubtator").read_text(encoding="utf-8")
-    cui_map = parse_cui_map(root.joinpath("toy_cui_map.tsv").read_text(encoding="utf-8"))
-    kb_text = root.joinpath("toy_kb.jsonl").read_text(encoding="utf-8")
-    return pubtator, cui_map, kb_text
 
 
 def _digest(*parts: str) -> int:
@@ -68,22 +53,21 @@ class _Recorder:
     its canned replies and records it by request hash. A request recorded
     earlier keeps its first reply, which is what the runtime will answer."""
 
-    embed_batch = HashingEmbedder().embed_batch
-
-    def __init__(self, script: dict[str, str], replies: list[str]):
+    def __init__(self, script: dict[str, str], replies: list[str], embedder: Embedder):
         self._script = script
         self._replies = ScriptedBackend(replies)
+        self.embed_batch = embedder.embed_batch
 
     def chat(self, exchange: ChatExchange) -> str:
         reply = self._replies.complete(exchange)
         return self._script.setdefault(exchange_key(exchange), reply)
 
 
-def build_mock_script(corpus: Corpus, index: CuiIndex | None,
-                      iors_config: IorsConfig,
-                      infer_config: InferenceConfig) -> dict[str, str]:
-    """Compile request-hash -> reply for every chat call the pipeline makes,
-    by running the synthesis and inference code against :class:`_Recorder`.
+def build_mock_script(corpus: Corpus, index: CuiIndex | None, iors_config: IorsConfig,
+                      infer_config: InferenceConfig, embedder: Embedder) -> dict[str, str]:
+    """Compile request-hash -> reply for every chat call the pipeline makes, by
+    running the synthesis and inference code against :class:`_Recorder`, which
+    embeds retrieval queries with ``embedder``, the embedder that built ``index``.
 
     Synthesis: each positive triplet fails a content-derived number of
     rounds (possibly all of them) before the confirmation accepts.
@@ -107,7 +91,7 @@ def build_mock_script(corpus: Corpus, index: CuiIndex | None,
                                f"to {tail.canonical_name} (draft {round_no + 1}).")
                 replies.append(_confirm_reply(schema, triplet.relation, round_no % 3)
                                if round_no >= fail_rounds else _CONFIRM_REJECT)
-            generate_synthetic(_Recorder(script, replies), doc, head, tail,
+            generate_synthetic(_Recorder(script, replies, embedder), doc, head, tail,
                                triplet.relation, schema, iors_config)
 
         for head_id, tail_id, gold in enumerate_candidate_pairs(sample, schema):
@@ -121,53 +105,6 @@ def build_mock_script(corpus: Corpus, index: CuiIndex | None,
                     reply = schema.none_label
             else:
                 reply = _styled_label(gold, (roll // 10) % 3)
-            predict_pair(_Recorder(script, [reply]), index, sample, head_id,
+            predict_pair(_Recorder(script, [reply], embedder), index, sample, head_id,
                          tail_id, schema, infer_config)
     return script
-
-
-def run_e2e_mock(workdir: str, *, rag_mode: str = DEFAULTS["rag_mode"]) -> dict[str, str]:
-    """Run the pipeline stages from ingest to eval over the toy data.
-
-    Returns a name -> path map of the artifacts written under ``workdir``.
-    Only chat replies go through the on-disk cache, which is what makes
-    interrupted runs resumable.
-    """
-    # Imported here: adrcm.cli imports this module, so a module-level import would be circular.
-    from . import cli
-
-    paths = {name: os.path.join(workdir, name) for name in (
-        "corpus.jsonl", "mock_script.json", "synthetic.jsonl", "synth_report.json",
-        "dataset.jsonl", "finetune.jsonl", "finetune_meta.json", "index.jsonl",
-        "predictions.jsonl", "report.json")}
-    toy = resources.files("adrcm.data.toy")
-    corpus_path, index_path = paths["corpus.jsonl"], paths["index.jsonl"]
-    corpus = cli.ingest_stage(str(toy.joinpath("toy_corpus.pubtator")), corpus_path,
-                              builtin_schema("cdr"), str(toy.joinpath("toy_cui_map.tsv")), "CDR")
-    index = cli.index_stage(str(toy.joinpath("toy_kb.jsonl")), index_path,
-                            HashingEmbedder(), TOY_CHUNK_PARAMS)
-    iors_config, infer_config = IorsConfig(), InferenceConfig(rag_mode=rag_mode)
-    script = build_mock_script(corpus, index, iors_config, infer_config)
-    atomic_write_text(paths["mock_script.json"],
-                      json.dumps({"by_hash": script}, sort_keys=True, indent=2) + "\n")
-
-    gateway = LlmGateway(ScriptedBackend(script), HashingEmbedder(),
-                         cache_dir=os.path.join(workdir, "cache"))
-    cli.synth_stage(corpus_path, paths["synthetic.jsonl"], paths["synth_report.json"],
-                    gateway, iors_config)
-    cli.build_adrcm_stage(corpus_path, paths["synthetic.jsonl"], paths["finetune.jsonl"],
-                          paths["finetune_meta.json"], paths["dataset.jsonl"])
-    cli.infer_stage(corpus_path, index_path, paths["predictions.jsonl"], gateway, infer_config)
-    cli.evaluate_stage(corpus_path, paths["predictions.jsonl"], paths["report.json"])
-    return paths
-
-
-def describe_run(paths: dict[str, str]) -> str:
-    report = json.loads(read_text(paths["report.json"]))
-    lines = ["artifacts:"]
-    lines.extend(f"  {name}: {path}" for name, path in sorted(paths.items()))
-    micro = report["micro"]
-    lines.append(
-        f"micro P/R/F1: {micro['precision']:.4f}/{micro['recall']:.4f}/{micro['f1']:.4f}"
-    )
-    return "\n".join(lines)

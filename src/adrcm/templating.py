@@ -50,4 +50,8 @@ def resolve(name: str, template: str | None = None) -> str:
     unknown = present - SLOTS[name]
     if unknown:
         raise TemplateError(f"template has unknown placeholders: {sorted(unknown)}")
+    try:  # every slot renders a str, so a trial with "" finds each bad format spec
+        template.format(**dict.fromkeys(SLOTS[name], ""))
+    except (ValueError, IndexError) as exc:
+        raise TemplateError(f"template does not render: {exc}")
     return template

@@ -5,14 +5,15 @@ from __future__ import annotations
 
 import contextlib
 import threading
+from importlib import resources
 from typing import Iterator
 
 import pytest
 
-from adrcm.corpus import builtin_schema, parse_pubtator
+from adrcm.corpus import builtin_schema, parse_cui_map, parse_pubtator
 from adrcm.kb import build_index, load_kb
 from adrcm.llm import HashingEmbedder
-from adrcm.mock import TOY_CHUNK_PARAMS, load_toy_assets
+from adrcm.mock import TOY_CHUNK_PARAMS
 from adrcm.model import Document, Entity, Mention, TrainingSample, Triplet
 from http_stub import StubServer
 
@@ -50,6 +51,15 @@ def make_sample(doc_id: str, sentences: list[str],
     doc = Document(doc_id, title, body, tuple(ranges))
     return TrainingSample(doc, tuple(built),
                           tuple(Triplet(h, t, r) for h, t, r in triplets))
+
+
+def load_toy_assets() -> tuple[str, dict[str, str], str]:
+    """The packaged toy inputs: PubTator text, CUI map, KB snapshot text."""
+    root = resources.files("adrcm.data.toy")
+    pubtator = root.joinpath("toy_corpus.pubtator").read_text(encoding="utf-8")
+    cui_map = parse_cui_map(root.joinpath("toy_cui_map.tsv").read_text(encoding="utf-8"))
+    kb_text = root.joinpath("toy_kb.jsonl").read_text(encoding="utf-8")
+    return pubtator, cui_map, kb_text
 
 
 class OverlapBackend:

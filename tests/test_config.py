@@ -70,7 +70,6 @@ def test_library_defaults_are_the_config_defaults():
     export = {name: p.default for name, p in inspect.signature(export_finetune).parameters.items()}
     got = [
         ("beta", iors.beta), ("beta", export["iors_beta"]),
-        ("max_summary_chars", iors.max_summary_chars),
         ("chat_model", iors.model_id), ("chat_model", infer.model_id),
         ("chat_model", user_exchange("q").model_id),
         ("k", infer.k), ("k", inspect.signature(retrieve).parameters["k"].default),

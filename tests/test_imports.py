@@ -1,7 +1,9 @@
-"""No module imports a name that it never reads.
+"""No module imports a name that it never reads, and no package modules
+import each other in a cycle.
 
-A stand-in for a linter's unused-import rule that needs only the standard
-library: a name counts as read when some expression in the module loads it.
+Stand-ins for a linter's rules that need only the standard library: a name
+counts as read when some expression in the module loads it, and an import
+counts toward a cycle wherever it stands, inside a function too.
 """
 
 import ast
@@ -39,3 +41,56 @@ def test_no_module_imports_a_name_it_never_reads():
     found = [f"{p.relative_to(ROOT)} {hit}" for p in paths
              for hit in unused_imports(p.read_text(encoding="utf-8"))]
     assert found == []
+
+
+def package_imports(module: str, source: str, modules: set[str]) -> set[str]:
+    """The modules of ``modules`` that ``module`` (a dotted name) imports anywhere."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:  # relative: drop the module's last `level` name parts
+                parent = ".".join(module.split(".")[:-node.level])
+                base = f"{parent}.{base}" if base else parent
+            found.add(base)
+            found.update(f"{base}.{alias.name}" for alias in node.names)
+    return found & modules - {module}
+
+
+def import_cycle(graph: dict[str, set[str]]) -> list[str]:
+    """One cycle of ``graph`` as a closed path of module names, or [] if it has none."""
+    done: set[str] = set()
+
+    def visit(module: str, path: list[str]) -> list[str]:
+        if module in path:
+            return path[path.index(module):] + [module]
+        if module in done:
+            return []
+        for target in sorted(graph[module]):
+            cycle = visit(target, path + [module])
+            if cycle:
+                return cycle
+        done.add(module)
+        return []
+
+    return next((c for c in (visit(m, []) for m in sorted(graph)) if c), [])
+
+
+def test_import_cycle_counts_imports_inside_functions():
+    modules = {"p.a", "p.b", "p.c"}
+    graph = {"p.a": package_imports("p.a", "from .b import f\nimport p.c\n", modules),
+             "p.b": package_imports("p.b", "def g():\n    from . import a\n", modules),
+             "p.c": package_imports("p.c", "import os\n", modules)}
+    assert graph == {"p.a": {"p.b", "p.c"}, "p.b": {"p.a"}, "p.c": set()}
+    assert import_cycle(graph) == ["p.a", "p.b", "p.a"]
+    assert import_cycle({**graph, "p.b": set()}) == []
+
+
+def test_no_package_modules_import_each_other_in_a_cycle():
+    sources = {f"adrcm.{p.stem}": p.read_text(encoding="utf-8")
+               for p in (ROOT / "src/adrcm").glob("*.py") if p.stem != "__init__"}
+    graph = {m: package_imports(m, source, set(sources)) for m, source in sources.items()}
+    assert graph["adrcm.cli"]
+    assert import_cycle(graph) == []

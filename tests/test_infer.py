@@ -16,8 +16,10 @@ from adrcm.infer import (
     predict_pair,
     save_predictions,
 )
-from adrcm.kb import RetrievedSnippet
+from adrcm.iors import IorsConfig
+from adrcm.kb import RetrievedSnippet, build_index
 from adrcm.llm import HashingEmbedder, LlmGateway, RetryPolicy, ScriptedBackend, exchange_key, user_exchange
+from adrcm.mock import TOY_CHUNK_PARAMS, build_mock_script
 from conftest import OverlapBackend, make_sample
 
 
@@ -214,6 +216,16 @@ def test_predict_corpus_warm_cache_stays_on_calling_thread(toy_corpus, toy_index
     assert predict_corpus(gateway, toy_index, toy_corpus) == cold
     assert threads == [threading.get_ident()] * len(cold)
     assert gateway.stats.chat_calls == len(cold)
+
+
+def test_mock_script_answers_queries_embedded_by_the_index_embedder(toy_corpus, toy_kb_docs):
+    index = build_index(toy_kb_docs, HashingEmbedder(32), params=TOY_CHUNK_PARAMS)
+    config = InferenceConfig(rag_mode="cui")
+    script = build_mock_script(toy_corpus, index, IorsConfig(), config, HashingEmbedder(32))
+    gateway = LlmGateway(ScriptedBackend(script), HashingEmbedder(32))
+    predictions = predict_corpus(gateway, index, toy_corpus, config)
+    assert len(predictions) == 16
+    assert any(p.snippets_used for p in predictions)
 
 
 def test_predictions_round_trip():

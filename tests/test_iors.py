@@ -46,6 +46,11 @@ def test_template_helpers():
         placeholders("hi {name")
     with pytest.raises(TemplateError, match="missing placeholders"):
         IorsConfig(summary_instruction="no slots here")
+    for bad in ("Pick {labels:zz}", "Pick {labels!x}"):
+        with pytest.raises(TemplateError, match="does not render"):
+            InferenceConfig(instruction=bad)
+    for good in ("Pick {labels:>10}", "Pick {labels!r}"):
+        assert InferenceConfig(instruction=good).instruction == good
     assert "{labels}" in resolve("confirmation_instruction")
 
 
@@ -63,7 +68,7 @@ def test_config_refuses_an_unknown_placeholder_when_built(make_config):
 def test_iors_config_validation():
     with pytest.raises(ValueError):
         IorsConfig(beta=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         IorsConfig(max_summary_chars=0)
     cfg = IorsConfig()
     assert cfg.beta == 3
@@ -116,7 +121,7 @@ def test_generate_accepts_first_round(pair_sample, cdr_schema):
     assert result.accepted and result.summary == "a fine summary"
     assert result.iterations_used == 1
     assert result.failures == ()
-    assert (result.summary_calls, result.confirmation_calls) == (1, 1)
+    assert (result.iterations_used, result.confirmation_calls) == (1, 1)
     assert gateway.stats.chat_calls == 2
 
 
@@ -126,7 +131,7 @@ def test_generate_retries_then_accepts(pair_sample, cdr_schema):
     assert result.accepted and result.summary == "draft two"
     assert result.iterations_used == 2
     assert result.failures == ("draft one",)
-    assert (result.summary_calls, result.confirmation_calls) == (2, 2)
+    assert (result.iterations_used, result.confirmation_calls) == (2, 2)
 
 
 def test_generate_discards_after_beta(pair_sample, cdr_schema):
@@ -135,23 +140,22 @@ def test_generate_discards_after_beta(pair_sample, cdr_schema):
     assert not result.accepted and result.summary is None
     assert result.iterations_used == 3
     assert result.failures == ("d1", "d2", "d3")
-    assert (result.summary_calls, result.confirmation_calls) == (3, 3)
+    assert (result.iterations_used, result.confirmation_calls) == (3, 3)
 
 
 def test_generate_skips_confirmation_for_empty_summary(pair_sample, cdr_schema):
     result, _ = _run(pair_sample, cdr_schema, ["   ", "good summary", "CID"])
     assert result.accepted
     assert result.failures == ("",)
-    assert (result.summary_calls, result.confirmation_calls) == (2, 1)
+    assert (result.iterations_used, result.confirmation_calls) == (2, 1)
 
 
 def test_generate_skips_confirmation_for_oversized_summary(pair_sample, cdr_schema):
-    long = "x" * 50
-    result, _ = _run(pair_sample, cdr_schema, [long, "short", "CID"],
-                     max_summary_chars=10)
+    long = "x" * (IorsConfig.max_summary_chars + 1)
+    result, _ = _run(pair_sample, cdr_schema, [long, "short", "CID"])
     assert result.accepted and result.summary == "short"
     assert result.failures == (long,)
-    assert (result.summary_calls, result.confirmation_calls) == (2, 1)
+    assert (result.iterations_used, result.confirmation_calls) == (2, 1)
 
 
 def test_generate_rejects_unknown_relation(pair_sample, cdr_schema):

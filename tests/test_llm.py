@@ -379,10 +379,10 @@ def test_gateway_embed_passes_vectors_through():
 def test_gateway_rejects_bad_settings():
     with pytest.raises(ValueError):
         LlmGateway(ScriptedBackend([]), max_in_flight=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="retry_attempts must be >= 1"):
         RetryPolicy(max_attempts=0)
     for bad in (-1.0, math.inf, math.nan):
-        with pytest.raises(ValueError, match="backoff_base must be a finite number >= 0"):
+        with pytest.raises(ValueError, match="retry_backoff must be a finite number >= 0"):
             RetryPolicy(backoff_base=bad)
 
 

@@ -48,9 +48,9 @@ def toy_inputs(tmp_path_factory, cdr_schema):
     corpus_path, index_path = str(root / "corpus.jsonl"), str(root / "index.jsonl")
     corpus = ingest_stage(str(toy / "toy_corpus.pubtator"), corpus_path, cdr_schema,
                           str(toy / "toy_cui_map.tsv"), "CDR")
-    index = index_stage(str(toy / "toy_kb.jsonl"), index_path, HashingEmbedder(),
-                        TOY_CHUNK_PARAMS)
-    script = build_mock_script(corpus, index, IorsConfig(), InferenceConfig())
+    embedder = HashingEmbedder()
+    index = index_stage(str(toy / "toy_kb.jsonl"), index_path, embedder, TOY_CHUNK_PARAMS)
+    script = build_mock_script(corpus, index, IorsConfig(), InferenceConfig(), embedder)
     return corpus_path, index_path, script
 
 
