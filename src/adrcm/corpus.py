@@ -23,6 +23,7 @@ Negative (no-relation) pairs are never stored; they are materialized by
 from __future__ import annotations
 
 import bisect
+import itertools
 import json
 import re
 from dataclasses import dataclass, field
@@ -132,48 +133,40 @@ def parse_pubtator(
     :class:`ParseError` with the offending line number.
     """
     cui_map = cui_map or {}
-
-    samples: list[TrainingSample] = []
     violations: list[str] = []
-
+    # Blank lines, and one past the last line, bound the blocks. Line i has number i + 1.
     lines = content.split("\n")
-    block: list[tuple[int, str]] = []
-    for line_no, raw in enumerate(lines + [""], start=1):
-        if raw.strip():
-            block.append((line_no, raw))
-            continue
-        if block:
-            samples.append(_parse_block(block, schema, cui_map, violations))
-            block = []
-
+    bounds = [-1, *(i for i, raw in enumerate(lines) if not raw.strip()), len(lines)]
+    samples = [_parse_block(lines, first + 1, stop, schema, cui_map, violations)
+               for first, stop in zip(bounds, bounds[1:]) if stop > first + 1]
     return Corpus(schema=schema, samples=tuple(samples), dataset_tag=dataset_tag,
                   violations=tuple(violations))
 
 
 def _parse_block(
-    block: list[tuple[int, str]],
+    lines: list[str],
+    first: int,
+    stop: int,
     schema: RelationSchema,
     cui_map: dict[str, str],
     violations: list[str],
 ) -> TrainingSample:
-    line_no, first = block[0]
-    if first.count("|") < 2:
-        raise ParseError("expected 'PMID|t|<title>' line", line_no)
-    pmid, tag, title = first.split("|", 2)
-    if tag != "t" or not pmid:
-        raise ParseError("expected 'PMID|t|<title>' line", line_no)
+    head = lines[first].split("|", 2)
+    if len(head) < 3 or head[1] != "t" or not head[0]:
+        raise ParseError("expected 'PMID|t|<title>' line", first + 1)
+    pmid, _, title = head
 
     body = ""
-    rest = block[1:]
-    if rest and f"{pmid}|a|" == rest[0][1][: len(pmid) + 3]:
-        body = rest[0][1][len(pmid) + 3 :]
-        rest = rest[1:]
+    first += 1
+    if first < stop and lines[first].startswith(f"{pmid}|a|"):
+        body = lines[first][len(pmid) + 3 :]
+        first += 1
 
     text = title + " " + body if body else title
     mention_rows: list[tuple[int, int, int, str, str, str]] = []
     relation_rows: list[tuple[int, str, str, str]] = []
 
-    for ln, raw in rest:
+    for ln, raw in enumerate(lines[first:stop], first + 1):
         fields = raw.split("\t")
         if fields[0] != pmid:
             raise ParseError(f"annotation PMID {fields[0]!r} does not match block {pmid!r}", ln)
@@ -208,46 +201,43 @@ def _parse_block(
             )
 
     # The terminator rule has no abbreviation dictionary, so a mention such
-    # as "E. coli" can straddle a sentence end; such an end is dropped.
+    # as "E. coli" can straddle a sentence end; such an end is dropped. With
+    # the rows sorted, reach[i] is the furthest end among the first i mentions.
+    mention_rows.sort()
+    starts = [row[0] for row in mention_rows]
+    reach = list(itertools.accumulate([row[1] for row in mention_rows], max, initial=0))
     cuts = [cut for _, cut in segment_sentences(text)
-            if not any(start < cut < end for start, end, *_ in mention_rows)]
+            if reach[bisect.bisect_left(starts, cut)] <= cut]
 
-    by_id: dict[str, list[tuple[int, int, str, str]]] = {}
-    for start, end, ln, surface, etype, identifier in sorted(mention_rows):
-        if identifier in _UNLINKED_IDS:
-            continue
-        by_id.setdefault(identifier, []).append((start, end, surface, etype))
+    by_id: dict[str, list[tuple[int, int, int, str, str, str]]] = {}
+    for row in mention_rows:
+        if row[5] not in _UNLINKED_IDS:
+            by_id.setdefault(row[5], []).append(row)
 
     entities = []
     for identifier, rows in sorted(by_id.items()):
-        etypes = {etype for *_, etype in rows}
-        if len(etypes) > 1:
+        etype = rows[0][4]
+        if any(row[4] != etype for row in rows):
             violations.append(
                 f"doc {pmid}: entity {identifier!r} annotated with multiple types "
-                f"{sorted(etypes)}; keeping {rows[0][3]!r}"
+                f"{sorted({row[4] for row in rows})}; keeping {etype!r}"
             )
         entities.append(
             Entity(
                 entity_id=identifier,
-                etype=rows[0][3],
-                canonical_name=rows[0][2],
+                etype=etype,
+                canonical_name=rows[0][3],
                 cui=cui_map.get(identifier),
                 mentions=tuple(
-                    Mention(
-                        surface=surface,
-                        sentence_index=bisect.bisect_right(cuts, start),
-                        char_range=(start, end),
-                    )
-                    for start, end, surface, _ in rows
+                    Mention(surface, bisect.bisect_right(cuts, start), (start, end))
+                    for start, end, _, surface, *_ in rows
                 ),
             )
         )
 
-    known = {e.entity_id for e in entities}
-    triplets: list[Triplet] = []
-    seen: dict[tuple[str, str], str] = {}
+    kept: dict[tuple[str, str], str] = {}  # pair to label, in file order
     for ln, label, id1, id2 in relation_rows:
-        missing = [i for i in (id1, id2) if i not in known]
+        missing = [i for i in (id1, id2) if i not in by_id]
         if missing:
             violations.append(
                 f"doc {pmid}: relation ({id1}, {id2}) references identifiers absent "
@@ -257,16 +247,12 @@ def _parse_block(
         if id1 == id2:
             violations.append(f"doc {pmid}: self-relation on {id1!r}; dropped")
             continue
-        prev = seen.get((id1, id2))
-        if prev is not None:
-            if prev != label:
-                violations.append(
-                    f"doc {pmid}: conflicting labels for pair ({id1}, {id2}): "
-                    f"{prev!r} kept, {label!r} dropped"
-                )
-            continue
-        seen[(id1, id2)] = label
-        triplets.append(Triplet(head_id=id1, tail_id=id2, relation=label))
+        prev = kept.setdefault((id1, id2), label)
+        if prev != label:
+            violations.append(
+                f"doc {pmid}: conflicting labels for pair ({id1}, {id2}): "
+                f"{prev!r} kept, {label!r} dropped"
+            )
 
     return TrainingSample(
         document=Document(
@@ -276,7 +262,7 @@ def _parse_block(
             sentences=tuple(zip([0] + cuts, cuts)),
         ),
         entities=tuple(entities),
-        triplets=tuple(triplets),
+        triplets=tuple(Triplet(id1, id2, label) for (id1, id2), label in kept.items()),
     )
 
 

@@ -41,7 +41,8 @@ _IS_SPACE[list(_WHITESPACE)] = True
 EMBED_BATCH_SIZE = 256
 CHUNK_GROUP_SIZE = 256  # articles encoded at once: amortizes numpy calls, bounds the UTF-32 copy
 SHORTLIST_MARGIN = 1e-9
-INDEX_FORMAT = 6
+INDEX_FORMAT = 7
+ARTICLE_FIELDS = ("cui", "source", "title", "text")
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,8 @@ class KbDocument:
     text: str
 
     def __post_init__(self) -> None:
-        for name, value in vars(self).items():
+        for name in ARTICLE_FIELDS:  # not vars(self), which gives each article a __dict__
+            value = getattr(self, name)
             if type(value) is not str:
                 raise TypeError(f"KB document field {name!r} is not a string: {value!r}")
             if not value.strip():
@@ -322,8 +324,8 @@ def retrieve(index: CuiIndex, query_vec: np.ndarray, head: Entity, tail: Entity,
 
 
 def save_index(index: CuiIndex) -> str:
-    """Serialize an index to a JSONL string: a header, one record of its fields per article
-    in doc-id order, then per ``CHUNK_GROUP_SIZE`` articles a ``columns`` record of their
+    """Serialize an index to a JSONL string: a header, then per ``CHUNK_GROUP_SIZE`` articles
+    in doc-id order a ``columns`` record of their ``ARTICLE_FIELDS``, a list each, and their
     chunk ``counts``, ``spans`` and ``vectors``, each a base64 block of ``<i8``/``<f8``."""
     def b64(column: np.ndarray, dtype: str) -> str:
         return base64.b64encode(np.ascontiguousarray(column, dtype)).decode("ascii")
@@ -333,14 +335,16 @@ def save_index(index: CuiIndex) -> str:
         "kind": "header", "format": INDEX_FORMAT, "dimension": index.dimension,
         "embedder": index.embedder, "articles": len(counts), "chunks": len(index),
         "params": vars(index.params), "fingerprint": index.fingerprint}, sort_keys=True)]
-    lines += [json.dumps(vars(doc), sort_keys=True, ensure_ascii=False)
-              for doc in index.documents.values()]
+    docs = list(index.documents.values())
     for at in range(0, len(counts), CHUNK_GROUP_SIZE):
-        rows = slice(index.offsets[at], index.offsets[min(at + CHUNK_GROUP_SIZE, len(counts))])
+        group = docs[at:at + CHUNK_GROUP_SIZE]
+        rows = slice(index.offsets[at], index.offsets[at + len(group)])
         lines.append(json.dumps({
-            "kind": "columns", "counts": b64(counts[at:at + CHUNK_GROUP_SIZE], "<i8"),
+            "kind": "columns", **{name: [getattr(doc, name) for doc in group]
+                                  for name in ARTICLE_FIELDS},
+            "counts": b64(counts[at:at + CHUNK_GROUP_SIZE], "<i8"),
             "spans": b64(index.spans[rows], "<i8"), "vectors": b64(index.matrix[rows], "<f8"),
-        }, sort_keys=True))
+        }, sort_keys=True, ensure_ascii=False))
     return "\n".join(lines) + "\n"
 
 
@@ -371,9 +375,10 @@ def _read_header(header: object, line_no: int,
     return embedder, params, articles, count, dimension, fingerprint
 
 
-def _read_columns(record: dict, docs: Sequence[KbDocument], matrix: np.ndarray,
-                  spans: np.ndarray) -> list[int]:
-    """Copy ``docs``' chunks from ``record`` into ``matrix`` and ``spans``; return their counts."""
+def _read_columns(record: dict, size: int, matrix: np.ndarray,
+                  spans: np.ndarray) -> tuple[list[KbDocument], list[int]]:
+    """The ``size`` articles of ``record`` and their chunk counts; their chunks are copied
+    into ``matrix`` and ``spans``."""
     def unpack(name: str, dtype: str, *shape: int) -> np.ndarray:  # base64 of 8-byte numbers
         try:
             raw = base64.b64decode(record[name], validate=True)
@@ -384,9 +389,14 @@ def _read_columns(record: dict, docs: Sequence[KbDocument], matrix: np.ndarray,
                              f"got {len(raw)} bytes")
         return np.frombuffer(raw, dtype).reshape(shape)
 
-    if record.keys() != {"kind", "counts", "spans", "vectors"} or record["kind"] != "columns":
+    if (record.keys() != {"kind", *ARTICLE_FIELDS, "counts", "spans", "vectors"}
+            or record["kind"] != "columns"):
         raise ValueError(f"fields {sorted(record)} are not those of a columns record")
-    counts = unpack("counts", "<i8", len(docs)).tolist()
+    for name in ARTICLE_FIELDS:
+        if type(record[name]) is not list or len(record[name]) != size:
+            raise ValueError(f"{name} is not a list of {size} article fields")
+    docs = list(map(KbDocument, *(record[name] for name in ARTICLE_FIELDS)))
+    counts = unpack("counts", "<i8", size).tolist()
     n = sum(counts)
     if min(counts) < 0 or n > len(matrix):
         raise ValueError("chunk counts are negative or more than the header's chunks")
@@ -398,7 +408,7 @@ def _read_columns(record: dict, docs: Sequence[KbDocument], matrix: np.ndarray,
         raise ValueError(f"span {group[bad[0]].tolist()} of article {doc.doc_id!r} is not "
                          f"[start, end] with 0 <= start < end <= {len(doc.text)}")
     spans[:n], matrix[:n] = group, unpack("vectors", "<f8", n, matrix.shape[1])
-    return counts
+    return docs, counts
 
 
 def load_index(text: str) -> CuiIndex:
@@ -410,21 +420,20 @@ def load_index(text: str) -> CuiIndex:
     embedder, params, articles, count, dimension, fingerprint = _read_header(
         header, line_no, len(text))
     documents: dict[str, KbDocument] = {}
-    for line_no, doc in parse_jsonl(itertools.islice(lines, articles), "article",
-                                    lambda row: KbDocument(**row)):
-        doc_id = doc.doc_id
-        if documents and doc_id <= last:
-            raise ValueError(f"line {line_no}: article {doc_id!r} repeats or is out of order")
-        documents[doc_id], last = doc, doc_id
-    docs = list(documents.values())
     matrix, spans = np.empty((count, dimension)), np.empty((count, 2), np.int64)
     counts: list[int] = []
     for at, (line_no, line) in zip(range(0, articles, CHUNK_GROUP_SIZE), lines):
         try:
-            counts += _read_columns(json.loads(line), docs[at:at + CHUNK_GROUP_SIZE],
-                                    matrix[sum(counts):], spans[sum(counts):])
+            docs, group = _read_columns(json.loads(line), min(CHUNK_GROUP_SIZE, articles - at),
+                                        matrix[sum(counts):], spans[sum(counts):])
         except (AttributeError, TypeError, ValueError) as exc:
             raise ValueError(f"line {line_no}: bad columns record: {exc}") from None
+        for doc in docs:
+            doc_id = doc.doc_id
+            if documents and doc_id <= last:
+                raise ValueError(f"line {line_no}: article {doc_id!r} repeats or is out of order")
+            documents[doc_id], last = doc, doc_id
+        counts += group
     for line_no, _ in lines:
         raise ValueError(f"line {line_no}: record after the last columns record")
     if (len(counts), sum(counts)) != (articles, count):

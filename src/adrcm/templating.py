@@ -50,6 +50,10 @@ def resolve(name: str, template: str | None = None) -> str:
     unknown = present - SLOTS[name]
     if unknown:
         raise TemplateError(f"template has unknown placeholders: {sorted(unknown)}")
+    nested = {slot for *_, spec, _ in string.Formatter().parse(template)
+              for slot in placeholders(spec or "")}
+    if nested:  # the trial render below could not try such a slot's real value
+        raise TemplateError(f"template has placeholders nested in a format spec: {sorted(nested)}")
     try:  # every slot renders a str, so a trial with "" finds each bad format spec
         template.format(**dict.fromkeys(SLOTS[name], ""))
     except (ValueError, IndexError) as exc:

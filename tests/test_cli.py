@@ -520,7 +520,7 @@ def test_infer_refuses_a_format_5_index(tmp_path, e2e_dir, capsys, http_stub):
                "--out", str(tmp_path / "p.jsonl"), "--rag", "chunks",
                "--chat-url", http_stub.url])
     assert rc == 2
-    assert ("error: index format 5 is not 6; rebuild it with `adrcm index`"
+    assert ("error: index format 5 is not 7; rebuild it with `adrcm index`"
             in capsys.readouterr().err)
     assert http_stub.requests == []
     assert not (tmp_path / "p.jsonl").exists()
@@ -554,7 +554,7 @@ E2E_CUI_DIGESTS = {
     "dataset.jsonl": "1cfba3c35c62721f9b294ff1e20d5199c37d79642992320f8065e65542d6dace",
     "finetune.jsonl": "7266c96eba1da9be2d35d7ba913b7d600327133f29581ef17022efd37417a5be",
     "finetune_meta.json": "a7b1cfc9eb5d6db41e27dd89db2cf17d9344dc847a5e53028b3f9923bde2b962",
-    "index.jsonl": "a46946eba74d03228b8662e2c24cf3bf70c152e8337d034d2c49e0938a1a7535",
+    "index.jsonl": "d53713b7b5cbf73b362d9bb4b63bd7d2ad717b291c63e253b06e5f0c416dd1da",
     "mock_script.json": "c33304cd762775056d421562dd44295749434d5b5882276392d4d41b2f0606c4",
     "predictions.jsonl": "3d6c5d6268029e6dca367603c929e0b42fc15af4cc0b3a61ebca71bf69268b9c",
     "report.json": "294c07d350af8a7442ae5e008a94ff4e1d1291d018ae576e7050a344d3725870",

@@ -1,10 +1,13 @@
+import bisect
 import json
 import random
+import re
 from importlib import resources
 
 import pytest
 
 from adrcm.corpus import (
+    ETYPE_MAP,
     Corpus,
     ParseError,
     builtin_schema,
@@ -15,7 +18,15 @@ from adrcm.corpus import (
     save_corpus,
     segment_sentences,
 )
-from adrcm.model import RelationSchema, validate_sample
+from adrcm.model import (
+    Document,
+    Entity,
+    Mention,
+    RelationSchema,
+    TrainingSample,
+    Triplet,
+    validate_sample,
+)
 
 
 def test_segment_sentences_hand_cases():
@@ -399,6 +410,199 @@ def test_parse_pubtator_random_documents_are_valid_and_round_trip(cdr_schema):
             text = sample.document.text
             assert "".join(text[s:e] for s, e in sample.document.sentences) == text
         assert load_corpus(save_corpus(corpus)) == corpus
+
+
+def _reference_parse_pubtator(content, schema, cui_map=None, dataset_tag=None):
+    """The parser that parse_pubtator replaced: a ``(line number, line)`` tuple per
+    line, and a scan of every mention for every sentence cut."""
+    cui_map = cui_map or {}
+    samples, violations = [], []
+    block = []
+    for line_no, raw in enumerate(content.split("\n") + [""], start=1):
+        if raw.strip():
+            block.append((line_no, raw))
+            continue
+        if block:
+            samples.append(_reference_parse_block(block, schema, cui_map, violations))
+            block = []
+    return Corpus(schema=schema, samples=tuple(samples), dataset_tag=dataset_tag,
+                  violations=tuple(violations))
+
+
+def _reference_parse_block(block, schema, cui_map, violations):
+    line_no, first = block[0]
+    if first.count("|") < 2:
+        raise ParseError("expected 'PMID|t|<title>' line", line_no)
+    pmid, tag, title = first.split("|", 2)
+    if tag != "t" or not pmid:
+        raise ParseError("expected 'PMID|t|<title>' line", line_no)
+    body = ""
+    rest = block[1:]
+    if rest and f"{pmid}|a|" == rest[0][1][: len(pmid) + 3]:
+        body = rest[0][1][len(pmid) + 3 :]
+        rest = rest[1:]
+    text = title + " " + body if body else title
+    mention_rows, relation_rows = [], []
+    for ln, raw in rest:
+        fields = raw.split("\t")
+        if fields[0] != pmid:
+            raise ParseError(f"annotation PMID {fields[0]!r} does not match block {pmid!r}", ln)
+        if len(fields) == 6:
+            _, start_s, end_s, surface, etype_s, identifier = fields
+            try:
+                start, end = int(start_s), int(end_s)
+            except ValueError:
+                raise ParseError(f"non-integer offsets ({start_s!r}, {end_s!r})", ln)
+            if not (0 <= start < end <= len(text)):
+                raise ParseError(f"mention span ({start}, {end}) outside document", ln)
+            if text[start:end] != surface:
+                raise ParseError(f"mention span ({start}, {end}) reads {text[start:end]!r}, "
+                                 f"annotation says {surface!r}", ln)
+            etype = ETYPE_MAP.get(etype_s.lower())
+            if etype is None:
+                raise ParseError(f"unknown entity type {etype_s!r}", ln)
+            mention_rows.append((start, end, ln, surface, etype, identifier))
+        elif len(fields) == 4:
+            _, tag, id1, id2 = fields
+            label = tag if tag in schema.labels else schema.aliases.get(tag.lower())
+            if label is None:
+                raise ParseError(f"unknown relation tag {tag!r}", ln)
+            relation_rows.append((ln, label, id1, id2))
+        else:
+            raise ParseError("malformed line: expected 6 fields (mention) or 4 (relation), "
+                             f"got {len(fields)}", ln)
+    cuts = [cut for _, cut in segment_sentences(text)
+            if not any(start < cut < end for start, end, *_ in mention_rows)]
+    by_id = {}
+    for start, end, ln, surface, etype, identifier in sorted(mention_rows):
+        if identifier in ("", "-1"):
+            continue
+        by_id.setdefault(identifier, []).append((start, end, surface, etype))
+    entities = []
+    for identifier, rows in sorted(by_id.items()):
+        etypes = {etype for *_, etype in rows}
+        if len(etypes) > 1:
+            violations.append(f"doc {pmid}: entity {identifier!r} annotated with multiple types "
+                              f"{sorted(etypes)}; keeping {rows[0][3]!r}")
+        entities.append(Entity(
+            entity_id=identifier, etype=rows[0][3], canonical_name=rows[0][2],
+            cui=cui_map.get(identifier),
+            mentions=tuple(Mention(surface=surface,
+                                   sentence_index=bisect.bisect_right(cuts, start),
+                                   char_range=(start, end))
+                           for start, end, surface, _ in rows)))
+    known = {e.entity_id for e in entities}
+    triplets, seen = [], {}
+    for ln, label, id1, id2 in relation_rows:
+        missing = [i for i in (id1, id2) if i not in known]
+        if missing:
+            violations.append(f"doc {pmid}: relation ({id1}, {id2}) references identifiers "
+                              f"absent from mention lines: {missing}; dropped")
+            continue
+        if id1 == id2:
+            violations.append(f"doc {pmid}: self-relation on {id1!r}; dropped")
+            continue
+        prev = seen.get((id1, id2))
+        if prev is not None:
+            if prev != label:
+                violations.append(f"doc {pmid}: conflicting labels for pair ({id1}, {id2}): "
+                                  f"{prev!r} kept, {label!r} dropped")
+            continue
+        seen[(id1, id2)] = label
+        triplets.append(Triplet(head_id=id1, tail_id=id2, relation=label))
+    return TrainingSample(
+        document=Document(doc_id=pmid, title=title, body=body,
+                          sentences=tuple(zip([0] + cuts, cuts))),
+        entities=tuple(entities), triplets=tuple(triplets))
+
+
+# Blank lines: whitespace only, as str.strip() sees it; "\u2028" and "\x85" do not
+# end a line.
+_SEPARATORS = ["", " ", "\t", "\r", "\x0b\x0c", "\u3000", "\x1c", "\u2028 ", "\x85"]
+_TYPE_NAMES = {"Chemical": ["Chemical", "chemical", "ChemicalEntity"],
+               "Disease": ["Disease", "DISEASE", "DiseaseOrPhenotypicFeature"]}
+
+
+def _messy_pubtator(rng):
+    """Random PubTator with whitespace-only separator lines, duplicate spans with
+    another type or id, empty ids, alias relation tags and shuffled annotation lines."""
+    blocks = []
+    for i in range(rng.randint(1, 5)):
+        pmid = str(2000 + i)
+        title, *rest = _random_document(rng, pmid).split("\n")[:-1]
+        head = [title] + [line for line in rest if "|a|" in line]
+        annotations = [line for line in rest if "|a|" not in line]
+        for line in [line for line in annotations if line.count("\t") == 5]:
+            _, start, end, surface, etype, identifier = line.split("\t")
+            roll = rng.random()
+            if roll < 0.3:  # the same span under another type
+                etype = "Chemical" if etype == "Disease" else "Disease"
+            elif roll < 0.5:
+                identifier = rng.choice(["", "-1", "C1", "D2"])
+            annotations.append("\t".join(
+                [pmid, start, end, surface, rng.choice(_TYPE_NAMES[etype]), identifier]))
+        for _ in range(rng.randint(0, 3)):
+            head_id, tail_id = rng.choice(["C1", "C2", "C9"]), rng.choice(["D1", "D2", "C1"])
+            tag = rng.choice(["CID", "None", "induces", "Causes", "no relation", "cid"])
+            annotations.append(f"{pmid}\t{tag}\t{head_id}\t{tail_id}")
+        rng.shuffle(annotations)
+        blocks.append(head + annotations)
+    lines = rng.choices(_SEPARATORS, k=rng.randint(0, 2))
+    for block in blocks:
+        lines += block + rng.choices(_SEPARATORS, k=rng.randint(1, 3))
+    return "\n".join(lines)
+
+
+def _corrupt(rng, content):
+    """``content`` with one non-blank line made malformed."""
+    lines = content.split("\n")
+    at = rng.choice([i for i, line in enumerate(lines) if line.strip()])
+    fields = lines[at].split("\t")
+    if "|" in lines[at]:
+        lines[at] = rng.choice(["no pipes here", "|t|no pmid", lines[at].replace("|t|", "|x|"),
+                                "999" + lines[at]])
+    elif len(fields) == 6:
+        k, value = rng.choice([(0, "999"), (1, "x"), (2, "99999"), (2, fields[1]), (3, "zz"),
+                               (4, "Potion"), (1, "-1")])
+        fields[k] = value
+        lines[at] = "\t".join(rng.choice([fields, fields[:5], fields + ["extra"]]))
+    else:
+        fields[1] = rng.choice(["PREVENTS", fields[1]])
+        lines[at] = "\t".join(rng.choice([fields, fields[:3], fields + ["x", "y"]]))
+    return "\n".join(lines)
+
+
+def _outcome(parse, content, schema, cui_map):
+    try:
+        corpus = parse(content, schema, cui_map=cui_map)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return save_corpus(corpus), corpus.violations
+
+
+def test_parse_pubtator_matches_the_reference_parser(cdr_schema):
+    rng = random.Random(31)
+    cui_map = {"C1": "C0000001", "D2": "C0000002"}
+    seen = {"violations": 0, "merged cuts": 0, "errors": set()}
+    for _ in range(300):
+        content = _messy_pubtator(rng)
+        got = _outcome(parse_pubtator, content, cdr_schema, cui_map)
+        assert got == _outcome(_reference_parse_pubtator, content, cdr_schema, cui_map), content
+        if isinstance(got[0], str):
+            corpus = parse_pubtator(content, cdr_schema, cui_map=cui_map)
+            seen["violations"] += len(corpus.violations)
+            seen["merged cuts"] += sum(
+                len(sample.document.sentences) < len(segment_sentences(sample.document.text))
+                for sample in corpus.samples)
+        broken = _corrupt(rng, content)
+        got = _outcome(parse_pubtator, broken, cdr_schema, cui_map)
+        assert got == _outcome(_reference_parse_pubtator, broken, cdr_schema, cui_map), broken
+        if not isinstance(got[0], str):
+            seen["errors"].add(re.sub(r"[ (].*", "", got[1].split(": ", 1)[1]))
+    assert seen["violations"] > 100 and seen["merged cuts"] > 30
+    # each kind of malformed line was met: title, PMID, fields, offsets, span, type, tag
+    assert seen["errors"] >= {"expected", "annotation", "malformed", "non-integer", "mention",
+                              "unknown"}, seen["errors"]
 
 
 def test_load_corpus_rejects_unknown_sample_fields(toy_corpus):

@@ -49,6 +49,8 @@ def test_template_helpers():
     for bad in ("Pick {labels:zz}", "Pick {labels!x}"):
         with pytest.raises(TemplateError, match="does not render"):
             InferenceConfig(instruction=bad)
+    with pytest.raises(TemplateError, match=r"nested in a format spec: \['labels'\]$"):
+        InferenceConfig(instruction="Pick {labels:{labels}}")
     for good in ("Pick {labels:>10}", "Pick {labels!r}"):
         assert InferenceConfig(instruction=good).instruction == good
     assert "{labels}" in resolve("confirmation_instruction")

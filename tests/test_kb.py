@@ -334,17 +334,19 @@ def test_load_index_rejects_tampering(toy_index):
 
 
 def test_index_file_layout(toy_index):
-    header, *records = [json.loads(line) for line in save_index(toy_index).splitlines()]
-    assert header["format"] == 6
+    header, columns = [json.loads(line) for line in save_index(toy_index).splitlines()]
+    assert header["format"] == 7
     assert header["embedder"] == {"kind": "hashing", "model": "fnv1a64", "dimension": 64}
     assert header["chunks"] == len(toy_index)
     assert header["articles"] == len(toy_index.documents) < kb.CHUNK_GROUP_SIZE
-    *articles, columns = records
+    assert set(columns) == {"kind", "cui", "source", "title", "text", "counts", "spans",
+                            "vectors"}
+    assert columns["kind"] == "columns"
+    articles = [dict(zip(kb.ARTICLE_FIELDS, fields))
+                for fields in zip(*(columns[name] for name in kb.ARTICLE_FIELDS))]
     assert [f"{r['cui']}|{r['source']}|{r['title']}" for r in articles] == sorted(
         toy_index.documents)
-    assert all(set(record) == {"cui", "source", "title", "text"} for record in articles)
-    assert set(columns) == {"kind", "counts", "spans", "vectors"}
-    assert columns["kind"] == "columns"
+    assert len(articles) == header["articles"]
     assert _column(columns, "counts").tolist() == np.diff(toy_index.offsets).tolist()
     assert _column(columns, "spans").tolist() == toy_index.spans.tolist()
     assert base64.b64decode(columns["vectors"]) == toy_index.matrix.astype("<f8").tobytes()
@@ -369,17 +371,31 @@ def _format_2_records(index):
     return records
 
 
+def _format_6_records(index):
+    """The records of ``index`` in the layout of format 6: one per article, then one
+    ``columns`` record of chunk counts, spans and vectors per group of articles."""
+    records = _retamper(save_index(index), lambda rs: rs[0].update(format=6))
+    header, *groups = map(json.loads, records.splitlines())
+    articles = [{name: group[name][j] for name in kb.ARTICLE_FIELDS}
+                for group in groups for j in range(len(group["cui"]))]
+    return [header, *articles, *({name: group[name] for name in ("kind", *_DTYPES)}
+                                 for group in groups)]
+
+
 def test_load_index_refuses_format_2(toy_index):
     """A file in the per-chunk layout written before format 3 must be rebuilt, and so
     must a format 3 file, whose fingerprint does not cover the article records, a
-    format 4 file, whose fingerprint hashes every chunk rather than the columns, and a
-    format 5 file, whose article records hold their own chunks."""
+    format 4 file, whose fingerprint hashes every chunk rather than the columns, a
+    format 5 file, whose article records hold their own chunks, and a format 6 file,
+    whose article records come before the columns records."""
     old = dump_jsonl(_format_2_records(toy_index))
-    with pytest.raises(ValueError, match="index format 2 is not 6; rebuild it with `adrcm index`"):
+    with pytest.raises(ValueError, match="index format 2 is not 7; rebuild it with `adrcm index`"):
         load_index(old)
-    for format_ in (3, 4, 5):
+    with pytest.raises(ValueError, match="index format 6 is not 7; rebuild it with `adrcm index`"):
+        load_index(dump_jsonl(_format_6_records(toy_index)))
+    for format_ in (3, 4, 5, 6):
         older = _retamper(save_index(toy_index), lambda rs: rs[0].update(format=format_))
-        with pytest.raises(ValueError, match=f"index format {format_} is not 6; "
+        with pytest.raises(ValueError, match=f"index format {format_} is not 7; "
                                              "rebuild it with `adrcm index`"):
             load_index(older)
 
@@ -551,21 +567,31 @@ def _set_column(record, **columns):
         record[name] = base64.b64encode(block).decode("ascii")
 
 
-def _swap_articles(records):
-    records[1], records[2] = records[2], records[1]
+def _swap_cuis(records):
+    """Out of doc-id order, each text still where its spans say."""
+    cuis = records[-1]["cui"]
+    assert cuis[0] != cuis[1]
+    cuis[0], cuis[1] = cuis[1], cuis[0]
 
 
-def _duplicate_last_article(records):
-    records.insert(-1, dict(records[-2]))
-    records[0]["articles"] += 1
+def _append_article(article):
+    """Append ``article`` (one value per article field, or a function of the records
+    that gives them) with no chunks to the last group."""
+    def edit(records):
+        values = article(records) if callable(article) else article
+        for name, value in zip(kb.ARTICLE_FIELDS, values):
+            records[-1][name].append(value)
+        records[0]["articles"] += 1
+        _set_column(records[-1], counts=np.r_[_column(records[-1], "counts"), 0])
+    return edit
 
 
-def _add_article(records):
-    """An article with no chunks, after the others in doc-id order."""
-    records.insert(-1, {"cui": "C9999999", "source": "kb", "title": "ghost",
-                        "text": "never indexed"})
-    records[0]["articles"] += 1
-    _set_column(records[-1], counts=np.r_[_column(records[-1], "counts"), 0])
+def _resize_article_list(name, extra):
+    """Repeat the last item of the ``name`` list ``extra`` times, or drop ``-extra`` items."""
+    def edit(records):
+        values = records[-1][name]
+        values[len(values) + min(extra, 0):] = values[-1:] * max(extra, 0)
+    return edit
 
 
 def _drop_vector_bytes(records):
@@ -613,8 +639,7 @@ def _move_first_chunk_count(counts):
     return counts
 
 
-# ``{last}`` stands for the file line of the last record, ``{last_article}`` for that of
-# the last article record.
+# ``{last}`` stands for the file line of the last record.
 @pytest.mark.parametrize("edit, message", [
     (lambda rs: rs[0].update(chunks=rs[0]["chunks"] - 1),
      "^line {last}: bad columns record: chunk counts are negative or more than the header's"),
@@ -624,21 +649,23 @@ def _move_first_chunk_count(counts):
     (lambda rs: rs[0].pop("articles"), "adrcm index"),
     (lambda rs: rs[0].update(articles=-1), "adrcm index"),
     (lambda rs: rs[0].update(articles=rs[0]["articles"] - 1),
-     "^line {last_article}: bad columns record: fields .* are not those of a columns record"),
+     r"^line {last}: bad columns record: cui is not a list of \d+ article fields$"),
     (lambda rs: rs[0].update(articles=rs[0]["articles"] + 1),
-     "^line {last}: bad article record"),
+     r"^line {last}: bad columns record: cui is not a list of \d+ article fields$"),
     (lambda rs: rs[0].pop("embedder"), "^line 1: bad index header: 'embedder'"),
     (lambda rs: rs[0].update(dimension="64"), "^line 1: bad index header: dimension"),
     (lambda rs: rs[0].update(params=[48]), "^line 1: bad index header"),
-    (_swap_articles, "^line 3: article .* repeats or is out of order"),
-    (_duplicate_last_article, "^line {last_article}: article .* repeats or is out of order"),
+    (_swap_cuis, "^line 2: article .* repeats or is out of order"),
+    (_append_article(lambda rs: [rs[-1][name][-1] for name in kb.ARTICLE_FIELDS]),
+     "^line {last}: article .* repeats or is out of order"),
     (_drop_vector_bytes, r"^line {last}: bad columns record: expected \d+ x 64 vectors, got"),
     (_set_first_vector(0.0), "^chunk '.*#0000' has a zero or non-finite vector$"),
     (_set_first_vector(np.nan), "^chunk '.*#0000' has a zero or non-finite vector$"),
     (lambda rs: rs[-1].update(vectors="!" + rs[-1]["vectors"][1:]),
      "^line {last}: bad columns record: vectors are not base64"),
     (lambda rs: rs[-1].pop("spans"),
-     r"^line {last}: bad columns record: fields \['counts', 'kind', 'vectors'\] are not"),
+     r"^line {last}: bad columns record: fields \['counts', 'cui', 'kind', 'source', 'text', "
+     r"'title', 'vectors'\] are not those of a columns record"),
     (lambda rs: rs[-1].update(chunk_id="x"), "^line {last}: bad columns record: .*'chunk_id'"),
     (lambda rs: rs[-1].update(vectors=[rs[-1]["vectors"]]),
      "^line {last}: bad columns record: vectors are not base64"),
@@ -653,13 +680,24 @@ def _move_first_chunk_count(counts):
      "^line {last}: bad columns record: spans are not base64"),
     (_set_span([-1, 3]), r"^line {last}: bad columns record: span \[-1, 3\] of article '"),
     (_set_span([3, 3]), r"^line {last}: bad columns record: span \[3, 3\]"),
-    (lambda rs: _set_span([0, len(rs[-2]["text"]) + 1])(rs),
+    (lambda rs: _set_span([0, len(rs[-1]["text"][-1]) + 1])(rs),
      r"^line {last}: bad columns record: span \[0, \d+\]"),
-    (lambda rs: rs[1].update(url="https://example.org"), "^line 2: bad article"),
-    (lambda rs: rs[1].pop("source"), "^line 2: bad article"),
-    (lambda rs: rs[1].update(kind="doc"), "^line 2: bad article"),
-    (_add_article, "fingerprint"),
-    (lambda rs: rs[1].update(text=rs[1]["text"] + "   "), "fingerprint"),
+    (lambda rs: rs[-1].update(url=["https://example.org"] * len(rs[-1]["cui"])),
+     r"^line 2: bad columns record: fields \[.*'url', 'vectors'\] are not those of a"),
+    (lambda rs: rs[-1].pop("source"),
+     r"^line 2: bad columns record: fields \['counts', 'cui', 'kind', 'spans', 'text', 'title'"),
+    (lambda rs: rs[-1].update(kind="doc"),
+     "^line 2: bad columns record: fields .* are not those of a columns record"),
+    (_append_article(["C9999999", "kb", "ghost", "never indexed"]), "fingerprint"),
+    (lambda rs: rs[-1]["text"].__setitem__(0, rs[-1]["text"][0] + "   "), "fingerprint"),
+    (_resize_article_list("title", -1),
+     r"^line 2: bad columns record: title is not a list of \d+ article fields$"),
+    (_resize_article_list("text", 1),
+     r"^line 2: bad columns record: text is not a list of \d+ article fields$"),
+    (lambda rs: rs[-1].update(source="kb"),
+     r"^line 2: bad columns record: source is not a list of \d+ article fields$"),
+    (lambda rs: rs[-1]["title"].__setitem__(0, 7),
+     "^line 2: bad columns record: KB document field 'title' is not a string: 7$"),
     # without its vectors the file is too short for its chunk count; see the round trip
     # test for a missing record that leaves it long enough
     (lambda rs: rs.pop(), "^index header has no valid article and chunk counts"),
@@ -677,15 +715,14 @@ def _move_first_chunk_count(counts):
         "span-str", "span-bool", "span-three", "span-object", "spans-object",
         "span-negative", "span-empty", "span-past-end", "article-extra-field",
         "article-missing-field", "article-kind", "article-added", "article-text-edited",
-        "columns-missing", "columns-extra", "counts-short", "counts-negative",
-        "counts-moved"])
+        "article-list-short", "article-list-long", "article-field-not-list",
+        "article-field-type", "columns-missing", "columns-extra", "counts-short",
+        "counts-negative", "counts-moved"])
 def test_load_index_rejects_inconsistent_records(toy_index, edit, message):
     text = save_index(toy_index)
     assert save_index(load_index(text)) == text
     tampered = _retamper(text, edit)
-    last_article = 1 + sum("kind" not in json.loads(line) for line in tampered.splitlines())
-    with pytest.raises(ValueError, match=message.format(last=tampered.count("\n"),
-                                                        last_article=last_article)):
+    with pytest.raises(ValueError, match=message.format(last=tampered.count("\n"))):
         load_index(tampered)
 
 
@@ -743,24 +780,34 @@ def test_index_round_trip_keeps_unicode_line_separators():
     assert save_index(load_index(text)) == text
 
 
-def test_load_index_reports_file_line_numbers(toy_index):
-    lines = save_index(toy_index).splitlines()
-    truncated = lines[:5] + [lines[5][:-3]] + lines[6:]
-    with pytest.raises(ValueError, match="^line 6: bad article record: Unterminated string"):
+def _copied_kb(toy_kb_docs, copies):
+    """``copies`` copies of the toy KB, each under its own CUIs and titles."""
+    return [KbDocument(f"C{6000000 + 100 * copy + j}", doc.source, f"{doc.title} {copy}",
+                       doc.text)
+            for copy in range(copies) for j, doc in enumerate(toy_kb_docs)]
+
+
+def test_load_index_reports_file_line_numbers(toy_kb_docs):
+    docs = _copied_kb(toy_kb_docs, 2 * kb.CHUNK_GROUP_SIZE // len(toy_kb_docs) + 1)
+    lines = save_index(build_index(docs, HashingEmbedder(),
+                                   params=TOY_CHUNK_PARAMS)).splitlines()
+    assert len(lines) == 4  # the header and three groups
+    truncated = lines[:2] + [lines[2][:-3]] + lines[3:]
+    with pytest.raises(ValueError, match="^line 3: bad columns record: Unterminated string"):
         load_index("\n".join(truncated) + "\n")
-    bad = json.loads(lines[3])
-    bad["title"] = " "
-    spaced = lines[:1] + ["", "  "] + lines[1:3] + [json.dumps(bad)] + lines[4:]
-    with pytest.raises(ValueError, match="^line 6: bad article record: .*'title' is empty"):
+    bad = json.loads(lines[2])
+    bad["title"][1] = " "
+    spaced = lines[:1] + ["", "  "] + lines[1:2] + [json.dumps(bad)] + lines[3:]
+    with pytest.raises(ValueError, match="^line 5: bad columns record: .*'title' is empty"):
         load_index("\n".join(spaced) + "\n")
     # One record spread over two lines and two records on one line: joined by commas,
     # the lines would parse as all the records; one by one, the first line fails.
-    split = lines[4].index('"text"')
-    spread = (lines[:4] + [lines[4][:split].rstrip(", "), lines[4][split:], lines[5],
-                           lines[6] + ", " + lines[7]] + lines[8:])
-    assert json.loads("[" + ",".join(spread[1:-1]) + "]") == [
-        json.loads(line) for line in lines[1:-1]]
-    with pytest.raises(ValueError, match="^line 5: bad article record: Expecting"):
+    split = lines[1].index('"text"')
+    spread = lines[:1] + [lines[1][:split].rstrip(", "), lines[1][split:],
+                          lines[2] + ", " + lines[3]]
+    assert json.loads("[" + ",".join(spread[1:]) + "]") == [
+        json.loads(line) for line in lines[1:]]
+    with pytest.raises(ValueError, match="^line 2: bad columns record: Expecting"):
         load_index("\n".join(spread) + "\n")
     columns = lines[:-1] + ["", lines[-1][:-3]]
     with pytest.raises(ValueError, match=f"^line {len(lines) + 1}: bad columns record: "
@@ -773,9 +820,7 @@ def test_load_index_peak_memory_stays_within_twice_the_matrix(toy_kb_docs):
     at most twice the matrix's bytes beyond what the loaded index keeps. A loader that
     reads all vectors from one record holds their JSON line, its decoded string and
     their bytes at once."""
-    docs = [KbDocument(f"C{6000000 + 100 * copy + j}", doc.source, f"{doc.title} {copy}",
-                       doc.text)
-            for copy in range(50) for j, doc in enumerate(toy_kb_docs)]
+    docs = _copied_kb(toy_kb_docs, 50)
     text = save_index(build_index(docs, HashingEmbedder(), params=TOY_CHUNK_PARAMS))
     tracemalloc.start()
     try:
@@ -812,7 +857,7 @@ def _columns_records(text):
     return [r for r in map(json.loads, text.split("\n")[:-1]) if r.get("kind") == "columns"]
 
 
-def test_format_6_round_trip_on_random_kbs():
+def test_format_7_round_trip_on_random_kbs():
     rng = random.Random(23)
     head, tail = _entity("E1", cui="C0000001"), _entity("E2", cui="C0000002")
     for _ in range(40):
@@ -850,9 +895,15 @@ def test_format_6_round_trip_on_random_kbs():
     assert loaded.matrix.tobytes() == built.matrix.tobytes()
     assert np.array_equal(loaded.spans, built.spans)
     lines = text.split("\n")[:-1]
-    assert len(lines) == 1 + len(docs) + 2
+    assert len(lines) == 1 + 2
     groups = _columns_records(text)
     assert [len(_column(r, "counts")) for r in groups] == [kb.CHUNK_GROUP_SIZE, 1]
+    assert [len(r[name]) for r in groups for name in kb.ARTICLE_FIELDS] == (
+        [kb.CHUNK_GROUP_SIZE] * 4 + [1] * 4)
+    # doc ids must ascend across groups as within them
+    with pytest.raises(ValueError, match=r"^line 3: article 'C5000000\|kb2?\|t256' repeats "
+                                         "or is out of order$"):
+        load_index(_retamper(text, lambda rs: rs[2]["cui"].__setitem__(0, "C5000000")))
     assert np.concatenate([_column(r, "counts") for r in groups]).tolist() == np.diff(
         built.offsets).tolist()
     # a bad span names the line of its own group's record
