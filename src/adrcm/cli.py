@@ -8,6 +8,7 @@ predictions against gold, and ``e2e-mock`` for the full offline loop on
 the packaged toy data. Each subcommand hands its settings to one
 ``*_stage`` function, which writes the stage's artifacts and returns what
 it built; the subcommand prints what it wrote and exits non-zero on bad input.
+Only ``index`` and ``infer`` with retrieval import ``kb``, and numpy with it.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .files import atomic_write_text, read_text
 from .infer import (RAG_MODES, InferenceConfig, PredictionRecord, load_predictions,
                     predict_corpus, save_predictions)
 from .iors import IorsConfig, SynthesisReport, load_synthetic, run_corpus_synthesis, save_synthetic
-from .kb import ChunkParams, CuiIndex, build_index, load_index, load_kb, save_index
 from .llm import (
     Embedder,
     HashingEmbedder,
@@ -56,7 +56,6 @@ from .llm import (
     ScriptedBackend,
     TransportError,
 )
-from .mock import TOY_CHUNK_PARAMS, build_mock_script
 from .model import RelationSchema
 
 USAGE_ERROR = 2
@@ -99,6 +98,7 @@ def build_adrcm_stage(corpus: str, synthetic: str | None, out: str, sidecar: str
 
 
 def index_stage(kb: str, out: str, embedder: Embedder, params: ChunkParams) -> CuiIndex:
+    from .kb import build_index, load_kb, save_index
     index = build_index(load_kb(read_text(kb)), embedder, params=params)
     atomic_write_text(out, save_index(index))
     return index
@@ -109,6 +109,7 @@ def infer_stage(corpus: str, index: str | None, out: str, gateway: LlmGateway,
     loaded = load_corpus(read_text(corpus))
     kb_index = None
     if config.rag_mode != "off":
+        from .kb import load_index
         if not index:
             raise ValueError(f"--index is required when rag mode is {config.rag_mode!r}")
         kb_index = load_index(read_text(index))
@@ -137,6 +138,7 @@ def run_e2e_mock(workdir: str, *, rag_mode: str = DEFAULTS["rag_mode"]) -> dict[
     Only chat replies go through the on-disk cache, which is what makes
     interrupted runs resumable.
     """
+    from .mock import TOY_CHUNK_PARAMS, build_mock_script
     paths = {name: os.path.join(workdir, name) for name in (
         "corpus.jsonl", "mock_script.json", "synthetic.jsonl", "synth_report.json",
         "dataset.jsonl", "finetune.jsonl", "finetune_meta.json", "index.jsonl",
@@ -273,6 +275,7 @@ def cmd_build_adrcm(args) -> int:
 
 
 def cmd_index(args) -> int:
+    from .kb import ChunkParams
     cfg = _settings(args)
     index = index_stage(args.kb, args.out, _embedder(cfg), ChunkParams(
         size=cfg["chunk_size"], overlap=cfg["chunk_overlap"], min_tail=cfg["chunk_min_tail"]))

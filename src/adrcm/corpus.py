@@ -127,9 +127,10 @@ def parse_pubtator(
 
     Mentions are grouped into entities by their dataset identifier; unlinked
     mentions (identifier ``-1`` or empty) are dropped. Relation lines whose
-    identifiers never appear in mention lines become violation entries on
-    the returned corpus rather than crashes. Structural problems (wrong
-    field counts, offset/surface mismatches, unknown relation tags) raise
+    identifiers never appear in mention lines, or whose entities' types the
+    schema does not pair, become violation entries on the returned corpus
+    rather than crashes. Structural problems (wrong field counts,
+    offset/surface mismatches, unknown relation tags) raise
     :class:`ParseError` with the offending line number.
     """
     cui_map = cui_map or {}
@@ -246,6 +247,11 @@ def _parse_block(
             continue
         if id1 == id2:
             violations.append(f"doc {pmid}: self-relation on {id1!r}; dropped")
+            continue
+        type_pair = (by_id[id1][0][4], by_id[id2][0][4])  # each entity's kept type
+        if type_pair not in schema.allowed_type_pairs:
+            violations.append(f"doc {pmid}: line {ln}: relation ({id1}, {id2}) has type pair "
+                              f"{type_pair}, which schema {schema.name!r} does not allow; dropped")
             continue
         prev = kept.setdefault((id1, id2), label)
         if prev != label:

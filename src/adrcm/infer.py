@@ -17,7 +17,6 @@ from .config import DEFAULTS
 from .corpus import Corpus, enumerate_candidate_pairs
 from .files import dump_jsonl, jsonl_lines, parse_jsonl
 from .iors import normalize_relation_label
-from .kb import CuiIndex, RetrievedSnippet, retrieve
 from .llm import LlmGateway, user_exchange
 from .model import Entity, RelationSchema, TrainingSample
 from .templating import resolve
@@ -115,6 +114,13 @@ class PredictionRecord:
     raw_output: str
     snippets_used: tuple[str, ...]
     unparseable: bool
+
+
+def retrieve(*args, **kwargs) -> list[RetrievedSnippet]:
+    """:func:`kb.retrieve`, imported at the first call so that importing this module
+    loads no numpy. perfbench's tracing wraps this name."""
+    from . import kb
+    return kb.retrieve(*args, **kwargs)
 
 
 def retrieve_for_pair(gateway: LlmGateway, index: CuiIndex | None,

@@ -5,7 +5,8 @@ adds a content-addressed disk cache, bounded concurrency, and retry with
 exponential backoff. Backends are pluggable: HTTP backends speak an
 OpenAI-style JSON protocol, while :class:`ScriptedBackend` and
 :class:`HashingEmbedder` make the whole system runnable offline and
-deterministically for tests and dry runs.
+deterministically for tests and dry runs. The embedders import numpy when
+they first embed, so commands that embed nothing start without it.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Mapping, Protocol, Sequence, TypeVar
 from urllib.parse import urlsplit
-
-import numpy as np
 
 from .config import DEFAULTS
 from .files import atomic_write_text, remove_dead_temps
@@ -239,6 +238,7 @@ class HttpEmbeddingBackend(_HttpClient):
         return {"kind": "http", "model": self.model_id, "dimension": self.dimension}
 
     def embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
+        import numpy as np
         vectors = self._post(
             "embeddings", {"model": self.model_id, "input": list(texts)},
             lambda reply: [np.asarray(row["embedding"], dtype=np.float64)
@@ -295,6 +295,7 @@ class HashingEmbedder:
         return self.embed_batch([text])[0]
 
     def embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
+        import numpy as np
         # Each distinct token of the batch is looked up once in the hash cache. Counts
         # are integers below 2**53, so the sums of squares are exact and the vectors
         # equal a per-text count, norm and divide bit for bit.

@@ -547,6 +547,45 @@ def test_importing_the_cli_does_not_load_requests():
     assert run.stdout == "[]\n"
 
 
+def test_importing_the_cli_does_not_load_numpy():
+    # A fresh interpreter, because other tests load numpy into this one.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    code = "import sys, adrcm.cli; print('numpy' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"
+
+
+@pytest.fixture(scope="module")
+def rag_off_dir(tmp_path_factory):
+    work = tmp_path_factory.mktemp("e2e-off")
+    assert main(["e2e-mock", "--workdir", str(work), "--rag", "off"]) == 0
+    return work
+
+
+@pytest.mark.parametrize("command, loads_numpy", [
+    ("ingest --input {toy}/toy_corpus.pubtator --cui-map {toy}/toy_cui_map.tsv --out {out}",
+     False),
+    ("synth --corpus {e2e}/corpus.jsonl --script {e2e}/mock_script.json --out {out}", False),
+    ("build-adrcm --corpus {e2e}/corpus.jsonl --synthetic {e2e}/synthetic.jsonl --out {out}",
+     False),
+    ("infer --rag off --corpus {e2e}/corpus.jsonl --script {e2e}/mock_script.json --out {out}",
+     False),
+    ("eval --corpus {e2e}/corpus.jsonl --predictions {e2e}/predictions.jsonl", False),
+    ("index --kb {toy}/toy_kb.jsonl --out {out}", True),
+], ids=["ingest", "synth", "build-adrcm", "infer-rag-off", "eval", "index"])
+def test_only_commands_that_embed_load_numpy(rag_off_dir, tmp_path, command, loads_numpy):
+    argv = command.format(toy=Path(_toy_path("toy_kb.jsonl")).parent, e2e=rag_off_dir,
+                          out=tmp_path / "out").split()
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    code = ("import sys; from adrcm.cli import main; "
+            "status = main(sys.argv[1:]); print(status, 'numpy' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                         text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == f"0 {loads_numpy}"
+
+
 # sha256 of every artifact `e2e-mock --rag cui` writes. Any change to an
 # artifact format, prompt, or scoring rule shows up here as a changed digest.
 E2E_CUI_DIGESTS = {

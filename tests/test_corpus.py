@@ -188,6 +188,34 @@ def test_parse_pubtator_tolerated_issues_become_violations(cdr_schema):
     assert "conflicting labels" not in notes
 
 
+def test_parse_pubtator_drops_a_relation_whose_type_pair_the_schema_refuses(cdr_schema):
+    # D1 keeps its first type, chemical, so CID C1 D1 pairs two chemicals, as CID C2 C1 does.
+    content = (
+        "7|t|Drugox causes fever.\n"
+        "7\t0\t6\tDrugox\tChemical\tC1\n"
+        "7\t14\t19\tfever\tChemical\tD1\n"
+        "7\t14\t19\tfever\tDisease\tD1\n"
+        "7\tCID\tC1\tD1\n"
+        "\n"
+        "8|t|Drugox and drugon cause fever.\n"
+        "8\t0\t6\tDrugox\tChemical\tC1\n"
+        "8\t11\t17\tdrugon\tChemical\tC2\n"
+        "8\t24\t29\tfever\tDisease\tD2\n"
+        "8\tCID\tC2\tC1\n"
+        "8\tCID\tC2\tD2\n"
+    )
+    corpus = parse_pubtator(content, cdr_schema)
+    assert [s.triplets for s in corpus.samples] == [(), (Triplet("C2", "D2", "CID"),)]
+    assert corpus.violations == (
+        "doc 7: entity 'D1' annotated with multiple types ['chemical', 'disease']; "
+        "keeping 'chemical'",
+        "doc 7: line 5: relation (C1, D1) has type pair ('chemical', 'chemical'), "
+        "which schema 'cdr' does not allow; dropped",
+        "doc 8: line 11: relation (C2, C1) has type pair ('chemical', 'chemical'), "
+        "which schema 'cdr' does not allow; dropped",
+    )
+
+
 def test_parse_pubtator_conflicting_labels_violation():
     schema = builtin_schema("biored")
     content = (
@@ -414,7 +442,9 @@ def test_parse_pubtator_random_documents_are_valid_and_round_trip(cdr_schema):
 
 def _reference_parse_pubtator(content, schema, cui_map=None, dataset_tag=None):
     """The parser that parse_pubtator replaced: a ``(line number, line)`` tuple per
-    line, and a scan of every mention for every sentence cut."""
+    line, and a scan of every mention for every sentence cut. It also drops a
+    relation whose type pair the schema does not allow, which that parser left to
+    the ``Corpus`` check to refuse the whole file for."""
     cui_map = cui_map or {}
     samples, violations = [], []
     block = []
@@ -491,7 +521,7 @@ def _reference_parse_block(block, schema, cui_map, violations):
                                    sentence_index=bisect.bisect_right(cuts, start),
                                    char_range=(start, end))
                            for start, end, surface, _ in rows)))
-    known = {e.entity_id for e in entities}
+    known = {e.entity_id: e.etype for e in entities}
     triplets, seen = [], {}
     for ln, label, id1, id2 in relation_rows:
         missing = [i for i in (id1, id2) if i not in known]
@@ -501,6 +531,11 @@ def _reference_parse_block(block, schema, cui_map, violations):
             continue
         if id1 == id2:
             violations.append(f"doc {pmid}: self-relation on {id1!r}; dropped")
+            continue
+        if (known[id1], known[id2]) not in schema.allowed_type_pairs:
+            violations.append(f"doc {pmid}: line {ln}: relation ({id1}, {id2}) has type pair "
+                              f"{(known[id1], known[id2])}, which schema {schema.name!r} does "
+                              "not allow; dropped")
             continue
         prev = seen.get((id1, id2))
         if prev is not None:
@@ -583,7 +618,7 @@ def _outcome(parse, content, schema, cui_map):
 def test_parse_pubtator_matches_the_reference_parser(cdr_schema):
     rng = random.Random(31)
     cui_map = {"C1": "C0000001", "D2": "C0000002"}
-    seen = {"violations": 0, "merged cuts": 0, "errors": set()}
+    seen = {"violations": 0, "type pairs": 0, "merged cuts": 0, "errors": set()}
     for _ in range(300):
         content = _messy_pubtator(rng)
         got = _outcome(parse_pubtator, content, cdr_schema, cui_map)
@@ -591,6 +626,7 @@ def test_parse_pubtator_matches_the_reference_parser(cdr_schema):
         if isinstance(got[0], str):
             corpus = parse_pubtator(content, cdr_schema, cui_map=cui_map)
             seen["violations"] += len(corpus.violations)
+            seen["type pairs"] += sum("has type pair" in note for note in corpus.violations)
             seen["merged cuts"] += sum(
                 len(sample.document.sentences) < len(segment_sentences(sample.document.text))
                 for sample in corpus.samples)
@@ -599,7 +635,8 @@ def test_parse_pubtator_matches_the_reference_parser(cdr_schema):
         assert got == _outcome(_reference_parse_pubtator, broken, cdr_schema, cui_map), broken
         if not isinstance(got[0], str):
             seen["errors"].add(re.sub(r"[ (].*", "", got[1].split(": ", 1)[1]))
-    assert seen["violations"] > 100 and seen["merged cuts"] > 30
+    assert seen["violations"] > 100 and seen["merged cuts"] > 30, seen
+    assert seen["type pairs"] > 100, seen
     # each kind of malformed line was met: title, PMID, fields, offsets, span, type, tag
     assert seen["errors"] >= {"expected", "annotation", "malformed", "non-integer", "mention",
                               "unknown"}, seen["errors"]

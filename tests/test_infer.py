@@ -218,6 +218,24 @@ def test_predict_corpus_warm_cache_stays_on_calling_thread(toy_corpus, toy_index
     assert gateway.stats.chat_calls == len(cold)
 
 
+def test_predict_corpus_retrieves_through_the_module_global_name(toy_corpus, toy_index,
+                                                               monkeypatch):
+    calls = []
+    inner = adrcm.infer.retrieve
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs["cui_scoped"])
+        return inner(*args, **kwargs)
+
+    # perfbench's tracing wraps retrieval under this name
+    monkeypatch.setattr(adrcm.infer, "retrieve", spy)
+    gateway = LlmGateway(OverlapBackend(_by_length), HashingEmbedder(),
+                         retry=RetryPolicy(1, 0.0))
+    predictions = predict_corpus(gateway, toy_index, toy_corpus, InferenceConfig(rag_mode="cui"))
+    assert calls == [True] * len(predictions)
+    assert any(p.snippets_used for p in predictions)
+
+
 def test_mock_script_answers_queries_embedded_by_the_index_embedder(toy_corpus, toy_kb_docs):
     index = build_index(toy_kb_docs, HashingEmbedder(32), params=TOY_CHUNK_PARAMS)
     config = InferenceConfig(rag_mode="cui")
