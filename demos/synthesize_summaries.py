@@ -39,7 +39,7 @@ def main() -> None:
 
     gateway = LlmGateway(ScriptedBackend(REPLIES))
     result = generate_synthetic(
-        gateway, sample.document,
+        gateway.chat, sample.document,
         sample.entity(triplet.head_id), sample.entity(triplet.tail_id),
         triplet.relation, schema, IorsConfig(beta=3))
 

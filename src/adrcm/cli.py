@@ -200,7 +200,8 @@ def _embedder(cfg: dict):
                                 dimension=cfg["embed_dimension"])
 
 
-def _chat_gateway(args, cfg: dict) -> LlmGateway:
+def _chat_gateway(args, cfg: dict, embedder: Embedder | None = None) -> LlmGateway:
+    """Pass ``embedder`` only when retrieval is on: others never build or check one."""
     if args.script:
         backend = ScriptedBackend.from_file(args.script)
     elif cfg["chat_url"]:
@@ -208,7 +209,7 @@ def _chat_gateway(args, cfg: dict) -> LlmGateway:
     else:
         raise ValueError("no chat backend configured; pass --script or --chat-url")
     return LlmGateway(
-        backend, _embedder(cfg), cache_dir=cfg["cache_dir"] or None,
+        backend, embedder, cache_dir=cfg["cache_dir"] or None,
         retry=RetryPolicy(max_attempts=cfg["retry_attempts"],
                           backoff_base=cfg["retry_backoff"]),
         max_in_flight=cfg["max_in_flight"],
@@ -287,7 +288,7 @@ def cmd_index(args) -> int:
 
 def cmd_infer(args) -> int:
     cfg = _settings(args)
-    gateway = _chat_gateway(args, cfg)
+    gateway = _chat_gateway(args, cfg, _embedder(cfg) if cfg["rag_mode"] != "off" else None)
     predictions = infer_stage(args.corpus, args.index, args.out, gateway, InferenceConfig(
         instruction=_read_template(args.instruction_template), k=cfg["k"],
         rag_mode=cfg["rag_mode"], model_id=cfg["chat_model"]))

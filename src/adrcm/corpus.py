@@ -218,10 +218,11 @@ def _parse_block(
     entities = []
     for identifier, rows in sorted(by_id.items()):
         etype = rows[0][4]
-        if any(row[4] != etype for row in rows):
+        other_lines = [row[2] for row in rows if row[4] != etype]
+        if other_lines:
             violations.append(
-                f"doc {pmid}: entity {identifier!r} annotated with multiple types "
-                f"{sorted({row[4] for row in rows})}; keeping {etype!r}"
+                f"doc {pmid}: line {min(other_lines)}: entity {identifier!r} annotated with "
+                f"multiple types {sorted({row[4] for row in rows})}; keeping {etype!r}"
             )
         entities.append(
             Entity(
@@ -241,12 +242,12 @@ def _parse_block(
         missing = [i for i in (id1, id2) if i not in by_id]
         if missing:
             violations.append(
-                f"doc {pmid}: relation ({id1}, {id2}) references identifiers absent "
-                f"from mention lines: {missing}; dropped"
+                f"doc {pmid}: line {ln}: relation ({id1}, {id2}) references identifiers "
+                f"absent from mention lines: {missing}; dropped"
             )
             continue
         if id1 == id2:
-            violations.append(f"doc {pmid}: self-relation on {id1!r}; dropped")
+            violations.append(f"doc {pmid}: line {ln}: self-relation on {id1!r}; dropped")
             continue
         type_pair = (by_id[id1][0][4], by_id[id2][0][4])  # each entity's kept type
         if type_pair not in schema.allowed_type_pairs:
@@ -256,7 +257,7 @@ def _parse_block(
         prev = kept.setdefault((id1, id2), label)
         if prev != label:
             violations.append(
-                f"doc {pmid}: conflicting labels for pair ({id1}, {id2}): "
+                f"doc {pmid}: line {ln}: conflicting labels for pair ({id1}, {id2}): "
                 f"{prev!r} kept, {label!r} dropped"
             )
 

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import ClassVar, Iterable, Sequence
+from typing import Callable, ClassVar, Iterable, Sequence
 
 from .config import DEFAULTS
 from .corpus import Corpus, enumerate_candidate_pairs
 from .files import dump_jsonl, jsonl_lines, parse_jsonl
 from .iors import normalize_relation_label
-from .llm import LlmGateway, user_exchange
+from .llm import ChatExchange, Embedder, LlmGateway, user_exchange
 from .model import Entity, RelationSchema, TrainingSample
 from .templating import resolve
 
@@ -123,28 +123,28 @@ def retrieve(*args, **kwargs) -> list[RetrievedSnippet]:
     return kb.retrieve(*args, **kwargs)
 
 
-def retrieve_for_pair(gateway: LlmGateway, index: CuiIndex | None,
+def retrieve_for_pair(embedder: Embedder, index: CuiIndex | None,
                       schema: RelationSchema, head: Entity, tail: Entity,
                       config: InferenceConfig) -> list[RetrievedSnippet]:
     if config.rag_mode == "off" or index is None:
         return []
-    query_vec = gateway.embed_batch([pair_query_text(schema, head, tail)])[0]
+    query_vec = embedder.embed_batch([pair_query_text(schema, head, tail)])[0]
     return retrieve(index, query_vec, head, tail, k=config.k,
                     cui_scoped=config.rag_mode == "cui")
 
 
-def predict_pair(gateway: LlmGateway, index: CuiIndex | None,
-                 sample: TrainingSample, head_id: str, tail_id: str,
-                 schema: RelationSchema,
+def predict_pair(chat: Callable[[ChatExchange], str], embedder: Embedder,
+                 index: CuiIndex | None, sample: TrainingSample, head_id: str,
+                 tail_id: str, schema: RelationSchema,
                  config: InferenceConfig | None = None) -> PredictionRecord:
     config = config if config is not None else InferenceConfig()
     head = sample.entity(head_id)
     tail = sample.entity(tail_id)
-    snippets = retrieve_for_pair(gateway, index, schema, head, tail, config)
+    snippets = retrieve_for_pair(embedder, index, schema, head, tail, config)
     prompt = assemble_prompt(
         build_instruction(schema, config.instruction), sample.document.text,
         head.canonical_name, tail.canonical_name, snippets)
-    raw = gateway.chat(user_exchange(
+    raw = chat(user_exchange(
         prompt, temperature=config.temperature,
         model_id=config.model_id, max_tokens=config.max_tokens))
     label, unparseable = parse_relation_output(raw, schema)
@@ -165,8 +165,8 @@ def predict_corpus(gateway: LlmGateway, index: CuiIndex | None, corpus: Corpus,
     config = config if config is not None else InferenceConfig()
     jobs = [(sample, head_id, tail_id) for sample in corpus.samples
             for head_id, tail_id, _ in enumerate_candidate_pairs(sample, corpus.schema)]
-    return gateway.map(
-        lambda job: predict_pair(gateway, index, *job, corpus.schema, config), jobs)
+    return gateway.map(lambda job: predict_pair(
+        gateway.chat, gateway, index, *job, corpus.schema, config), jobs)
 
 
 def save_predictions(predictions: Iterable[PredictionRecord]) -> str:

@@ -11,12 +11,12 @@ confirm are discarded rather than kept as noisy data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Iterable, Sequence
+from typing import Callable, ClassVar, Iterable, Sequence
 
 from .config import DEFAULTS
 from .corpus import Corpus
 from .files import dump_jsonl, jsonl_lines, parse_jsonl
-from .llm import LlmGateway, ProtocolError, TransportError, user_exchange
+from .llm import ChatExchange, LlmGateway, ProtocolError, TransportError, user_exchange
 from .model import Document, Entity, RelationSchema, TrainingSample, Triplet
 from .templating import resolve
 
@@ -100,10 +100,10 @@ class SynthesisResult:
     confirmation_calls: int
 
 
-def generate_synthetic(gateway: LlmGateway, document: Document, head: Entity,
-                       tail: Entity, relation: str, schema: RelationSchema,
+def generate_synthetic(chat: Callable[[ChatExchange], str], document: Document,
+                       head: Entity, tail: Entity, relation: str, schema: RelationSchema,
                        config: IorsConfig | None = None) -> SynthesisResult:
-    """Run the re-summarization loop for one triplet.
+    """Run the re-summarization loop for one triplet, asking ``chat`` for replies.
 
     Each round costs one summary call and, unless the summary is empty or
     over the length cap, one confirmation call. A round whose confirmed
@@ -117,14 +117,14 @@ def generate_synthetic(gateway: LlmGateway, document: Document, head: Entity,
     confirmation_calls = 0
     for iteration in range(config.beta):
         prompt = build_summary_prompt(document, head, tail, relation, config, failures)
-        summary = gateway.chat(user_exchange(
+        summary = chat(user_exchange(
             prompt, temperature=config.summary_temperature,
             model_id=config.model_id)).strip()
         if not summary or len(summary) > config.max_summary_chars:
             failures.append(summary)
             continue
         check = build_confirmation_prompt(summary, head, tail, schema, config)
-        reply = gateway.chat(user_exchange(
+        reply = chat(user_exchange(
             check, temperature=config.confirmation_temperature,
             model_id=config.model_id))
         confirmation_calls += 1
@@ -198,7 +198,7 @@ def run_corpus_synthesis(gateway: LlmGateway, corpus: Corpus,
         sample, triplet = job
         try:
             return generate_synthetic(
-                gateway, sample.document, sample.entity(triplet.head_id),
+                gateway.chat, sample.document, sample.entity(triplet.head_id),
                 sample.entity(triplet.tail_id), triplet.relation,
                 corpus.schema, config)
         except (TransportError, ProtocolError) as exc:

@@ -1,8 +1,8 @@
 """The chat script of the offline ``e2e-mock`` run over the packaged toy corpus.
 
 Replies are a pure function of request content: the script is recorded up
-front by running the synthesis and inference code against a stand-in
-gateway, keyed by request hash. ``adrcm.cli.run_e2e_mock`` replays it
+front by running the synthesis and inference code with a recording chat
+function, keyed by request hash. ``adrcm.cli.run_e2e_mock`` replays it
 through the pipeline's stage functions, so reruns produce byte-identical
 artifacts and an interrupted run resumes through the gateway's reply cache.
 """
@@ -10,6 +10,7 @@ artifacts and an interrupted run resumes through the gateway's reply cache.
 from __future__ import annotations
 
 import hashlib
+from typing import Callable
 
 from .corpus import Corpus, enumerate_candidate_pairs
 from .infer import InferenceConfig, predict_pair
@@ -48,26 +49,11 @@ def _confirm_reply(schema, label: str, style: int) -> str:
     return label
 
 
-class _Recorder:
-    """Stand-in gateway for one triplet or pair: ``chat`` takes the next of
-    its canned replies and records it by request hash. A request recorded
-    earlier keeps its first reply, which is what the runtime will answer."""
-
-    def __init__(self, script: dict[str, str], replies: list[str], embedder: Embedder):
-        self._script = script
-        self._replies = ScriptedBackend(replies)
-        self.embed_batch = embedder.embed_batch
-
-    def chat(self, exchange: ChatExchange) -> str:
-        reply = self._replies.complete(exchange)
-        return self._script.setdefault(exchange_key(exchange), reply)
-
-
 def build_mock_script(corpus: Corpus, index: CuiIndex | None, iors_config: IorsConfig,
                       infer_config: InferenceConfig, embedder: Embedder) -> dict[str, str]:
     """Compile request-hash -> reply for every chat call the pipeline makes, by
-    running the synthesis and inference code against :class:`_Recorder`, which
-    embeds retrieval queries with ``embedder``, the embedder that built ``index``.
+    running the synthesis and inference code with a recording chat function.
+    Retrieval queries are embedded with ``embedder``, the one that built ``index``.
 
     Synthesis: each positive triplet fails a content-derived number of
     rounds (possibly all of them) before the confirmation accepts.
@@ -77,6 +63,13 @@ def build_mock_script(corpus: Corpus, index: CuiIndex | None, iors_config: IorsC
     schema = corpus.schema
     positives = schema.positive_labels
     script: dict[str, str] = {}
+
+    def recorder(replies: list[str]) -> Callable[[ChatExchange], str]:
+        # Takes the next canned reply; a request recorded earlier keeps its first
+        # reply, which is what the runtime will answer.
+        complete = ScriptedBackend(replies).complete
+        return lambda exchange: script.setdefault(exchange_key(exchange), complete(exchange))
+
     for sample in corpus.samples:
         doc = sample.document
         for triplet in positive_triplets(sample, schema):
@@ -91,8 +84,8 @@ def build_mock_script(corpus: Corpus, index: CuiIndex | None, iors_config: IorsC
                                f"to {tail.canonical_name} (draft {round_no + 1}).")
                 replies.append(_confirm_reply(schema, triplet.relation, round_no % 3)
                                if round_no >= fail_rounds else _CONFIRM_REJECT)
-            generate_synthetic(_Recorder(script, replies, embedder), doc, head, tail,
-                               triplet.relation, schema, iors_config)
+            generate_synthetic(recorder(replies), doc, head, tail, triplet.relation,
+                               schema, iors_config)
 
         for head_id, tail_id, gold in enumerate_candidate_pairs(sample, schema):
             roll = _digest("infer", doc.doc_id, head_id, tail_id)
@@ -105,6 +98,6 @@ def build_mock_script(corpus: Corpus, index: CuiIndex | None, iors_config: IorsC
                     reply = schema.none_label
             else:
                 reply = _styled_label(gold, (roll // 10) % 3)
-            predict_pair(_Recorder(script, [reply], embedder), index, sample, head_id,
-                         tail_id, schema, infer_config)
+            predict_pair(recorder([reply]), embedder, index, sample, head_id, tail_id,
+                         schema, infer_config)
     return script

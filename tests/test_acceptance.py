@@ -67,37 +67,50 @@ def _loop_oracle(pattern, beta):
     return (False, None, beta, tuple(failures), beta, beta)
 
 
+def _check_loop_against_oracle(cdr_schema, chat_for):
+    """Run every accept/reject pattern with the chat function ``chat_for(replies)``."""
+    sample = make_sample(
+        "10", ["Drugazol causes hives.", "Symptoms resolved."],
+        [("H", "chemical", [(0, "Drugazol")]),
+         ("T", "disease", [(0, "hives")])],
+        [("H", "T", "CID")])
+    rng = random.Random(20260814)
+    patterns = []
+    for beta in (1, 2, 3):
+        patterns.extend((beta, p) for p in
+                        itertools.product((True, False), repeat=beta))
+    patterns.extend(
+        (5, tuple(rng.random() < 0.4 for _ in range(5))) for _ in range(12))
+    assert len(patterns) >= 20
+
+    start = time.perf_counter()
+    for beta, pattern in patterns:
+        replies = []
+        for theta in range(beta):
+            replies.append(f"Round {theta} summary of the case.")
+            replies.append("CID" if pattern[theta]
+                           else rng.choice(("None", "no clear link")))
+        result = generate_synthetic(
+            chat_for(replies), sample.document, sample.entity("H"), sample.entity("T"),
+            "CID", cdr_schema, IorsConfig(beta=beta))
+        got = (result.accepted, result.summary, result.iterations_used,
+               result.failures, result.iterations_used, result.confirmation_calls)
+        assert got == _loop_oracle(pattern, beta), (beta, pattern)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_criterion_1_synthesis_loop_matches_oracle(cdr_schema):
     with criterion("1 synthesis loop vs straight-line oracle"):
-        sample = make_sample(
-            "10", ["Drugazol causes hives.", "Symptoms resolved."],
-            [("H", "chemical", [(0, "Drugazol")]),
-             ("T", "disease", [(0, "hives")])],
-            [("H", "T", "CID")])
-        rng = random.Random(20260814)
-        patterns = []
-        for beta in (1, 2, 3):
-            patterns.extend((beta, p) for p in
-                            itertools.product((True, False), repeat=beta))
-        patterns.extend(
-            (5, tuple(rng.random() < 0.4 for _ in range(5))) for _ in range(12))
-        assert len(patterns) >= 20
+        _check_loop_against_oracle(
+            cdr_schema, lambda replies: LlmGateway(ScriptedBackend(replies)).chat)
 
-        start = time.perf_counter()
-        for beta, pattern in patterns:
-            replies = []
-            for theta in range(beta):
-                replies.append(f"Round {theta} summary of the case.")
-                replies.append("CID" if pattern[theta]
-                               else rng.choice(("None", "no clear link")))
-            gateway = LlmGateway(ScriptedBackend(replies))
-            result = generate_synthetic(
-                gateway, sample.document, sample.entity("H"), sample.entity("T"),
-                "CID", cdr_schema, IorsConfig(beta=beta))
-            got = (result.accepted, result.summary, result.iterations_used,
-                   result.failures, result.iterations_used, result.confirmation_calls)
-            assert got == _loop_oracle(pattern, beta), (beta, pattern)
-        assert time.perf_counter() - start < 1.0
+
+def test_synthesis_loop_driven_by_a_plain_function_matches_oracle(cdr_schema):
+    def chat_for(replies):
+        remaining = iter(replies)
+        return lambda exchange: next(remaining)
+
+    _check_loop_against_oracle(cdr_schema, chat_for)
 
 
 # --- 2. augmented dataset vs brute-force multiset ----------------------------

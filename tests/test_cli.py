@@ -586,6 +586,29 @@ def test_only_commands_that_embed_load_numpy(rag_off_dir, tmp_path, command, loa
     assert run.stdout.splitlines()[-1] == f"0 {loads_numpy}"
 
 
+@pytest.mark.parametrize("command, status", [
+    ("synth --corpus {e2e}/corpus.jsonl --script {e2e}/mock_script.json --out {out}", 0),
+    ("infer --rag off --corpus {e2e}/corpus.jsonl --script {e2e}/mock_script.json --out {out}",
+     0),
+    ("index --kb {toy}/toy_kb.jsonl --out {out}", 2),
+    ("infer --rag cui --corpus {e2e}/corpus.jsonl --index {e2e}/index.jsonl "
+     "--script {e2e}/mock_script.json --out {out}", 2),
+], ids=["synth", "infer-rag-off", "index", "infer-rag-cui"])
+def test_only_commands_that_embed_check_the_embedding_settings(rag_off_dir, tmp_path,
+                                                              command, status):
+    config = tmp_path / "bad.cfg"
+    config.write_text('embed_url = "not-a-url"\n', encoding="utf-8")
+    argv = command.format(toy=Path(_toy_path("toy_kb.jsonl")).parent, e2e=rag_off_dir,
+                          out=tmp_path / "out").split() + ["--config", str(config)]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    code = "import sys; from adrcm.cli import main; sys.exit(main(sys.argv[1:]))"
+    run = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                         text=True)
+    assert run.returncode == status, run.stderr
+    refused = "error: embedding URL 'not-a-url' is not an http(s) URL"
+    assert (refused in run.stderr) == (status == 2), run.stderr
+
+
 # sha256 of every artifact `e2e-mock --rag cui` writes. Any change to an
 # artifact format, prompt, or scoring rule shows up here as a changed digest.
 E2E_CUI_DIGESTS = {

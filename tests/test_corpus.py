@@ -179,10 +179,13 @@ def test_parse_pubtator_tolerated_issues_become_violations(cdr_schema):
     sample = corpus.samples[0]
     assert len(sample.triplets) == 1
     notes = "\n".join(corpus.violations)
-    assert "absent from mention lines" in notes
-    assert "self-relation" in notes
-    assert ("doc 102: entity 'D001' annotated with multiple types ['chemical', 'disease']; "
-            "keeping 'chemical'") in notes
+    assert corpus.violations == (
+        "doc 102: line 3: entity 'D001' annotated with multiple types "
+        "['chemical', 'disease']; keeping 'chemical'",
+        "doc 102: line 5: relation (D001, D999) references identifiers absent from "
+        "mention lines: ['D999']; dropped",
+        "doc 102: line 6: self-relation on 'D001'; dropped",
+    )
     assert sample.entity("D001").etype == "chemical"
     # same pair, same resolved label: silently deduplicated
     assert "conflicting labels" not in notes
@@ -207,7 +210,7 @@ def test_parse_pubtator_drops_a_relation_whose_type_pair_the_schema_refuses(cdr_
     corpus = parse_pubtator(content, cdr_schema)
     assert [s.triplets for s in corpus.samples] == [(), (Triplet("C2", "D2", "CID"),)]
     assert corpus.violations == (
-        "doc 7: entity 'D1' annotated with multiple types ['chemical', 'disease']; "
+        "doc 7: line 4: entity 'D1' annotated with multiple types ['chemical', 'disease']; "
         "keeping 'chemical'",
         "doc 7: line 5: relation (C1, D1) has type pair ('chemical', 'chemical'), "
         "which schema 'cdr' does not allow; dropped",
@@ -227,7 +230,9 @@ def test_parse_pubtator_conflicting_labels_violation():
     )
     corpus = parse_pubtator(content, schema)
     assert corpus.samples[0].triplets[0].relation == "Positive_Correlation"
-    assert any("conflicting labels" in v for v in corpus.violations)
+    assert corpus.violations == (
+        "doc 103: line 5: conflicting labels for pair (G1, D1): "
+        "'Positive_Correlation' kept, 'Negative_Correlation' dropped",)
 
 
 def test_parse_pubtator_drops_unlinked_mentions(cdr_schema):
@@ -507,30 +512,32 @@ def _reference_parse_block(block, schema, cui_map, violations):
     for start, end, ln, surface, etype, identifier in sorted(mention_rows):
         if identifier in ("", "-1"):
             continue
-        by_id.setdefault(identifier, []).append((start, end, surface, etype))
+        by_id.setdefault(identifier, []).append((start, end, surface, etype, ln))
     entities = []
     for identifier, rows in sorted(by_id.items()):
-        etypes = {etype for *_, etype in rows}
+        etypes = {row[3] for row in rows}
         if len(etypes) > 1:
-            violations.append(f"doc {pmid}: entity {identifier!r} annotated with multiple types "
-                              f"{sorted(etypes)}; keeping {rows[0][3]!r}")
+            first_other = min(ln for *_, etype, ln in rows if etype != rows[0][3])
+            violations.append(f"doc {pmid}: line {first_other}: entity {identifier!r} "
+                              f"annotated with multiple types {sorted(etypes)}; "
+                              f"keeping {rows[0][3]!r}")
         entities.append(Entity(
             entity_id=identifier, etype=rows[0][3], canonical_name=rows[0][2],
             cui=cui_map.get(identifier),
             mentions=tuple(Mention(surface=surface,
                                    sentence_index=bisect.bisect_right(cuts, start),
                                    char_range=(start, end))
-                           for start, end, surface, _ in rows)))
+                           for start, end, surface, *_ in rows)))
     known = {e.entity_id: e.etype for e in entities}
     triplets, seen = [], {}
     for ln, label, id1, id2 in relation_rows:
         missing = [i for i in (id1, id2) if i not in known]
         if missing:
-            violations.append(f"doc {pmid}: relation ({id1}, {id2}) references identifiers "
-                              f"absent from mention lines: {missing}; dropped")
+            violations.append(f"doc {pmid}: line {ln}: relation ({id1}, {id2}) references "
+                              f"identifiers absent from mention lines: {missing}; dropped")
             continue
         if id1 == id2:
-            violations.append(f"doc {pmid}: self-relation on {id1!r}; dropped")
+            violations.append(f"doc {pmid}: line {ln}: self-relation on {id1!r}; dropped")
             continue
         if (known[id1], known[id2]) not in schema.allowed_type_pairs:
             violations.append(f"doc {pmid}: line {ln}: relation ({id1}, {id2}) has type pair "
@@ -540,8 +547,8 @@ def _reference_parse_block(block, schema, cui_map, violations):
         prev = seen.get((id1, id2))
         if prev is not None:
             if prev != label:
-                violations.append(f"doc {pmid}: conflicting labels for pair ({id1}, {id2}): "
-                                  f"{prev!r} kept, {label!r} dropped")
+                violations.append(f"doc {pmid}: line {ln}: conflicting labels for pair "
+                                  f"({id1}, {id2}): {prev!r} kept, {label!r} dropped")
             continue
         seen[(id1, id2)] = label
         triplets.append(Triplet(head_id=id1, tail_id=id2, relation=label))

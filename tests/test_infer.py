@@ -5,6 +5,7 @@ import pytest
 import adrcm.infer
 from adrcm.corpus import Corpus, enumerate_candidate_pairs
 from adrcm.infer import (
+    RAG_MODES,
     InferenceConfig,
     assemble_prompt,
     build_instruction,
@@ -14,6 +15,7 @@ from adrcm.infer import (
     parse_relation_output,
     predict_corpus,
     predict_pair,
+    retrieve_for_pair,
     save_predictions,
 )
 from adrcm.iors import IorsConfig
@@ -132,7 +134,6 @@ def test_predict_pair_with_keyed_script(rag_setup, cdr_schema):
     corpus, index = rag_setup
     sample = corpus.samples[0]
     config = InferenceConfig()
-    from adrcm.infer import retrieve_for_pair
     probe = LlmGateway(ScriptedBackend({}), HashingEmbedder(),
                        retry=RetryPolicy(1, 0.0))
     snippets = retrieve_for_pair(probe, index, cdr_schema,
@@ -145,11 +146,51 @@ def test_predict_pair_with_keyed_script(rag_setup, cdr_schema):
         max_tokens=config.max_tokens)): "CID"}
     gateway = LlmGateway(ScriptedBackend(script), HashingEmbedder(),
                          retry=RetryPolicy(1, 0.0))
-    record = predict_pair(gateway, index, sample, "D1", "D2", cdr_schema, config)
+    record = predict_pair(gateway.chat, gateway, index, sample, "D1", "D2", cdr_schema,
+                          config)
     assert record.label == "CID"
     assert not record.unparseable
     assert record.snippets_used == tuple(s.chunk_id for s in snippets)
     assert record.doc_id == "601"
+
+
+@pytest.mark.parametrize("rag_mode", RAG_MODES)
+def test_predict_pair_takes_a_chat_function_and_a_bare_embedder(rag_setup, cdr_schema,
+                                                                  rag_mode):
+    corpus, index = rag_setup
+    sample, config = corpus.samples[0], InferenceConfig(rag_mode=rag_mode)
+    prompts = []
+
+    def chat(exchange):
+        prompts.append(exchange.messages[-1].content)
+        return "The relation is CID."
+
+    plain = predict_pair(chat, HashingEmbedder(), index, sample, "D1", "D2", cdr_schema,
+                         config)
+    gateway = LlmGateway(ScriptedBackend({exchange_key(user_exchange(
+        prompts[0], temperature=config.temperature, model_id=config.model_id,
+        max_tokens=config.max_tokens)): "The relation is CID."}), HashingEmbedder(),
+        retry=RetryPolicy(1, 0.0))
+    assert predict_pair(gateway.chat, gateway, index, sample, "D1", "D2", cdr_schema,
+                        config) == plain
+    assert plain.label == "CID" and bool(plain.snippets_used) == (rag_mode != "off")
+
+
+@pytest.mark.parametrize("rag_mode", RAG_MODES)
+def test_retrieve_for_pair_gives_the_same_snippets_from_a_bare_embedder(toy_corpus,
+                                                                        toy_index,
+                                                                        cdr_schema,
+                                                                        rag_mode):
+    # perfbench's compile_inference embeds through a gateway that wraps the embedder.
+    embedder, config = HashingEmbedder(), InferenceConfig(rag_mode=rag_mode)
+    gateway = LlmGateway(ScriptedBackend({}), embedder)
+    for sample in toy_corpus.samples:
+        for head_id, tail_id, _ in enumerate_candidate_pairs(sample, cdr_schema):
+            head, tail = sample.entity(head_id), sample.entity(tail_id)
+            bare = retrieve_for_pair(embedder, toy_index, cdr_schema, head, tail, config)
+            assert retrieve_for_pair(gateway, toy_index, cdr_schema, head, tail,
+                                     config) == bare
+            assert bool(bare) == (rag_mode != "off")
 
 
 def test_predict_corpus_rag_off_calls_no_embeddings(rag_setup, cdr_schema):

@@ -113,7 +113,7 @@ def test_normalize_relation_label(cdr_schema):
 def _run(sample, schema, replies, beta=3, **kw):
     gateway = LlmGateway(ScriptedBackend(replies))
     head, tail = sample.entity("D1"), sample.entity("D2")
-    result = generate_synthetic(gateway, sample.document, head, tail, "CID",
+    result = generate_synthetic(gateway.chat, sample.document, head, tail, "CID",
                                 schema, IorsConfig(beta=beta, **kw))
     return result, gateway
 
@@ -161,29 +161,22 @@ def test_generate_skips_confirmation_for_oversized_summary(pair_sample, cdr_sche
 
 
 def test_generate_rejects_unknown_relation(pair_sample, cdr_schema):
-    gateway = LlmGateway(ScriptedBackend([]))
     head, tail = pair_sample.entities
     with pytest.raises(ValueError, match="unknown relation"):
-        generate_synthetic(gateway, pair_sample.document, head, tail,
+        generate_synthetic(ScriptedBackend([]).complete, pair_sample.document, head, tail,
                            "CURES", cdr_schema)
 
 
 def test_failed_summary_feeds_next_prompt(pair_sample, cdr_schema):
     seen = []
+    replies = iter(["draft A", "None", "draft B", "CID"])
 
-    class Recorder:
-        parallel_safe = False
+    def chat(exchange):
+        seen.append(exchange.messages[-1].content)
+        return next(replies)
 
-        def __init__(self):
-            self.replies = iter(["draft A", "None", "draft B", "CID"])
-
-        def complete(self, exchange):
-            seen.append(exchange.messages[-1].content)
-            return next(self.replies)
-
-    gateway = LlmGateway(Recorder(), retry=RetryPolicy(1, 0.0), max_in_flight=1)
     head, tail = pair_sample.entities
-    generate_synthetic(gateway, pair_sample.document, head, tail, "CID", cdr_schema)
+    generate_synthetic(chat, pair_sample.document, head, tail, "CID", cdr_schema)
     second_summary_prompt = seen[2]
     assert "1. draft A" in second_summary_prompt
     assert "draft A" not in seen[0]
