@@ -317,16 +317,19 @@ def _sample_from_json(obj: dict) -> TrainingSample:
     entities = obj.pop("entities")
     triplets = obj.pop("triplets")
     sentences = tuple(tuple(r) for r in obj.pop("sentences"))
-    return TrainingSample(
-        document=Document(**obj, sentences=sentences),
-        entities=tuple(
-            Entity(**{**e, "mentions": tuple(
-                Mention(**{**m, "char_range": tuple(m["char_range"])})
-                for m in e["mentions"])})
-            for e in entities
-        ),
-        triplets=tuple(Triplet(**t) for t in triplets),
-    )
+    # JSON holds any type: check the fields that no later check reads by value
+    mentions = [m for e in entities for m in e["mentions"]]
+    pairs = [*sentences, *[m["char_range"] for m in mentions]]
+    ints = [*itertools.chain.from_iterable(pairs), *[m["sentence_index"] for m in mentions]]
+    names = [*[obj[key] for key in ("doc_id", "title", "body")], *[m["surface"] for m in mentions],
+             *[e[key] for e in entities for key in ("entity_id", "canonical_name")],
+             *[t[key] for t in triplets for key in ("head_id", "tail_id", "relation")]]
+    if set(map(len, pairs)) - {2} or set(map(type, ints)) - {int} or set(map(type, names)) - {str}:
+        raise ValueError("a range is not two integers, or a field has the wrong JSON type")
+    return TrainingSample(Document(**obj, sentences=sentences), tuple(
+        Entity(**{**e, "mentions": tuple(Mention(**{**m, "char_range": tuple(m["char_range"])})
+                                         for m in e["mentions"])}) for e in entities),
+        tuple(Triplet(**t) for t in triplets))
 
 
 PairKey = tuple[str, str, str]

@@ -145,6 +145,11 @@ class SyntheticRecord:
     relation: str
     summary: str
 
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if type(value) is not str:
+                raise TypeError(f"{name} {value!r} is not a string")
+
 
 @dataclass(frozen=True)
 class DiscardedSynthesis:

@@ -6,8 +6,9 @@ and everything is kept in a two-layer index: concept (CUI) to article, and
 article to chunks, the chunks held as columns (vectors, character spans,
 row ranges) rather than objects. At query time retrieval is scoped to the
 CUIs of the two entities in question, so snippets about unrelated concepts
-never make it into the prompt. Articles can also be reached by exact title
-match as a fallback for entities without a CUI.
+never make it into the prompt; chunks rank by cosine similarity, ties by (doc
+id, chunk number), the index's row order. Articles can also be reached by
+exact title match as a fallback for entities without a CUI.
 """
 
 from __future__ import annotations
@@ -152,8 +153,8 @@ class CuiIndex:
     ``documents`` is in doc-id order, its keys listed in ``doc_ids``. Article j owns
     rows ``offsets[j]:offsets[j + 1]``, one per chunk in chunk order. Row i has vector
     ``matrix[i]`` (``norms[i]`` is finite and not 0) and text ``spans[i]``, ``[start,
-    end)`` offsets into its article's text. ``ids_follow_rows``: chunk ids ascend with
-    the rows. ``embedder`` is the identity of the embedder that built the vectors.
+    end)`` offsets into its article's text. ``embedder`` is the identity of the embedder
+    that built the vectors.
     """
 
     dimension: int
@@ -168,7 +169,6 @@ class CuiIndex:
     norms: np.ndarray = field(repr=False, compare=False)
     spans: np.ndarray = field(repr=False, compare=False)
     offsets: tuple[int, ...] = field(repr=False, compare=False)
-    ids_follow_rows: bool = field(repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.matrix)
@@ -209,19 +209,13 @@ def _assemble(embedder: dict, params: ChunkParams, documents: dict[str, KbDocume
     for doc_id, doc in documents.items():  # in doc-id order
         by_cui.setdefault(doc.cui, []).append(doc_id)
         by_title.setdefault(doc.title.casefold(), []).append(doc_id)
-    doc_ids = tuple(documents)
-    # Ids ascend within an article while chunk numbers have four digits. Across
-    # articles ``a#...`` can sort after ``b#0000`` only where doc id ``b`` extends ``a``.
-    ids_follow_rows = max(counts, default=0) <= 10_000 and all(
-        not b.startswith(a) or f"{a}#{n - 1:04d}" < f"{b}#0000"
-        for a, b, n in zip(doc_ids, doc_ids[1:], counts))
     norms = np.linalg.norm(matrix, axis=1)
     index = CuiIndex(
         matrix.shape[1], embedder, params, documents,
         by_cui={k: tuple(v) for k, v in sorted(by_cui.items())},
         by_title={k: tuple(v) for k, v in sorted(by_title.items())},
-        fingerprint=digest.hexdigest(), doc_ids=doc_ids, matrix=matrix, norms=norms,
-        spans=spans, offsets=offsets, ids_follow_rows=ids_follow_rows)
+        fingerprint=digest.hexdigest(), doc_ids=tuple(documents), matrix=matrix, norms=norms,
+        spans=spans, offsets=offsets)
     bad = np.flatnonzero(~(np.isfinite(norms) & (norms > 0)))
     if len(bad):
         raise ValueError(f"chunk {index.chunk(bad[0])[0]!r} has a zero or non-finite vector")
@@ -295,12 +289,12 @@ def candidate_chunk_ids(index: CuiIndex, head: Entity, tail: Entity, *,
 
 def retrieve(index: CuiIndex, query_vec: np.ndarray, head: Entity, tail: Entity,
              *, k: int = DEFAULTS["k"], cui_scoped: bool = True) -> list[RetrievedSnippet]:
-    """Rank eligible chunks by cosine similarity to the query vector, ties by chunk id.
+    """Rank eligible chunks by cosine similarity to the query vector, ties by (doc id,
+    chunk number), the index's row order. An empty scope yields an empty list.
 
-    An empty scope yields an empty list, not the whole index. One einsum pass, kept
-    off BLAS (whose gemv wakes a second thread that spins on the CPU), scores the
-    eligible rows; only rows within ``SHORTLIST_MARGIN`` of the k-th best, a margin far
-    above the rounding gap, are rescored with ``cosine``, as a ``cosine`` scan would."""
+    One einsum pass, kept off BLAS (whose gemv wakes a second thread that spins on the
+    CPU), scores the eligible rows; only rows within ``SHORTLIST_MARGIN`` of the k-th best,
+    a margin far above the rounding gap, are rescored with ``cosine``, as a scan would."""
     if k < 1:
         raise ValueError("k must be >= 1")
     rows = candidate_chunk_ids(index, head, tail, cui_scoped=cui_scoped)
@@ -316,11 +310,8 @@ def retrieve(index: CuiIndex, query_vec: np.ndarray, head: Entity, tail: Entity,
         approx = np.einsum("ij,j->i", matrix, query_vec) / norms  # cosine times query_norm
         kth = np.partition(approx, -k)[-k]
         rows = [rows[i] for i in np.flatnonzero(approx >= kth - SHORTLIST_MARGIN * query_norm)]
-    scored = [(-cosine(query_vec, index.matrix[row]), row) for row in rows]
-    # ranking ties by row ranks them by chunk id without making one per tie
-    ranked = sorted(scored if index.ids_follow_rows else
-                    [(neg, index.chunk(row)[0], row) for neg, row in scored])[:k]
-    return [RetrievedSnippet(*index.chunk(row), -neg) for neg, *_, row in ranked]
+    ranked = sorted((-cosine(query_vec, index.matrix[row]), row) for row in rows)[:k]
+    return [RetrievedSnippet(*index.chunk(row), -neg) for neg, row in ranked]
 
 
 def save_index(index: CuiIndex) -> str:

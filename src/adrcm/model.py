@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-CUI_PATTERN = re.compile(r"^C\d{7}$")
+CUI_PATTERN = re.compile(r"C[0-9]{7}")  # full-matched
 
 ENTITY_TYPES = ("chemical", "disease", "gene", "variant", "species", "cell_line")
 
@@ -71,7 +71,7 @@ class Entity:
             raise ValueError(f"unknown entity type {self.etype!r}")
         if not self.mentions:
             raise ValueError(f"entity {self.entity_id!r} has no mentions")
-        if self.cui is not None and not CUI_PATTERN.match(self.cui):
+        if self.cui is not None and not CUI_PATTERN.fullmatch(self.cui):
             raise ValueError(f"malformed CUI {self.cui!r} (expected C + 7 digits)")
 
 
@@ -139,7 +139,7 @@ def validate_sample(sample: TrainingSample, schema: RelationSchema) -> list[str]
 
     Returns a list of human-readable violation descriptions; an empty list
     means the sample is well formed. Pure: never mutates, never raises on
-    bad data.
+    bad data of the declared field types.
     """
     violations: list[str] = []
     doc = sample.document

@@ -184,9 +184,8 @@ def _brute_retrieve(index, qvec, head, tail, k, cui_scoped):
     chunks = [index.chunk(row) for row in range(len(index))]
     eligible = [row for row, chunk in enumerate(chunks)
                 if not cui_scoped or in_scope(chunk, head) or in_scope(chunk, tail)]
-    scored = [(-cosine(qvec, index.matrix[row]), chunks[row][0]) for row in eligible]
-    scored.sort()
-    return [(cid, -neg) for neg, cid in scored[:k]]
+    scored = sorted((-cosine(qvec, index.matrix[row]), row) for row in eligible)
+    return [(chunks[row][0], -neg) for neg, row in scored[:k]]
 
 
 def test_criterion_3_retrieval_matches_bruteforce():

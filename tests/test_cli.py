@@ -609,6 +609,56 @@ def test_only_commands_that_embed_check_the_embedding_settings(rag_off_dir, tmp_
     assert (refused in run.stderr) == (status == 2), run.stderr
 
 
+def _first_mention(row):
+    return row["entities"][0]["mentions"][0]
+
+
+@pytest.mark.parametrize("artifact, edit", [
+    ("corpus", lambda row: row.update(sentences=[
+        [str(n) for n in row["sentences"][0]], *row["sentences"][1:]])),
+    ("corpus", lambda row: row["sentences"][0].append(99)),
+    ("corpus", lambda row: _first_mention(row).update(
+        sentence_index=str(_first_mention(row)["sentence_index"]))),
+    ("corpus", lambda row: _first_mention(row)["char_range"].append(99)),
+    ("corpus", lambda row: _first_mention(row).update(surface=5)),
+    ("corpus", lambda row: row.update(title=5)),
+    ("corpus", lambda row: row.update(doc_id=7)),
+    ("corpus", lambda row: row["entities"][0].update(canonical_name=5)),
+    ("corpus", lambda row: row["triplets"][0].update(head_id=["D1"])),
+    ("synthetic", lambda row: row.update(summary=5)),
+], ids=["sentence-strings", "sentence-3-ints", "sentence-index-string", "char-range-3-ints",
+        "surface-int", "title-int", "doc-id-int", "canonical-name-int", "head-id-list",
+        "summary-int"])
+def test_stages_refuse_a_record_field_of_the_wrong_json_type(rag_off_dir, tmp_path, capsys,
+                                                             artifact, edit):
+    """Each stage that reads the artifact exits 2 naming the edited line, not with a
+    traceback, and nothing reads the wrong type as a value."""
+    lines = (rag_off_dir / f"{artifact}.jsonl").read_text(encoding="utf-8").splitlines()
+    at = 1 if artifact == "corpus" else 0  # the corpus starts with its header
+    row = json.loads(lines[at])
+    edit(row)
+    lines[at] = json.dumps(row)
+    edited = tmp_path / f"{artifact}.jsonl"
+    edited.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    e2e = {name: str(rag_off_dir / f"{name}.jsonl")
+           for name in ("corpus", "synthetic", "predictions")}
+    e2e[artifact] = str(edited)
+    script = ["--script", str(rag_off_dir / "mock_script.json")]
+    commands = [["build-adrcm", "--corpus", e2e["corpus"], "--synthetic", e2e["synthetic"],
+                 "--out", str(tmp_path / "finetune.jsonl")]]
+    if artifact == "corpus":
+        commands += [["synth", "--corpus", e2e["corpus"], *script,
+                      "--out", str(tmp_path / "synthetic.jsonl")],
+                     ["infer", "--rag", "off", "--corpus", e2e["corpus"], *script,
+                      "--out", str(tmp_path / "predictions.jsonl")],
+                     ["eval", "--corpus", e2e["corpus"], "--predictions", e2e["predictions"]]]
+    for argv in commands:
+        assert main(argv) == 2, argv
+        assert f"error: line {at + 1}: bad {artifact if artifact == 'synthetic' else 'sample'} " \
+               "record: " in capsys.readouterr().err, argv
+    assert sorted(p.name for p in tmp_path.iterdir()) == [edited.name]
+
+
 # sha256 of every artifact `e2e-mock --rag cui` writes. Any change to an
 # artifact format, prompt, or scoring rule shows up here as a changed digest.
 E2E_CUI_DIGESTS = {

@@ -359,15 +359,30 @@ def test_load_corpus_rejects_malformed_header():
             load_corpus(text)
 
 
+# "C" and seven ARABIC-INDIC DIGITs, which ``\d`` matches
+_ARABIC_INDIC_CUI = "C" + "\u0660" * 6 + "\u0661"
+
+
 def test_parse_cui_map():
     mapping = parse_cui_map("D001\tC0000001\n# comment\n\nD002\tC0000002\n")
     assert mapping == {"D001": "C0000001", "D002": "C0000002"}
     with pytest.raises(ParseError, match="line 1"):
         parse_cui_map("D001 C0000001\n")
-    with pytest.raises(ParseError, match="bad CUI"):
-        parse_cui_map("D001\tX123\n")
+    for cui in ("X123", _ARABIC_INDIC_CUI):
+        with pytest.raises(ParseError, match="bad CUI"):
+            parse_cui_map(f"D001\t{cui}\n")
     with pytest.raises(ParseError, match="conflicting"):
         parse_cui_map("D001\tC0000001\nD001\tC0000002\n")
+
+
+def test_load_corpus_refuses_a_cui_with_a_trailing_newline(toy_corpus):
+    lines = save_corpus(toy_corpus).splitlines()
+    row = json.loads(lines[1])
+    entity = next(e for e in row["entities"] if e["cui"] is not None)
+    entity["cui"] += "\n"
+    lines[1] = json.dumps(row)
+    with pytest.raises(ParseError, match="^line 2: bad sample record: malformed CUI "):
+        load_corpus("\n".join(lines))
 
 
 def test_enumerate_candidate_pairs_matches_bruteforce(toy_corpus, cdr_schema):

@@ -33,8 +33,10 @@ def _entity(entity_id, cui=None, name="thing"):
 
 
 def test_kb_document_validation():
-    with pytest.raises(ValueError, match="bad CUI"):
-        KbDocument("X123", "src", "title", "text")
+    # the last: seven ARABIC-INDIC DIGITs, which ``\d`` matches
+    for cui in ("X123", "C0000001\n", "C" + "\u0660" * 6 + "\u0661"):
+        with pytest.raises(ValueError, match="bad CUI"):
+            KbDocument(cui, "src", "title", "text")
     with pytest.raises(ValueError, match="empty"):
         KbDocument("C0000001", "src", " ", "text")
     for fields in ((1, "src", "t", "x"), ("C0000001", None, "t", "x"),
@@ -446,15 +448,16 @@ def _tie_index():
     return build_index(docs, _ScaledEmbedder(), params=ChunkParams(5, 1, 2))
 
 
-def _brute_scan(index, query, k):
-    scored = sorted((-cosine(query, index.matrix[row]), index.chunk(row)[0])
-                    for row in range(len(index)))
-    return [(chunk_id, -neg) for neg, chunk_id in scored[:k]]
+def _brute_scan(index, query, k, rows=None):
+    """``(chunk id, score)`` of the best k of ``rows`` (default: all), ranked by
+    ``(-cosine, row)``."""
+    rows = range(len(index)) if rows is None else rows
+    scored = sorted((-cosine(query, index.matrix[row]), row) for row in rows)
+    return [(index.chunk(row)[0], -neg) for neg, row in scored[:k]]
 
 
 def test_unscoped_retrieve_equals_bruteforce_scan_with_ties():
     index = _tie_index()
-    assert index.ids_follow_rows
     head, tail = _entity("E1", cui="C2000000"), _entity("E2", cui="C3000000")
     rng = random.Random(9)
     queries = [3.5 * HashingEmbedder().embed_one(_TIED)]
@@ -472,19 +475,61 @@ def test_unscoped_retrieve_equals_bruteforce_scan_with_ties():
     assert len({r.score for r in top}) == 1
 
 
-def test_tied_chunks_rank_by_chunk_id_past_chunk_9999():
-    """Chunk ids compare as strings, so ``…#10000`` ranks between ``…#1000`` and
-    ``…#1001`` among equal scores, not after ``…#9999`` as its row does."""
+def test_tied_chunks_rank_by_row_past_chunk_9999():
+    """Equal scores rank by row, so ``…#10000`` ranks after ``…#9999``, not between
+    ``…#1000`` and ``…#1001`` as its chunk id would sort."""
     index = build_index([KbDocument("C0000001", "kb", "t", " ".join(["x"] * 10_001))],
                         HashingEmbedder(), params=ChunkParams(1, 0, 1))
-    assert len(index) == 10_001 and not index.ids_follow_rows
+    assert len(index) == 10_001 and index.chunk(10_000)[0] == "C0000001|kb|t#10000"
     head = _entity("E1", cui="C0000001")
-    want = sorted(f"C0000001|kb|t#{i:04d}" for i in range(10_001))[:1002]
-    assert want[-1] == "C0000001|kb|t#10000"
+    want = [f"C0000001|kb|t#{i:04d}" for i in range(1002)]
     for scoped in (True, False):
         got = retrieve(index, HashingEmbedder().embed_one("x"), head, head, k=1002,
                        cui_scoped=scoped)
         assert [s.chunk_id for s in got] == want
+
+
+def _nested_ids_kb(rng):
+    """Articles under one CUI and source whose doc ids extend one another (``…|a``,
+    ``…|a b``, ``…|a b c``), which sort by chunk id against their row order, with texts
+    drawn from a pool of two, so that their chunks tie exactly; and other articles, some
+    of them copies of a pool text under another CUI."""
+    pool = [" ".join(rng.choices(_WORDS, k=rng.randint(1, 20))) for _ in range(2)]
+    docs = [KbDocument("C0000001", "kb", title, rng.choice(pool))
+            for title in ("a", "a b", "a b c", "a bc")]
+    docs += [KbDocument(f"C{6000000 + i}", "kb", "a", rng.choice(
+        pool + [" ".join(rng.choices(_WORDS, k=rng.randint(1, 20)))])) for i in range(4)]
+    rng.shuffle(docs)
+    return docs
+
+
+def test_retrieve_ranks_ties_by_row_on_nested_doc_ids():
+    """Scoped and unscoped retrieval, on built and reloaded indexes, equal a brute
+    ``(-cosine, row)`` scan where exact ties fall across articles whose ids nest."""
+    rng = random.Random(31)
+    ties = 0
+    for _ in range(40):
+        size = rng.randint(1, 6)
+        built = build_index(_nested_ids_kb(rng), _ScaledEmbedder(),
+                            params=ChunkParams(size, rng.randrange(0, size), rng.randint(1, 3)))
+        head = _entity("E1", cui="C0000001")
+        tail = _entity("E2", cui=rng.choice(["C6000000", "C6000003", "C0999999"]))
+        queries = [rng.uniform(0.5, 4.0) * _ScaledEmbedder().embed_batch([built.chunk(
+            rng.randrange(len(built)))[5]])[0] for _ in range(3)]
+        queries.append(HashingEmbedder().embed_one(" ".join(rng.choices(_WORDS, k=3))))
+        for index in (built, load_index(save_index(built))):
+            scope = [row for row in range(len(index))
+                     if index.chunk(row)[2] in (head.cui, tail.cui)]
+            for query in queries:
+                scores = [cosine(query, index.matrix[row]) for row in range(len(index))]
+                ties += len(scores) - len(set(scores))
+                for k in (1, 2, 3, 5, len(index) + 2):
+                    for scoped, rows in ((True, scope), (False, None)):
+                        got = [(s.chunk_id, s.score.hex()) for s in retrieve(
+                            index, query, head, tail, k=k, cui_scoped=scoped)]
+                        assert got == [(c, s.hex()) for c, s in _brute_scan(
+                            index, query, k, rows)], (k, scoped)
+    assert ties > 100
 
 
 def test_unscoped_retrieve_rejects_bad_queries_like_the_scan():
@@ -838,7 +883,7 @@ _WORDS = ["alpha", "beta", "gamma", "kinase", "fever", "dose", "line\u2028sep", 
 def _random_kb(rng):
     """Articles of random length, among them a passage repeated inside one article,
     one-token articles, and the ids ``…|alpha`` and ``…|alpha beta``, whose chunk-id
-    order ("alpha beta#0000" < "alpha#0000") is not their article order."""
+    order ("alpha beta#0000" < "alpha#0000") is not their row order."""
     def words(n):
         return " ".join(rng.choices(_WORDS, k=n))
 
@@ -864,7 +909,6 @@ def test_format_7_round_trip_on_random_kbs():
         size = rng.randint(1, 6)
         params = ChunkParams(size, rng.randrange(0, size), rng.randint(1, 3))
         built = build_index(_random_kb(rng), _ScaledEmbedder(), params=params)
-        assert not built.ids_follow_rows  # "…|alpha beta#0000" < "…|alpha#0000"
         text = save_index(built)
         loaded = load_index(text)
         assert save_index(loaded) == text

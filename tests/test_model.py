@@ -33,10 +33,11 @@ def test_document_rejects_empty_id():
 
 
 def test_cui_pattern():
-    assert CUI_PATTERN.match("C0012345")
-    assert not CUI_PATTERN.match("C123")
-    assert not CUI_PATTERN.match("D0012345")
-    assert not CUI_PATTERN.match("C00123456")
+    """The pattern is full-matched: ASCII digits only, nothing before or after."""
+    assert CUI_PATTERN.fullmatch("C0012345")
+    for bad in ("C123", "D0012345", "C00123456", "C0012345\n", "xC0012345",
+                "C\u0660\u0660\u0660\u0660\u0660\u0660\u0661"):
+        assert not CUI_PATTERN.fullmatch(bad), bad
 
 
 def test_entity_invariants():
@@ -44,8 +45,9 @@ def test_entity_invariants():
         Entity("e1", "molecule", "x", (_mention(),))
     with pytest.raises(ValueError):
         Entity("e1", "chemical", "x", ())
-    with pytest.raises(ValueError):
-        Entity("e1", "chemical", "x", (_mention(),), cui="Q0012345")
+    for cui in ("Q0012345", "C0012345\n", "C\u0660\u0660\u0660\u0660\u0660\u0660\u0661"):
+        with pytest.raises(ValueError, match="malformed CUI"):
+            Entity("e1", "chemical", "x", (_mention(),), cui=cui)
     ok = Entity("e1", "chemical", "x", (_mention(),), cui="C0012345")
     assert ok.cui == "C0012345"
 
