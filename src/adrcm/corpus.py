@@ -26,7 +26,7 @@ import bisect
 import itertools
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from importlib import resources
 
 from .files import jsonl_lines
@@ -58,15 +58,17 @@ class Corpus:
     the schema name selects (``cdr`` gives ``CDR``), else ``custom``.
     ``violations`` collects per-line anomalies tolerated during parsing
     (dropped relations, conflicting duplicates). It is diagnostic only and
-    is not serialized.
+    is not serialized. ``line_numbers``, the samples' lines in a file, lead
+    the error for a sample that fails the check.
     """
 
     schema: RelationSchema
     samples: tuple[TrainingSample, ...]
     dataset_tag: str | None = None
     violations: tuple[str, ...] = field(default=(), compare=False)
+    line_numbers: InitVar[tuple[int, ...]] = ()
 
-    def __post_init__(self):
+    def __post_init__(self, line_numbers: tuple[int, ...]):
         if self.dataset_tag is None:
             object.__setattr__(self, "dataset_tag",
                                _SCHEMA_DATASET_TAGS.get(self.schema.name, "custom"))
@@ -76,11 +78,11 @@ class Corpus:
         if len(set(ids)) != len(ids):
             dupes = sorted({i for i in ids if ids.count(i) > 1})
             raise ValueError(f"duplicate doc_ids in corpus: {dupes}")
-        for sample in self.samples:
+        for sample, line_no in itertools.zip_longest(self.samples, line_numbers):
             issues = validate_sample(sample, self.schema)
             if issues:
                 raise ParseError(f"doc {sample.document.doc_id}: sample violates "
-                                 "invariants: " + "; ".join(issues))
+                                 "invariants: " + "; ".join(issues), line_no)
 
 
 # PubTator entity-type strings, normalized case-insensitively.
@@ -126,10 +128,10 @@ def parse_pubtator(
     """Parse PubTator-formatted text into a normalized corpus.
 
     Mentions are grouped into entities by their dataset identifier; unlinked
-    mentions (identifier ``-1`` or empty) are dropped. Relation lines whose
-    identifiers never appear in mention lines, or whose entities' types the
-    schema does not pair, become violation entries on the returned corpus
-    rather than crashes. Structural problems (wrong field counts,
+    mentions (identifier ``-1`` or empty) are dropped. Relation lines with
+    the none label, whose identifiers never appear in mention lines, or whose
+    entities' types the schema does not pair become violation entries on the
+    returned corpus rather than crashes. Structural problems (wrong field counts,
     offset/surface mismatches, unknown relation tags) raise
     :class:`ParseError` with the offending line number.
     """
@@ -239,6 +241,10 @@ def _parse_block(
 
     kept: dict[tuple[str, str], str] = {}  # pair to label, in file order
     for ln, label, id1, id2 in relation_rows:
+        if label == schema.none_label:
+            violations.append(f"doc {pmid}: line {ln}: relation ({id1}, {id2}) has the none "
+                              f"label {label!r}; dropped")
+            continue
         missing = [i for i in (id1, id2) if i not in by_id]
         if missing:
             violations.append(
@@ -303,14 +309,15 @@ def load_corpus(text: str) -> Corpus:
         raise ParseError(f"bad corpus header: {exc}; rerun `adrcm ingest` to "
                          "rewrite the file", line_no) from None
 
-    samples = []
+    samples, line_numbers = [], []
     for line_no, line in lines:
         try:
             obj = json.loads(line)
             samples.append(_sample_from_json(obj))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad sample record: {exc}", line_no)
-    return Corpus(schema=schema, samples=tuple(samples), dataset_tag=tag)
+        line_numbers.append(line_no)
+    return Corpus(schema, tuple(samples), tag, line_numbers=tuple(line_numbers))
 
 
 def _sample_from_json(obj: dict) -> TrainingSample:

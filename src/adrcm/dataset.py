@@ -13,18 +13,20 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import ClassVar, Iterable, Mapping, Sequence
 
 from .config import DEFAULTS
 from .corpus import Corpus, gold_pair_labels
 from .files import dump_jsonl
 from .infer import build_instruction, build_task_input
-from .iors import SyntheticRecord
+from .iors import SyntheticRecord, positive_triplets
 from .model import TrainingSample
 
 PROVENANCE_ORIGINAL = "original"
 PROVENANCE_SYNTHETIC = "synthetic"
+_triplet_key = attrgetter("doc_id", "head_id", "tail_id", "relation")
 
 
 @dataclass(frozen=True)
@@ -44,14 +46,11 @@ class AugmentedRecord:
 
 
 def split_sample(sample: TrainingSample) -> list[AugmentedRecord]:
-    """One record per gold triplet, each over the full document text."""
+    """One record per gold triplet, in pair order, each over the full document text."""
     doc = sample.document
-    ordered = sorted(sample.triplets, key=lambda t: (t.head_id, t.tail_id, t.relation))
-    return [
-        AugmentedRecord(doc.doc_id, t.head_id, t.tail_id, t.relation,
-                        doc.text, PROVENANCE_ORIGINAL)
-        for t in ordered
-    ]
+    return [AugmentedRecord(doc.doc_id, t.head_id, t.tail_id, t.relation,
+                            doc.text, PROVENANCE_ORIGINAL)
+            for t in positive_triplets(sample)]
 
 
 def build_dataset(corpus: Corpus,
@@ -59,35 +58,25 @@ def build_dataset(corpus: Corpus,
     """Assemble the corpus-wide augmented dataset.
 
     Documents contribute in corpus order: first the split originals, then
-    that document's accepted summaries in canonical triplet order.
-    Synthetic records must reference a known document and entities, and
-    their relation must belong to the corpus schema.
+    that document's accepted summaries in the same triplet order. Each
+    synthetic record must name a positive gold triplet of its document,
+    relation included, and no other record may name the same one.
     """
-    by_doc: dict[str, list[SyntheticRecord]] = {}
-    known_docs = {s.document.doc_id for s in corpus.samples}
-    for record in synthetic:
-        if record.doc_id not in known_docs:
-            raise ValueError(f"synthetic record for unknown document {record.doc_id!r}")
-        if record.relation not in corpus.schema.labels:
-            raise ValueError(f"synthetic record with unknown relation {record.relation!r}")
-        by_doc.setdefault(record.doc_id, []).append(record)
-
+    originals = [split_sample(sample) for sample in corpus.samples]
+    unused = {_triplet_key(r) for records in originals for r in records}
+    summaries: dict[tuple[str, str, str, str], str] = {}
+    for n, record in enumerate(synthetic, 1):
+        key = _triplet_key(record)
+        if key not in unused:
+            raise ValueError(f"synthetic record {n}: {key} is not a positive gold "
+                             "triplet of its document, or repeats one")
+        unused.remove(key)
+        summaries[key] = record.summary
     out: list[AugmentedRecord] = []
-    for sample in corpus.samples:
-        doc_id = sample.document.doc_id
-        extras = sorted(by_doc.get(doc_id, ()),
-                        key=lambda r: (r.head_id, r.tail_id, r.relation))
-        entity_ids = {e.entity_id for e in sample.entities}
-        for record in extras:
-            for entity_id in (record.head_id, record.tail_id):
-                if entity_id not in entity_ids:
-                    raise ValueError(
-                        f"synthetic record for {doc_id!r} references unknown "
-                        f"entity {entity_id!r}")
-        out.extend(split_sample(sample))
-        out.extend(AugmentedRecord(r.doc_id, r.head_id, r.tail_id, r.relation,
-                                   r.summary, PROVENANCE_SYNTHETIC)
-                   for r in extras)
+    for records in originals:
+        out += records
+        out += [replace(r, text=summaries[_triplet_key(r)], provenance=PROVENANCE_SYNTHETIC)
+                for r in records if _triplet_key(r) in summaries]
     return tuple(out)
 
 

@@ -176,10 +176,9 @@ class SynthesisReport:
         return len(self.discarded)
 
 
-def positive_triplets(sample: TrainingSample, schema: RelationSchema) -> list[Triplet]:
-    """Gold triplets with a positive label, in canonical pair order."""
-    kept = [t for t in sample.triplets if t.relation != schema.none_label]
-    return sorted(kept, key=lambda t: (t.head_id, t.tail_id, t.relation))
+def positive_triplets(sample: TrainingSample) -> list[Triplet]:
+    """The gold triplets, each positive and one per pair in a Corpus, in pair order."""
+    return sorted(sample.triplets, key=lambda t: (t.head_id, t.tail_id))
 
 
 def run_corpus_synthesis(gateway: LlmGateway, corpus: Corpus,
@@ -197,7 +196,7 @@ def run_corpus_synthesis(gateway: LlmGateway, corpus: Corpus,
     """
     config = config if config is not None else IorsConfig()
     jobs = [(sample, triplet) for sample in corpus.samples
-            for triplet in positive_triplets(sample, corpus.schema)]
+            for triplet in positive_triplets(sample)]
 
     def synthesize(job: tuple[TrainingSample, Triplet]) -> SynthesisResult | Exception:
         sample, triplet = job

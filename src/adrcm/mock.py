@@ -72,7 +72,7 @@ def build_mock_script(corpus: Corpus, index: CuiIndex | None, iors_config: IorsC
 
     for sample in corpus.samples:
         doc = sample.document
-        for triplet in positive_triplets(sample, schema):
+        for triplet in positive_triplets(sample):
             head = sample.entity(triplet.head_id)
             tail = sample.entity(triplet.tail_id)
             fail_rounds = _digest("synth", doc.doc_id, triplet.head_id,

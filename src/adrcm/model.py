@@ -3,7 +3,7 @@
 All types are frozen dataclasses: immutable after construction and safe to
 share across threads. Structural checks that need no schema run in
 ``__post_init__``; everything that depends on a :class:`RelationSchema`
-(label membership, allowed entity-type pairs) is reported by
+(positive-label membership, allowed entity-type pairs) is reported by
 :func:`validate_sample` as violation strings rather than exceptions, so that
 noisy data can be surveyed without crashing a pipeline run.
 
@@ -186,10 +186,10 @@ def validate_sample(sample: TrainingSample, schema: RelationSchema) -> list[str]
                     f"triplet ({t.head_id}, {t.tail_id}): unknown entity id {entity_id!r}"
                 )
             continue
-        if t.relation not in schema.labels:
+        if t.relation not in schema.positive_labels:
             violations.append(
                 f"triplet ({t.head_id}, {t.tail_id}): relation {t.relation!r} "
-                f"not in schema {schema.name!r}"
+                f"not in schema {schema.name!r} as a positive label"
             )
         pair = (t.head_id, t.tail_id)
         if pair in seen_pairs:

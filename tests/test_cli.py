@@ -211,6 +211,24 @@ def test_build_adrcm_writes_nothing_when_its_export_fails(tmp_path, e2e_dir, cap
     assert sorted(os.listdir(tmp_path)) == ["e2e", "instruction.txt"]
 
 
+def test_build_adrcm_refuses_a_repeated_synthetic_record(tmp_path, e2e_dir, capsys):
+    lines = (e2e_dir / "synthetic.jsonl").read_text().splitlines(keepends=True)
+    synthetic = tmp_path / "synthetic.jsonl"
+    synthetic.write_text("".join([lines[0], *lines]))
+    first = json.loads(lines[0])
+    capsys.readouterr()
+    rc = main(["build-adrcm", "--corpus", str(e2e_dir / "corpus.jsonl"),
+               "--synthetic", str(synthetic), "--out", str(tmp_path / "ft"),
+               "--records-out", str(tmp_path / "records.jsonl"),
+               "--sidecar", str(tmp_path / "meta.json")])
+    assert rc == 2
+    key = tuple(first[k] for k in ("doc_id", "head_id", "tail_id", "relation"))
+    assert capsys.readouterr().err == (
+        f"error: synthetic record 2: {key} is not a positive gold "
+        "triplet of its document, or repeats one\n")
+    assert sorted(os.listdir(tmp_path)) == ["e2e", "synthetic.jsonl"]
+
+
 def test_build_adrcm_refuses_an_infinite_negative_ratio(tmp_path, e2e_dir, capsys):
     capsys.readouterr()
     rc = main(["build-adrcm", "--corpus", str(e2e_dir / "corpus.jsonl"),
@@ -257,7 +275,7 @@ def test_infer_and_eval_refuse_an_edited_corpus(tmp_path, e2e_dir, capsys):
                   "--out", str(tmp_path / "p.jsonl")],
                  ["eval", "--predictions", e2e["predictions.jsonl"]]):
         assert main([*argv, "--corpus", str(edited)]) == 2
-        assert (f"error: doc {row['doc_id']}: sample violates invariants: "
+        assert (f"error: line 2: doc {row['doc_id']}: sample violates invariants: "
                 "triplet" in capsys.readouterr().err)
     assert not (tmp_path / "p.jsonl").exists()
 

@@ -332,8 +332,8 @@ def _edit_first_sample(text: str, edit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _set_relation(row):
-    row["triplets"][0]["relation"] = "Bogus"
+def _set_relation(row, relation="Bogus"):
+    row["triplets"][0]["relation"] = relation
 
 
 def _cut_mention(row):
@@ -345,11 +345,13 @@ def _cut_mention(row):
 
 @pytest.mark.parametrize("edit, issue", [
     (_set_relation, "relation 'Bogus' not in schema 'cdr'"),
+    (lambda row: _set_relation(row, "None"), "relation 'None' not in schema 'cdr' as a positive"),
     (_cut_mention, "outside sentence 0"),
-], ids=["relation", "mention"])
+], ids=["relation", "none-relation", "mention"])
 def test_load_corpus_refuses_an_edited_corpus(toy_corpus, edit, issue):
     doc_id = toy_corpus.samples[0].document.doc_id
-    with pytest.raises(ParseError, match=f"^doc {doc_id}: sample violates invariants: .*{issue}"):
+    with pytest.raises(ParseError,
+                       match=f"^line 2: doc {doc_id}: sample violates invariants: .*{issue}"):
         load_corpus(_edit_first_sample(save_corpus(toy_corpus), edit))
 
 
@@ -464,7 +466,8 @@ def _reference_parse_pubtator(content, schema, cui_map=None, dataset_tag=None):
     """The parser that parse_pubtator replaced: a ``(line number, line)`` tuple per
     line, and a scan of every mention for every sentence cut. It also drops a
     relation whose type pair the schema does not allow, which that parser left to
-    the ``Corpus`` check to refuse the whole file for."""
+    the ``Corpus`` check to refuse the whole file for, and a relation with the none
+    label, which that parser stored."""
     cui_map = cui_map or {}
     samples, violations = [], []
     block = []
@@ -546,6 +549,10 @@ def _reference_parse_block(block, schema, cui_map, violations):
     known = {e.entity_id: e.etype for e in entities}
     triplets, seen = [], {}
     for ln, label, id1, id2 in relation_rows:
+        if label == schema.none_label:
+            violations.append(f"doc {pmid}: line {ln}: relation ({id1}, {id2}) has the none "
+                              f"label {label!r}; dropped")
+            continue
         missing = [i for i in (id1, id2) if i not in known]
         if missing:
             violations.append(f"doc {pmid}: line {ln}: relation ({id1}, {id2}) references "
@@ -640,7 +647,8 @@ def _outcome(parse, content, schema, cui_map):
 def test_parse_pubtator_matches_the_reference_parser(cdr_schema):
     rng = random.Random(31)
     cui_map = {"C1": "C0000001", "D2": "C0000002"}
-    seen = {"violations": 0, "type pairs": 0, "merged cuts": 0, "errors": set()}
+    seen = {"violations": 0, "type pairs": 0, "none labels": 0, "merged cuts": 0,
+            "errors": set()}
     for _ in range(300):
         content = _messy_pubtator(rng)
         got = _outcome(parse_pubtator, content, cdr_schema, cui_map)
@@ -649,6 +657,8 @@ def test_parse_pubtator_matches_the_reference_parser(cdr_schema):
             corpus = parse_pubtator(content, cdr_schema, cui_map=cui_map)
             seen["violations"] += len(corpus.violations)
             seen["type pairs"] += sum("has type pair" in note for note in corpus.violations)
+            seen["none labels"] += sum("has the none label" in note
+                                       for note in corpus.violations)
             seen["merged cuts"] += sum(
                 len(sample.document.sentences) < len(segment_sentences(sample.document.text))
                 for sample in corpus.samples)
@@ -658,7 +668,7 @@ def test_parse_pubtator_matches_the_reference_parser(cdr_schema):
         if not isinstance(got[0], str):
             seen["errors"].add(re.sub(r"[ (].*", "", got[1].split(": ", 1)[1]))
     assert seen["violations"] > 100 and seen["merged cuts"] > 30, seen
-    assert seen["type pairs"] > 100, seen
+    assert seen["type pairs"] > 100 and seen["none labels"] > 1000, seen
     # each kind of malformed line was met: title, PMID, fields, offsets, span, type, tag
     assert seen["errors"] >= {"expected", "annotation", "malformed", "non-integer", "mention",
                               "unknown"}, seen["errors"]

@@ -1,10 +1,11 @@
 import hashlib
 import json
 import math
+import re
 
 import pytest
 
-from adrcm.corpus import Corpus, enumerate_candidate_pairs
+from adrcm.corpus import Corpus, builtin_schema, enumerate_candidate_pairs, parse_pubtator
 from adrcm.dataset import (
     PRESETS,
     AugmentedRecord,
@@ -65,12 +66,43 @@ def test_build_dataset_order_and_size(two_doc_corpus):
 
 
 def test_build_dataset_validates_synthetic_references(two_doc_corpus):
-    with pytest.raises(ValueError, match="unknown document"):
-        build_dataset(two_doc_corpus, (SyntheticRecord("999", "C1", "D1", "CID", "s"),))
-    with pytest.raises(ValueError, match="unknown entity"):
-        build_dataset(two_doc_corpus, (SyntheticRecord("401", "CX", "D1", "CID", "s"),))
-    with pytest.raises(ValueError, match="unknown relation"):
-        build_dataset(two_doc_corpus, (SyntheticRecord("401", "C1", "D1", "LOVES", "s"),))
+    biored = Corpus(builtin_schema("biored"), (make_sample(
+        "501", ["Genex raises drugon levels."],
+        [("G1", "gene", [(0, "Genex")]), ("D1", "chemical", [(0, "drugon")])],
+        [("G1", "D1", "Positive_Correlation")]),))
+    once = [("401", "C1", "D2", "CID"), ("401", "C1", "D1", "CID")]
+    cases = [
+        (two_doc_corpus, [("999", "C1", "D1", "CID")]),  # unknown document
+        (two_doc_corpus, [("401", "CX", "D1", "CID")]),  # unknown entity
+        (two_doc_corpus, [("401", "C1", "D1", "LOVES")]),  # relation not in the schema
+        (two_doc_corpus, [("402", "C2", "D3", "CID")]),  # a pair whose gold label is None
+        (two_doc_corpus, [*once, once[0]]),  # a repeat
+        (biored, [("501", "G1", "D1", "Negative_Correlation")]),  # not the gold relation
+    ]
+    for corpus, records in cases:
+        key = re.escape(repr(records[-1]))
+        with pytest.raises(ValueError, match=f"^synthetic record {len(records)}: {key} is not "
+                                             "a positive gold triplet of its document, or "
+                                             "repeats one$"):
+            build_dataset(corpus, [SyntheticRecord(*fields, "s") for fields in records])
+    assert len(build_dataset(two_doc_corpus, [SyntheticRecord(*f, "s") for f in once])) == 4
+
+
+def test_a_none_relation_line_is_dropped_and_exported_once(cdr_schema):
+    corpus = parse_pubtator(
+        "7|t|Drugox causes fever and rash.\n"
+        "7\t0\t6\tDrugox\tChemical\tC1\n"
+        "7\t14\t19\tfever\tDisease\tD1\n"
+        "7\t24\t28\trash\tDisease\tD2\n"
+        "7\tno relation\tC1\tD1\n"
+        "7\tCID\tC1\tD2\n", cdr_schema)
+    assert corpus.violations == (
+        "doc 7: line 5: relation (C1, D1) has the none label 'None'; dropped",)
+    records = build_dataset(corpus, ())
+    assert [(r.head_id, r.tail_id, r.relation) for r in records] == [("C1", "D2", "CID")]
+    rows = export_finetune(corpus, records, preset_for("cdr"), negative_ratio=10).rows
+    assert [row["output"] for row in rows if row["input"].endswith("Tail entity: fever")] == [
+        "None"]
 
 
 def test_presets_hyperparameters():

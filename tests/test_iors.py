@@ -182,7 +182,7 @@ def test_failed_summary_feeds_next_prompt(pair_sample, cdr_schema):
     assert "draft A" not in seen[0]
 
 
-def test_positive_triplets_sorted(pair_sample, cdr_schema):
+def test_positive_triplets_sorted():
     sample = make_sample(
         "202", ["Aox and box cause cyst and dermatitis."],
         [("B1", "chemical", [(0, "box")]),
@@ -190,7 +190,7 @@ def test_positive_triplets_sorted(pair_sample, cdr_schema):
          ("C1", "disease", [(0, "cyst")]),
          ("D1", "disease", [(0, "dermatitis")])],
         [("B1", "C1", "CID"), ("A1", "D1", "CID"), ("A1", "C1", "CID")])
-    ordered = positive_triplets(sample, cdr_schema)
+    ordered = positive_triplets(sample)
     assert [(t.head_id, t.tail_id) for t in ordered] == [
         ("A1", "C1"), ("A1", "D1"), ("B1", "C1")]
 
