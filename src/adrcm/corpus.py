@@ -193,7 +193,7 @@ def _parse_block(
             mention_rows.append((start, end, ln, surface, etype, identifier))
         elif len(fields) == 4:
             _, tag, id1, id2 = fields
-            label = tag if tag in schema.labels else schema.aliases.get(tag.lower())
+            label = schema.label_of(tag)
             if label is None:
                 raise ParseError(f"unknown relation tag {tag!r}", ln)
             relation_rows.append((ln, label, id1, id2))

@@ -9,14 +9,12 @@ negative label and are flagged rather than dropped.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Iterable, Sequence
 
 from .config import DEFAULTS
 from .corpus import Corpus, enumerate_candidate_pairs
 from .files import dump_jsonl, jsonl_lines, parse_jsonl
-from .iors import normalize_relation_label
 from .llm import ChatExchange, Embedder, LlmGateway, user_exchange
 from .model import Entity, RelationSchema, TrainingSample
 from .templating import resolve
@@ -79,30 +77,14 @@ def pair_query_text(schema: RelationSchema, head: Entity, tail: Entity) -> str:
 
 
 def parse_relation_output(raw: str, schema: RelationSchema) -> tuple[str, bool]:
-    """Map a raw model reply onto a label.
-
-    Exact (normalized) matches win. Otherwise the earliest whole-word
-    occurrence of any label or alias in the reply is used, preferring the
-    longest match at the same position. If nothing matches, the negative
-    label is returned with the unparseable flag set.
+    """Map a raw model reply onto a label: :meth:`RelationSchema.label_of` if the
+    whole reply names one, else :meth:`RelationSchema.label_in`. A reply that
+    names none gives the negative label with the unparseable flag set.
     """
-    exact = normalize_relation_label(raw, schema)
-    if exact is not None:
-        return exact, False
-    surface_to_label = {label: label for label in schema.labels}
-    surface_to_label.update(schema.aliases)
-    best: tuple[int, int, str] | None = None
-    for surface, label in surface_to_label.items():
-        pattern = re.compile(rf"\b{re.escape(surface)}\b", re.IGNORECASE)
-        match = pattern.search(raw)
-        if match is None:
-            continue
-        key = (match.start(), -len(surface))
-        if best is None or key < (best[0], best[1]):
-            best = (key[0], key[1], label)
-    if best is not None:
-        return best[2], False
-    return schema.none_label, True
+    label = schema.label_of(raw)
+    if label is None:
+        label = schema.label_in(raw)
+    return (schema.none_label, True) if label is None else (label, False)
 
 
 @dataclass(frozen=True)

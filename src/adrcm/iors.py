@@ -20,8 +20,6 @@ from .llm import ChatExchange, LlmGateway, ProtocolError, TransportError, user_e
 from .model import Document, Entity, RelationSchema, TrainingSample, Triplet
 from .templating import resolve
 
-_TERMINAL_PUNCT = ".!?,;:\"'`"
-
 
 @dataclass(frozen=True)
 class IorsConfig:
@@ -76,19 +74,6 @@ def build_confirmation_prompt(summary: str, head: Entity, tail: Entity,
     return instruction + "\n\nSummary:\n" + summary
 
 
-def normalize_relation_label(raw: str, schema: RelationSchema) -> str | None:
-    """Map a model reply onto a schema label, or None if it is not one."""
-    text = raw.strip().strip(_TERMINAL_PUNCT).strip()
-    folded = text.casefold()
-    for label in schema.labels:
-        if folded == label.casefold():
-            return label
-    for alias, label in schema.aliases.items():
-        if folded == alias.casefold():
-            return label
-    return None
-
-
 @dataclass(frozen=True)
 class SynthesisResult:
     """Outcome of the loop for a single triplet."""
@@ -111,8 +96,8 @@ def generate_synthetic(chat: Callable[[ChatExchange], str], document: Document,
     joins the failure list shown to the next round.
     """
     config = config if config is not None else IorsConfig()
-    if relation not in schema.labels:
-        raise ValueError(f"unknown relation label: {relation!r}")
+    if relation not in schema.positive_labels:
+        raise ValueError(f"not a positive relation label: {relation!r}")
     failures: list[str] = []
     confirmation_calls = 0
     for iteration in range(config.beta):
@@ -128,7 +113,7 @@ def generate_synthetic(chat: Callable[[ChatExchange], str], document: Document,
             check, temperature=config.confirmation_temperature,
             model_id=config.model_id))
         confirmation_calls += 1
-        if normalize_relation_label(reply, schema) == relation:
+        if schema.label_of(reply) == relation:
             return SynthesisResult(True, summary, iteration + 1, tuple(failures),
                                    confirmation_calls)
         failures.append(summary)

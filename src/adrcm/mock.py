@@ -38,8 +38,8 @@ def _styled_label(label: str, style: int) -> str:
 
 
 def _confirm_reply(schema, label: str, style: int) -> str:
-    # Confirmation matching is exact-normalize only, so every variant here
-    # must normalize back to the label on its own.
+    # Confirmations are read with RelationSchema.label_of alone, so every
+    # variant here must name the label as a whole.
     if style == 1:
         return label.lower() + "."
     if style == 2:

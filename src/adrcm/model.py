@@ -17,6 +17,7 @@ import re
 from dataclasses import dataclass, field
 
 CUI_PATTERN = re.compile(r"C[0-9]{7}")  # full-matched
+_TERMINAL_PUNCT = ".!?,;:\"'`"
 
 ENTITY_TYPES = ("chemical", "disease", "gene", "variant", "species", "cell_line")
 
@@ -79,8 +80,8 @@ class Entity:
 class RelationSchema:
     """Label inventory for one dataset, including the explicit no-relation label.
 
-    ``aliases`` maps normalized surface strings (lowercase) to label names and
-    is used when interpreting free-text model output.
+    ``aliases`` maps more surfaces to labels. No two surfaces (labels or
+    aliases) equal ignoring case may name different labels.
     """
 
     name: str
@@ -90,6 +91,8 @@ class RelationSchema:
     aliases: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
+        if not all(type(s) is str for s, _ in self.surfaces()):  # schema files are outside input
+            raise ValueError("labels and aliases must be strings")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("labels must be unique")
         if self.none_label not in self.labels:
@@ -100,10 +103,30 @@ class RelationSchema:
         bad = [v for v in self.aliases.values() if v not in self.labels]
         if bad:
             raise ValueError(f"aliases map to unknown labels: {bad}")
+        named: dict[str, str] = {}
+        for surface, label in self.surfaces():
+            if (first := named.setdefault(surface.casefold(), label)) != label:
+                raise ValueError(f"{surface!r} names both {first!r} and {label!r}")
 
     @property
     def positive_labels(self) -> tuple[str, ...]:
         return tuple(l for l in self.labels if l != self.none_label)
+
+    def surfaces(self) -> list[tuple[str, str]]:
+        """Each label, then each alias, with the label it names."""
+        return [*zip(self.labels, self.labels), *self.aliases.items()]
+
+    def label_of(self, text: str) -> str | None:
+        """The label ``text`` names, ignoring case, outer space and end punctuation, or None."""
+        folded = text.strip().strip(_TERMINAL_PUNCT).strip().casefold()
+        return {s.casefold(): label for s, label in self.surfaces()}.get(folded)
+
+    def label_in(self, text: str) -> str | None:
+        """The label of the earliest whole-word surface in ``text`` (the longest there), or None."""
+        surfaces = sorted(self.surfaces(), key=lambda s: -len(s[0]))
+        match = re.search("|".join(rf"\b({re.escape(s)})\b" for s, _ in surfaces),
+                          text, re.IGNORECASE)
+        return None if match is None else surfaces[match.lastindex - 1][1]
 
 
 @dataclass(frozen=True)

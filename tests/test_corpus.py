@@ -235,6 +235,22 @@ def test_parse_pubtator_conflicting_labels_violation():
         "'Positive_Correlation' kept, 'Negative_Correlation' dropped",)
 
 
+def test_parse_pubtator_reads_tags_like_replies():
+    schema = builtin_schema("biored")
+    content = (
+        "105|t|Genex binds drugon.\n"
+        "105\t0\t5\tGenex\tGene\tG1\n"
+        "105\t12\t18\tdrugon\tChemical\tD1\n"
+        "105\t{}\tG1\tD1\n"
+    )
+    for tag in ("positive_correlation", "Positive_Correlation", "POSITIVE CORRELATION",
+                " positive correlation. "):
+        corpus = parse_pubtator(content.format(tag), schema)
+        assert corpus.samples[0].triplets[0].relation == "Positive_Correlation", tag
+    with pytest.raises(ParseError, match="line 4: unknown relation tag 'PREVENTS'"):
+        parse_pubtator(content.format("PREVENTS"), schema)
+
+
 def test_parse_pubtator_drops_unlinked_mentions(cdr_schema):
     content = (
         "104|t|Drugox causes fever.\n"
@@ -467,7 +483,9 @@ def _reference_parse_pubtator(content, schema, cui_map=None, dataset_tag=None):
     line, and a scan of every mention for every sentence cut. It also drops a
     relation whose type pair the schema does not allow, which that parser left to
     the ``Corpus`` check to refuse the whole file for, and a relation with the none
-    label, which that parser stored."""
+    label, which that parser stored. It reads a relation tag as a label or a
+    lowercased alias only, where parse_pubtator also ignores case, surrounding
+    space and terminal punctuation; the random tags here read alike under both."""
     cui_map = cui_map or {}
     samples, violations = [], []
     block = []

@@ -1,9 +1,11 @@
+import random
+import re
 import threading
 
 import pytest
 
 import adrcm.infer
-from adrcm.corpus import Corpus, enumerate_candidate_pairs
+from adrcm.corpus import Corpus, builtin_schema, enumerate_candidate_pairs
 from adrcm.infer import (
     RAG_MODES,
     InferenceConfig,
@@ -22,6 +24,7 @@ from adrcm.iors import IorsConfig
 from adrcm.kb import RetrievedSnippet, build_index
 from adrcm.llm import HashingEmbedder, LlmGateway, RetryPolicy, ScriptedBackend, exchange_key, user_exchange
 from adrcm.mock import TOY_CHUNK_PARAMS, build_mock_script
+from adrcm.model import RelationSchema
 from conftest import OverlapBackend, make_sample
 
 
@@ -102,12 +105,74 @@ def test_parse_relation_output_earliest_whole_word(cdr_schema):
 
 
 def test_parse_relation_output_longest_at_same_start():
-    from adrcm.model import RelationSchema
     schema = RelationSchema(
-        "demo", ("assoc", "assoc_strong", "nil"), "nil",
+        "demo", ("assoc", "assoc_strong", "assoc strong", "nil"), "nil",
         frozenset({("gene", "disease")}))
     label, flagged = parse_relation_output("verdict: assoc_strong", schema)
     assert (label, flagged) == ("assoc_strong", False)
+    assert parse_relation_output("verdict: assoc strong", schema) == ("assoc strong", False)
+
+
+def _reference_normalize_relation_label(raw, schema):
+    """The exact reader that RelationSchema.label_of replaced."""
+    folded = raw.strip().strip(".!?,;:\"'`").strip().casefold()
+    for label in schema.labels:
+        if folded == label.casefold():
+            return label
+    for alias, label in schema.aliases.items():
+        if folded == alias.casefold():
+            return label
+    return None
+
+
+def _reference_parse_relation_output(raw, schema):
+    """The reply reader that parse_relation_output replaced: the exact reader, then
+    one whole-word search per label and alias, the earliest and then longest kept."""
+    exact = _reference_normalize_relation_label(raw, schema)
+    if exact is not None:
+        return exact, False
+    surface_to_label = {label: label for label in schema.labels}
+    surface_to_label.update(schema.aliases)
+    best = None
+    for surface, label in surface_to_label.items():
+        match = re.search(rf"\b{re.escape(surface)}\b", raw, re.IGNORECASE)
+        if match is not None and (best is None or (match.start(), -len(surface)) < best[:2]):
+            best = (match.start(), -len(surface), label)
+    return (schema.none_label, True) if best is None else (best[2], False)
+
+
+_FILLER = ["the", "relation", "is", "not", "between", "placid", "answer:", "none-ish",
+           "cid_x", "co", "treatment", "gene-disease"]
+
+
+def _random_reply(rng, schema):
+    """Labels, aliases and filler words in random case, between random spaces and
+    punctuation."""
+    words = rng.choices([*schema.labels, *schema.aliases, *_FILLER], k=rng.randint(0, 4))
+    reply = rng.choice(["", " ", "\n", '"', "'"])
+    for word in words:
+        word = rng.choice([word, word.upper(), word.lower(), word.title(), word.swapcase()])
+        reply += word + rng.choice([" ", "  ", ", ", ". ", "-", "_", ""])
+    return reply + rng.choice(["", ".", "!", "?", " ", "`", ":\n"])
+
+
+@pytest.mark.parametrize("name", ["cdr", "gda", "biored", "overlap"])
+def test_readers_match_the_reference_readers(name):
+    # In the builtin schemas, surfaces that can match at one position name one label.
+    schema = builtin_schema(name) if name != "overlap" else RelationSchema(
+        name, ("assoc", "assoc strong", "nil"), "nil", frozenset(),
+        {"strong": "assoc strong", "assoc+": "assoc strong", "no": "nil", "no assoc": "nil",
+         "assoc-weak": "assoc"})
+    rng = random.Random(name)
+    seen = {"exact": 0, "scanned": 0, "unparseable": 0}
+    for _ in range(2000):
+        reply = _random_reply(rng, schema)
+        exact = schema.label_of(reply)
+        assert exact == _reference_normalize_relation_label(reply, schema), reply
+        got = parse_relation_output(reply, schema)
+        assert got == _reference_parse_relation_output(reply, schema), reply
+        seen["exact" if exact is not None else "unparseable" if got[1] else "scanned"] += 1
+    assert min(seen.values()) >= 50, seen
 
 
 @pytest.fixture()

@@ -10,7 +10,6 @@ from adrcm.iors import (
     build_summary_prompt,
     generate_synthetic,
     load_synthetic,
-    normalize_relation_label,
     positive_triplets,
     run_corpus_synthesis,
     save_synthetic,
@@ -100,16 +99,6 @@ def test_build_confirmation_prompt(pair_sample, cdr_schema):
     assert "CID relation" not in prompt  # blind to the gold relation
 
 
-def test_normalize_relation_label(cdr_schema):
-    assert normalize_relation_label("CID", cdr_schema) == "CID"
-    assert normalize_relation_label("  cid.", cdr_schema) == "CID"
-    assert normalize_relation_label("Induces", cdr_schema) == "CID"
-    assert normalize_relation_label("no relation", cdr_schema) == "None"
-    assert normalize_relation_label("NONE!", cdr_schema) == "None"
-    assert normalize_relation_label("the answer is CID", cdr_schema) is None
-    assert normalize_relation_label("", cdr_schema) is None
-
-
 def _run(sample, schema, replies, beta=3, **kw):
     gateway = LlmGateway(ScriptedBackend(replies))
     head, tail = sample.entity("D1"), sample.entity("D2")
@@ -162,9 +151,12 @@ def test_generate_skips_confirmation_for_oversized_summary(pair_sample, cdr_sche
 
 def test_generate_rejects_unknown_relation(pair_sample, cdr_schema):
     head, tail = pair_sample.entities
-    with pytest.raises(ValueError, match="unknown relation"):
-        generate_synthetic(ScriptedBackend([]).complete, pair_sample.document, head, tail,
-                           "CURES", cdr_schema)
+    calls = []
+    for relation in ("CURES", "None"):  # a summary of "no relation" is no training triplet
+        with pytest.raises(ValueError, match="not a positive relation label"):
+            generate_synthetic(calls.append, pair_sample.document, head, tail,
+                               relation, cdr_schema)
+    assert calls == []
 
 
 def test_failed_summary_feeds_next_prompt(pair_sample, cdr_schema):

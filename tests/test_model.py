@@ -71,6 +71,29 @@ def test_schema_invariants():
     assert schema.positive_labels == ("CID",)
 
 
+def test_schema_refuses_surfaces_that_collide():
+    # Otherwise a reply "a" would be read as one of two labels by a precedence rule.
+    with pytest.raises(ValueError, match="'a' names both 'A' and 'a'"):
+        RelationSchema("s", ("A", "a", "None"), "None", frozenset())
+    with pytest.raises(ValueError, match="'cid' names both 'CID' and 'None'"):
+        RelationSchema("s", ("CID", "None"), "None", frozenset(), {"cid": "None"})
+    with pytest.raises(ValueError, match="must be strings"):  # from a JSON schema file
+        RelationSchema("s", (1, "None"), "None", frozenset())
+    schema = RelationSchema("s", ("CID", "None"), "None", frozenset(),
+                            {"cid": "CID", "Cid": "CID", "NONE": "None"})
+    assert schema.label_of("cId") == "CID"
+
+
+def test_label_of(cdr_schema):
+    assert cdr_schema.label_of("CID") == "CID"
+    assert cdr_schema.label_of("  cid.") == "CID"
+    assert cdr_schema.label_of("Induces") == "CID"
+    assert cdr_schema.label_of("no relation") == "None"
+    assert cdr_schema.label_of("NONE!") == "None"
+    assert cdr_schema.label_of("the answer is CID") is None
+    assert cdr_schema.label_of("") is None
+
+
 def test_sample_entity_lookup():
     sample = make_sample(
         "d1", ["Aspirin heals."],
