@@ -395,12 +395,30 @@ def parse_cui_map(text: str) -> dict[str, str]:
 
 
 def schema_from_dict(obj: dict) -> RelationSchema:
+    """The schema of a ``data/schemas/*.json`` object; a missing or mistyped field is a
+    ``ValueError``."""
+    def strings(value: object) -> bool:
+        return type(value) is list and all(type(s) is str for s in value)
+
+    obj = obj if type(obj) is dict else {}
+    aliases = obj.get("aliases", {})
+    for name, ok, form in (
+            ("name", type(obj.get("name")) is str, "a string"),
+            ("labels", strings(obj.get("labels")), "a list of strings"),
+            ("none_label", type(obj.get("none_label")) is str, "a string"),
+            ("allowed_type_pairs", type(obj.get("allowed_type_pairs")) is list and all(
+                strings(p) and len(p) == 2 for p in obj["allowed_type_pairs"]),
+             "a list of two-string lists"),
+            ("aliases", type(aliases) is dict and strings(list(aliases.values())),
+             "an object of string to string")):
+        if not ok:
+            raise ValueError(f"schema field {name!r} is not {form}")
     return RelationSchema(
         name=obj["name"],
         labels=tuple(obj["labels"]),
         none_label=obj["none_label"],
         allowed_type_pairs=frozenset(tuple(p) for p in obj["allowed_type_pairs"]),
-        aliases=dict(obj.get("aliases", {})),
+        aliases=dict(aliases),
     )
 
 

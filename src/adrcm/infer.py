@@ -98,34 +98,44 @@ class PredictionRecord:
     unparseable: bool
 
 
-def retrieve(*args, **kwargs) -> list[RetrievedSnippet]:
-    """:func:`kb.retrieve`, imported at the first call so that importing this module
+def retrieve(*args, **kwargs) -> list[list[RetrievedSnippet]]:
+    """:func:`kb.retrieve_batch`, imported at the first call so that importing this module
     loads no numpy. perfbench's tracing wraps this name."""
     from . import kb
-    return kb.retrieve(*args, **kwargs)
+    return kb.retrieve_batch(*args, **kwargs)
+
+
+def retrieve_for_pairs(embedder: Embedder, index: CuiIndex | None, schema: RelationSchema,
+                       pairs: Sequence[tuple[Entity, Entity]],
+                       config: InferenceConfig) -> list[list[RetrievedSnippet]]:
+    """Each pair's snippets: one embedding and one :func:`retrieve` call per block."""
+    if config.rag_mode == "off" or index is None:
+        return [[] for _ in pairs]
+    from .kb import EMBED_BATCH_SIZE  # numpy is loaded: ``index`` holds its arrays
+    snippets = []
+    for at in range(0, len(pairs), EMBED_BATCH_SIZE):
+        block = pairs[at:at + EMBED_BATCH_SIZE]
+        query_vecs = embedder.embed_batch([pair_query_text(schema, *pair) for pair in block])
+        snippets += retrieve(index, query_vecs, block, k=config.k,
+                             cui_scoped=config.rag_mode == "cui")
+    return snippets
 
 
 def retrieve_for_pair(embedder: Embedder, index: CuiIndex | None,
                       schema: RelationSchema, head: Entity, tail: Entity,
                       config: InferenceConfig) -> list[RetrievedSnippet]:
-    if config.rag_mode == "off" or index is None:
-        return []
-    query_vec = embedder.embed_batch([pair_query_text(schema, head, tail)])[0]
-    return retrieve(index, query_vec, head, tail, k=config.k,
-                    cui_scoped=config.rag_mode == "cui")
+    return retrieve_for_pairs(embedder, index, schema, [(head, tail)], config)[0]
 
 
-def predict_pair(chat: Callable[[ChatExchange], str], embedder: Embedder,
-                 index: CuiIndex | None, sample: TrainingSample, head_id: str,
-                 tail_id: str, schema: RelationSchema,
-                 config: InferenceConfig | None = None) -> PredictionRecord:
-    config = config if config is not None else InferenceConfig()
+def predict_pair(chat: Callable[[ChatExchange], str], instruction: str,
+                 sample: TrainingSample, head_id: str, tail_id: str,
+                 snippets: Sequence[RetrievedSnippet], schema: RelationSchema,
+                 config: InferenceConfig) -> PredictionRecord:
+    """Assemble the pair's prompt, ask ``chat`` and parse its reply."""
     head = sample.entity(head_id)
     tail = sample.entity(tail_id)
-    snippets = retrieve_for_pair(embedder, index, schema, head, tail, config)
-    prompt = assemble_prompt(
-        build_instruction(schema, config.instruction), sample.document.text,
-        head.canonical_name, tail.canonical_name, snippets)
+    prompt = assemble_prompt(instruction, sample.document.text,
+                             head.canonical_name, tail.canonical_name, snippets)
     raw = chat(user_exchange(
         prompt, temperature=config.temperature,
         model_id=config.model_id, max_tokens=config.max_tokens))
@@ -139,16 +149,21 @@ def predict_corpus(gateway: LlmGateway, index: CuiIndex | None, corpus: Corpus,
                    config: InferenceConfig | None = None) -> list[PredictionRecord]:
     """Predict a label for every candidate pair, in canonical order.
 
-    Pairs run through :meth:`LlmGateway.map`, up to ``max_in_flight`` at a
-    time. Each pair's request is a pure function of corpus, index, and
-    config, so reruns replay through the gateway cache and an interrupted
-    run resumes where it stopped.
+    The calling thread builds the instruction and every pair's snippets; then the chat
+    calls run through :meth:`LlmGateway.map`, up to ``max_in_flight`` at a time. Each
+    pair's request is a pure function of corpus, index, and config, so reruns replay
+    through the gateway cache and an interrupted run resumes where it stopped.
     """
     config = config if config is not None else InferenceConfig()
+    instruction = build_instruction(corpus.schema, config.instruction)
     jobs = [(sample, head_id, tail_id) for sample in corpus.samples
             for head_id, tail_id, _ in enumerate_candidate_pairs(sample, corpus.schema)]
+    snippets = retrieve_for_pairs(gateway, index, corpus.schema, [
+        (sample.entity(head_id), sample.entity(tail_id)) for sample, head_id, tail_id in jobs],
+        config)
     return gateway.map(lambda job: predict_pair(
-        gateway.chat, gateway, index, *job, corpus.schema, config), jobs)
+        gateway.chat, instruction, *job, corpus.schema, config),
+        [(*job, pair_snippets) for job, pair_snippets in zip(jobs, snippets)])
 
 
 def save_predictions(predictions: Iterable[PredictionRecord]) -> str:

@@ -289,29 +289,42 @@ def candidate_chunk_ids(index: CuiIndex, head: Entity, tail: Entity, *,
 
 def retrieve(index: CuiIndex, query_vec: np.ndarray, head: Entity, tail: Entity,
              *, k: int = DEFAULTS["k"], cui_scoped: bool = True) -> list[RetrievedSnippet]:
-    """Rank eligible chunks by cosine similarity to the query vector, ties by (doc id,
-    chunk number), the index's row order. An empty scope yields an empty list.
+    """:func:`retrieve_batch` of one query."""
+    return retrieve_batch(index, [query_vec], [(head, tail)], k=k, cui_scoped=cui_scoped)[0]
 
-    One einsum pass, kept off BLAS (whose gemv wakes a second thread that spins on the
-    CPU), scores the eligible rows; only rows within ``SHORTLIST_MARGIN`` of the k-th best,
-    a margin far above the rounding gap, are rescored with ``cosine``, as a scan would."""
+
+def retrieve_batch(index: CuiIndex, query_vecs: Sequence[np.ndarray],
+                   pairs: Sequence[tuple[Entity, Entity]], *, k: int = DEFAULTS["k"],
+                   cui_scoped: bool = True) -> list[list[RetrievedSnippet]]:
+    """Per query, the chunks eligible for its ``(head, tail)`` pair ranked by cosine
+    similarity, ties by (doc id, chunk number), the index's row order; an empty scope
+    yields an empty list. Scoped queries are scored by one einsum pass each, unscoped ones
+    by one matrix product per ``index.dimension`` queries, a block no larger than the
+    matrix. Only rows within ``SHORTLIST_MARGIN`` of a query's k-th best, a margin far above
+    the rounding gap, are rescored with ``cosine``, as a scan would."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    rows = candidate_chunk_ids(index, head, tail, cui_scoped=cui_scoped)
-    if query_vec.shape != (index.dimension,):
-        raise ValueError(f"dimension mismatch: {query_vec.shape} vs {(index.dimension,)}")
-    query_norm = float(np.linalg.norm(query_vec))
-    if query_norm == 0.0:
+    for query_vec in query_vecs:
+        if query_vec.shape != (index.dimension,):
+            raise ValueError(f"dimension mismatch: {query_vec.shape} vs {(index.dimension,)}")
+    queries = np.array(query_vecs, float).reshape(len(query_vecs), index.dimension)
+    query_norms = np.linalg.norm(queries, axis=1)
+    if not query_norms.all():
         raise ValueError("cosine undefined for zero vector")
-    if len(rows) > k:
-        # all rows are scored in place: gathering the whole matrix costs more than scoring it
-        matrix, norms = ((index.matrix, index.norms) if len(rows) == len(index)
-                         else (index.matrix[rows], index.norms[rows]))
-        approx = np.einsum("ij,j->i", matrix, query_vec) / norms  # cosine times query_norm
-        kth = np.partition(approx, -k)[-k]
-        rows = [rows[i] for i in np.flatnonzero(approx >= kth - SHORTLIST_MARGIN * query_norm)]
-    ranked = sorted((-cosine(query_vec, index.matrix[row]), row) for row in rows)[:k]
-    return [RetrievedSnippet(*index.chunk(row), -neg) for neg, row in ranked]
+    ranked = []
+    for i, (query, (head, tail)) in enumerate(zip(queries, pairs, strict=True)):
+        if not cui_scoped and i % index.dimension == 0:  # cosine times the query norm
+            block = queries[i:i + index.dimension] @ index.matrix.T / index.norms
+        rows = candidate_chunk_ids(index, head, tail, cui_scoped=cui_scoped)
+        if len(rows) > k:
+            approx = (block[i % index.dimension] if not cui_scoped else
+                      np.einsum("ij,j->i", index.matrix[rows], query) / index.norms[rows])
+            kth = np.partition(approx, -k)[-k]
+            kept = np.flatnonzero(approx >= kth - SHORTLIST_MARGIN * query_norms[i])
+            rows = [rows[j] for j in kept]
+        best = sorted((-cosine(query, index.matrix[row]), row) for row in rows)[:k]
+        ranked.append([RetrievedSnippet(*index.chunk(row), -neg) for neg, row in best])
+    return ranked
 
 
 def save_index(index: CuiIndex) -> str:

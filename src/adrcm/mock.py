@@ -13,7 +13,7 @@ import hashlib
 from typing import Callable
 
 from .corpus import Corpus, enumerate_candidate_pairs
-from .infer import InferenceConfig, predict_pair
+from .infer import InferenceConfig, build_instruction, predict_pair, retrieve_for_pair
 from .iors import IorsConfig, generate_synthetic, positive_triplets
 from .kb import ChunkParams, CuiIndex
 from .llm import ChatExchange, Embedder, ScriptedBackend, exchange_key
@@ -62,6 +62,7 @@ def build_mock_script(corpus: Corpus, index: CuiIndex | None, iors_config: IorsC
     """
     schema = corpus.schema
     positives = schema.positive_labels
+    instruction = build_instruction(schema, infer_config.instruction)
     script: dict[str, str] = {}
 
     def recorder(replies: list[str]) -> Callable[[ChatExchange], str]:
@@ -98,6 +99,8 @@ def build_mock_script(corpus: Corpus, index: CuiIndex | None, iors_config: IorsC
                     reply = schema.none_label
             else:
                 reply = _styled_label(gold, (roll // 10) % 3)
-            predict_pair(recorder([reply]), embedder, index, sample, head_id, tail_id,
+            snippets = retrieve_for_pair(embedder, index, schema, sample.entity(head_id),
+                                         sample.entity(tail_id), infer_config)
+            predict_pair(recorder([reply]), instruction, sample, head_id, tail_id, snippets,
                          schema, infer_config)
     return script

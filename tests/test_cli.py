@@ -757,6 +757,22 @@ def test_ingest_refuses_a_schema_without_a_positive_label(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("allowed_type_pairs", [1], "schema field 'allowed_type_pairs' is not a list of two-string lists"),
+    ("aliases", ["ab"], "schema field 'aliases' is not an object of string to string"),
+], ids=["type-pair-not-a-list", "aliases-not-an-object"])
+def test_ingest_refuses_a_schema_field_of_the_wrong_type(tmp_path, capsys, field, value, message):
+    cdr = json.loads(resources.files("adrcm.data.schemas").joinpath("cdr.json")
+                     .read_text(encoding="utf-8"))
+    schema = tmp_path / "bad.json"
+    schema.write_text(json.dumps({**cdr, field: value}))
+    out = tmp_path / "corpus.jsonl"
+    assert main(["ingest", "--input", _toy_path("toy_corpus.pubtator"),
+                 "--schema", str(schema), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 BIORED_PUBTATOR = (
     "8001|t|BRX1 binds drugox in cardiomyopathy.\n"
     "8001\t0\t4\tBRX1\tGene\t5001\n"

@@ -16,6 +16,7 @@ from adrcm.corpus import (
     parse_cui_map,
     parse_pubtator,
     save_corpus,
+    schema_from_dict,
     segment_sentences,
 )
 from adrcm.model import (
@@ -375,6 +376,40 @@ def test_load_corpus_rejects_malformed_header():
     for text in ("{bad\n", "7\n"):
         with pytest.raises(ParseError, match="^line 1: bad corpus header: "):
             load_corpus(text)
+
+
+def _cdr_schema_dict():
+    return json.loads(resources.files("adrcm.data.schemas").joinpath("cdr.json")
+                      .read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("name", 3), ("name", None), ("labels", "CIDNone"), ("labels", ["CID", 1]),
+    ("none_label", ["None"]), ("allowed_type_pairs", [1]),
+    ("allowed_type_pairs", [["chemical", "disease", "gene"]]),
+    ("allowed_type_pairs", {"chemical": "disease"}), ("aliases", ["ab"]),
+    ("aliases", {"cid": 1}),
+])
+def test_schema_from_dict_refuses_a_field_of_the_wrong_type(toy_corpus, field, value):
+    obj = {**_cdr_schema_dict(), field: value}
+    with pytest.raises(ValueError, match=f"^schema field '{field}' is not "):
+        schema_from_dict(obj)
+    header, rest = save_corpus(toy_corpus).split("\n", 1)
+    edited = {**json.loads(header), "schema": obj}
+    with pytest.raises(ParseError, match=f"^line 1: bad corpus header: schema field '{field}'"):
+        load_corpus(json.dumps(edited) + "\n" + rest)
+
+
+def test_schema_from_dict_refuses_a_missing_field_or_a_non_object():
+    for field in ("name", "labels", "none_label", "allowed_type_pairs"):
+        obj = {key: value for key, value in _cdr_schema_dict().items() if key != field}
+        with pytest.raises(ValueError, match=f"^schema field '{field}' is not "):
+            schema_from_dict(obj)
+    for obj in ([], "cdr", None):
+        with pytest.raises(ValueError, match="^schema field 'name' is not a string"):
+            schema_from_dict(obj)
+    aliasless = {key: value for key, value in _cdr_schema_dict().items() if key != "aliases"}
+    assert schema_from_dict(aliasless).aliases == {}
 
 
 # "C" and seven ARABIC-INDIC DIGITs, which ``\d`` matches

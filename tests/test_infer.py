@@ -1,3 +1,4 @@
+import math
 import random
 import re
 import threading
@@ -5,6 +6,7 @@ import threading
 import pytest
 
 import adrcm.infer
+import adrcm.kb
 from adrcm.corpus import Corpus, builtin_schema, enumerate_candidate_pairs
 from adrcm.infer import (
     RAG_MODES,
@@ -21,7 +23,7 @@ from adrcm.infer import (
     save_predictions,
 )
 from adrcm.iors import IorsConfig
-from adrcm.kb import RetrievedSnippet, build_index
+from adrcm.kb import EMBED_BATCH_SIZE, RetrievedSnippet, build_index
 from adrcm.llm import HashingEmbedder, LlmGateway, RetryPolicy, ScriptedBackend, exchange_key, user_exchange
 from adrcm.mock import TOY_CHUNK_PARAMS, build_mock_script
 from adrcm.model import RelationSchema
@@ -211,8 +213,8 @@ def test_predict_pair_with_keyed_script(rag_setup, cdr_schema):
         max_tokens=config.max_tokens)): "CID"}
     gateway = LlmGateway(ScriptedBackend(script), HashingEmbedder(),
                          retry=RetryPolicy(1, 0.0))
-    record = predict_pair(gateway.chat, gateway, index, sample, "D1", "D2", cdr_schema,
-                          config)
+    record = predict_pair(gateway.chat, build_instruction(cdr_schema), sample, "D1", "D2",
+                          snippets, cdr_schema, config)
     assert record.label == "CID"
     assert not record.unparseable
     assert record.snippets_used == tuple(s.chunk_id for s in snippets)
@@ -230,13 +232,15 @@ def test_predict_pair_takes_a_chat_function_and_a_bare_embedder(rag_setup, cdr_s
         prompts.append(exchange.messages[-1].content)
         return "The relation is CID."
 
-    plain = predict_pair(chat, HashingEmbedder(), index, sample, "D1", "D2", cdr_schema,
-                         config)
+    instruction = build_instruction(cdr_schema, config.instruction)
+    snippets = retrieve_for_pair(HashingEmbedder(), index, cdr_schema, sample.entity("D1"),
+                                 sample.entity("D2"), config)
+    plain = predict_pair(chat, instruction, sample, "D1", "D2", snippets, cdr_schema, config)
     gateway = LlmGateway(ScriptedBackend({exchange_key(user_exchange(
         prompts[0], temperature=config.temperature, model_id=config.model_id,
         max_tokens=config.max_tokens)): "The relation is CID."}), HashingEmbedder(),
         retry=RetryPolicy(1, 0.0))
-    assert predict_pair(gateway.chat, gateway, index, sample, "D1", "D2", cdr_schema,
+    assert predict_pair(gateway.chat, instruction, sample, "D1", "D2", snippets, cdr_schema,
                         config) == plain
     assert plain.label == "CID" and bool(plain.snippets_used) == (rag_mode != "off")
 
@@ -294,14 +298,14 @@ def _by_length(prompt):
 
 def test_predict_corpus_concurrent_matches_sequential(toy_corpus, toy_index):
     runs = {}
-    for width in (1, 2):
+    for width in (1, 2, 4):
         backend = OverlapBackend(_by_length)
         gateway = LlmGateway(backend, HashingEmbedder(), retry=RetryPolicy(1, 0.0),
                              max_in_flight=width)
         runs[width] = predict_corpus(gateway, toy_index, toy_corpus)
-        assert backend.peak_in_flight == width
+        assert min(width, 2) <= backend.peak_in_flight <= width  # two calls are made to meet
     assert len(runs[1]) == 16
-    assert runs[2] == runs[1]
+    assert runs[2] == runs[4] == runs[1]
     assert {p.label for p in runs[1]} == {"CID", "None"}
 
 
@@ -338,8 +342,47 @@ def test_predict_corpus_retrieves_through_the_module_global_name(toy_corpus, toy
     gateway = LlmGateway(OverlapBackend(_by_length), HashingEmbedder(),
                          retry=RetryPolicy(1, 0.0))
     predictions = predict_corpus(gateway, toy_index, toy_corpus, InferenceConfig(rag_mode="cui"))
-    assert calls == [True] * len(predictions)
+    assert calls == [True] * math.ceil(len(predictions) / EMBED_BATCH_SIZE)
     assert any(p.snippets_used for p in predictions)
+
+
+@pytest.mark.parametrize("batch_size", [EMBED_BATCH_SIZE, 5, 1])
+def test_predict_corpus_embeds_and_retrieves_per_block_on_the_calling_thread(
+        toy_corpus, toy_index, monkeypatch, batch_size):
+    """The calling thread makes one embedding call and one retrieval per block of
+    ``EMBED_BATCH_SIZE`` pairs, while a live ``parallel_safe`` backend at width 4 takes
+    the chat calls on the pool; predictions do not depend on the block size."""
+    want = predict_corpus(LlmGateway(OverlapBackend(_by_length), HashingEmbedder(),
+                                     retry=RetryPolicy(1, 0.0), max_in_flight=1),
+                          toy_index, toy_corpus, InferenceConfig(rag_mode="chunks"))
+    threads, blocks = [], []
+    inner = adrcm.infer.retrieve
+
+    def spy(index, query_vecs, pairs, **kwargs):
+        threads.append(threading.get_ident())
+        blocks.append(len(pairs))
+        return inner(index, query_vecs, pairs, **kwargs)
+
+    embedded = []
+
+    class CountingEmbedder(HashingEmbedder):
+        def embed_batch(self, texts):
+            threads.append(threading.get_ident())
+            embedded.append(len(texts))
+            return super().embed_batch(texts)
+
+    monkeypatch.setattr(adrcm.infer, "retrieve", spy)
+    monkeypatch.setattr(adrcm.kb, "EMBED_BATCH_SIZE", batch_size)
+    backend = OverlapBackend(_by_length)
+    gateway = LlmGateway(backend, CountingEmbedder(), retry=RetryPolicy(1, 0.0),
+                         max_in_flight=4)
+    assert predict_corpus(gateway, toy_index, toy_corpus,
+                          InferenceConfig(rag_mode="chunks")) == want
+    sizes = [min(batch_size, len(want) - at) for at in range(0, len(want), batch_size)]
+    assert len(sizes) == math.ceil(len(want) / batch_size)
+    assert blocks == embedded == sizes
+    assert threads == [threading.get_ident()] * 2 * len(sizes)
+    assert backend.peak_in_flight >= 2 and len(backend.threads) > 1
 
 
 def test_mock_script_answers_queries_embedded_by_the_index_embedder(toy_corpus, toy_kb_docs):

@@ -20,6 +20,7 @@ from adrcm.kb import (
     load_index,
     load_kb,
     retrieve,
+    retrieve_batch,
     save_index,
 )
 from adrcm.llm import HashingEmbedder
@@ -543,6 +544,51 @@ def test_unscoped_retrieve_rejects_bad_queries_like_the_scan():
             messages.append(str(info.value))
         assert messages[0] == messages[1]
         assert "zero vector" in messages[0] or "mismatch" in messages[0]
+
+
+def test_retrieve_batch_equals_one_query_retrieve():
+    """Seeded random batches rank as one-query ``retrieve`` does, scoped and unscoped, for
+    every k up to more than the rows in scope, with exact ties from repeated chunk texts
+    and repeated queries, and more queries than a dim-8 index scores in one product."""
+    rng = random.Random(34)
+    texts = [" ".join(rng.choices(_VOCAB, k=rng.randint(1, 6))) for _ in range(4)]
+    docs = [KbDocument(f"C{4000000 + i % 6}", "kb", f"t{i}", rng.choice(texts))
+            for i in range(16)]
+    index = build_index(docs, HashingEmbedder(8), params=ChunkParams(3, 1, 1))
+    assert index.dimension == 8
+    cuis = [*index.by_cui, "C0999999"]
+    pairs = [(_entity("E1", cui=rng.choice(cuis)), _entity("E2", cui=rng.choice(cuis)))
+             for _ in range(29)]
+    queries = []
+    for _ in pairs:
+        kind = rng.randrange(3)
+        if kind == 0 and queries:  # a query repeated
+            queries.append(rng.choice(queries))
+        elif kind == 1:  # a chunk's own direction, scaled
+            queries.append(rng.uniform(0.5, 3.0) * index.matrix[rng.randrange(len(index))])
+        else:
+            queries.append(np.array([rng.gauss(0, 1) for _ in range(8)]))
+    scores = [cosine(query, row) for query in queries for row in index.matrix]
+    assert len(scores) - len(set(scores)) > 100
+    ties = 0
+    for scoped in (True, False):
+        most = max(len(candidate_chunk_ids(index, *pair, cui_scoped=scoped)) for pair in pairs)
+        for k in range(1, most + 3):
+            got = retrieve_batch(index, queries, pairs, k=k, cui_scoped=scoped)
+            want = [retrieve(index, query, *pair, k=k, cui_scoped=scoped)
+                    for query, pair in zip(queries, pairs)]
+            assert [[(s.chunk_id, s.score.hex()) for s in r] for r in got] == \
+                   [[(s.chunk_id, s.score.hex()) for s in r] for r in want], (scoped, k)
+            ties += sum(len(r) - len({s.score for s in r}) for r in got)
+    assert ties > 100
+    for scoped in (True, False):
+        assert retrieve_batch(index, [], [], k=3, cui_scoped=scoped) == []
+        for bad, message in ((np.zeros(8), "zero vector"), (np.ones(9), "dimension mismatch"),
+                             (np.ones((8, 1)), "dimension mismatch")):
+            for at in (0, 11, len(queries)):
+                batch = queries[:at] + [bad] + queries[at:]
+                with pytest.raises(ValueError, match=message):
+                    retrieve_batch(index, batch, pairs[:1] * len(batch), k=3, cui_scoped=scoped)
 
 
 def test_chunk_vectors_are_views_of_the_index_matrix():
